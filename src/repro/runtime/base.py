@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import fastpath
 from repro.mem.accounting import measure, measure_mapping
@@ -32,12 +32,12 @@ from repro.mem.layout import (
     page_floor,
 )
 from repro.mem.physical import MappedFile, PhysicalMemory
-from repro.mem.vmm import Mapping, PageState, VirtualAddressSpace
+from repro.mem.vmm import FaultCounts, Mapping, PageState, VirtualAddressSpace
 from repro.memo import digest as memo_digest
 from repro.memo import effects as memo_effects
 from repro.memo import toggle as memo_toggle
 from repro.runtime import costs
-from repro.runtime.object_model import ObjectGraph
+from repro.runtime.object_model import CohortObject, ObjectGraph
 
 
 class OutOfMemory(Exception):
@@ -314,6 +314,9 @@ class ManagedRuntime(abc.ABC):
         both paths produce byte-identical event traces.
 
         Returns the allocated object ids (segment ids on the fast path).
+        A moving collector may later split a segment where its members
+        part ways (:meth:`ObjectGraph.split_cohort`); the returned id then
+        names the leading members only.
         """
         self._check_booted()
         if count <= 0:
@@ -354,45 +357,93 @@ class ManagedRuntime(abc.ABC):
             place()
 
     def _touch_cohort_segment(
-        self, mapping: Mapping, addr: int, unit: int, members: int
-    ) -> None:
-        """One bulk touch for a contiguous run, charged per member.
+        self, addr: int, unit: int, members: int, floor: int = 0
+    ) -> FaultCounts:
+        """One bulk touch for ``members`` contiguous ``unit``-byte objects
+        at ``addr``, charged per member; returns the run's fault counts.
 
         Fault *costs* accumulate in float arithmetic, so the charging
         order must match the scalar path: each faulting page is billed to
         the first member whose page-aligned span covers it (exactly which
         member would have faulted it in the one-touch-per-object flow),
-        and :meth:`_charge_faults` runs once per member, in order.  The
-        page states are read before the touch; the touch itself is a
-        single VMM splice for the whole run.
+        and :meth:`_charge_faults` runs in member order.  Members that
+        fault nothing are skipped, which adds the same ``0.0``.
+
+        Pages below the absolute address ``floor`` are neither touched nor
+        billed: a bump space passes its ``touched`` watermark, because the
+        scalar ``_materialize`` never re-touches pages beneath it, even
+        swapped-out ones.  The run may span several mappings (every heap
+        ``commit`` is an ``mprotect`` that splits the reservation).  Page
+        states are read before the touch; the touch is one VMM call.
         """
-        start = mapping.start
-        lo = (page_floor(addr) - start) >> PAGE_SHIFT
-        hi = (page_ceil(addr + members * unit) - start) >> PAGE_SHIFT
-        # Prefix-sum the pending faults over the run's page window.
-        minor_at = [0] * (hi - lo + 1)
-        major_at = [0] * (hi - lo + 1)
-        for s, e, state in mapping.segments(lo, hi):
-            if state is PageState.NOT_PRESENT or state is PageState.FILE_CLEAN:
-                for page in range(s, e):
-                    minor_at[page - lo + 1] = 1
-            elif state is PageState.SWAPPED:
-                for page in range(s, e):
-                    major_at[page - lo + 1] = 1
-        for i in range(1, len(minor_at)):
-            minor_at[i] += minor_at[i - 1]
-            major_at[i] += major_at[i - 1]
-        self.space.touch(addr, members * unit)
-        next_page = lo
-        for j in range(members):
-            a = addr + j * unit
-            m_lo = max((page_floor(a) - start) >> PAGE_SHIFT, next_page)
-            m_hi = (page_ceil(a + unit) - start) >> PAGE_SHIFT
-            next_page = m_hi
-            self._charge_faults(
-                minor_at[m_hi - lo] - minor_at[m_lo - lo],
-                major_at[m_hi - lo] - major_at[m_lo - lo],
-            )
+        lo = max(page_floor(addr), floor)
+        hi = page_ceil(addr + members * unit)
+        if hi <= lo:
+            return FaultCounts()
+        # Runs of pages the touch will fault, as absolute page numbers.
+        faults: List[Tuple[int, int, bool]] = []
+        pos = lo
+        while pos < hi:
+            mapping = self.space.find_mapping(pos)
+            if mapping is None:
+                break  # the touch below raises SegmentationFault
+            end = min(hi, mapping.end)
+            base = mapping.start >> PAGE_SHIFT
+            first = (pos - mapping.start) >> PAGE_SHIFT
+            last = (end - mapping.start) >> PAGE_SHIFT
+            for s, e, state in mapping.segments(first, last):
+                if state is not PageState.ANON_DIRTY:
+                    faults.append((base + s, base + e, state is PageState.SWAPPED))
+            pos = end
+        counts = self.space.touch(lo, hi - lo)
+        # Member j covers pages [done, page_ceil(end of member j)).
+        done = lo >> PAGE_SHIFT
+        i, n = 0, len(faults)
+        end = addr
+        for _ in range(members):
+            if i == n:
+                break  # every faulting page is billed
+            end += unit
+            m_hi = page_ceil(end) >> PAGE_SHIFT
+            if m_hi <= done:
+                continue
+            minor = major = 0
+            while i < n:
+                s, e, swapped = faults[i]
+                if s >= m_hi:
+                    break
+                pages = min(e, m_hi) - max(s, done)
+                if swapped:
+                    major += pages
+                else:
+                    minor += pages
+                if e > m_hi:
+                    break
+                i += 1
+            done = m_hi
+            if minor or major:
+                self._charge_faults(minor, major)
+        return counts
+
+    def _split_cohort_to_fit(
+        self, oid: int, room: int, live: Optional[Set[int]] = None
+    ) -> Optional[int]:
+        """Cut cohort ``oid`` where its members overflow ``room`` bytes.
+
+        A moving collector copies a run's members one after another, so
+        when the whole run overflows a destination with room for at least
+        one member, the members part ways at ``room // unit``.  Returns
+        the tail's id, or ``None`` when nothing needs cutting (a plain
+        object, a run that fits, a room too small for any member).  The
+        tail joins ``live`` (the collection's reachable set) when given.
+        """
+        obj = self.graph.objects[oid]
+        if not isinstance(obj, CohortObject) or obj.size <= room or room < obj.unit:
+            return None
+        tail = self.graph.split_cohort(oid, room // obj.unit)
+        if live is not None:
+            live.add(tail)
+        return tail
 
     def free_persistent(self, oid: int) -> None:
         """Drop a persistent root (cached state handed off / invalidated)."""

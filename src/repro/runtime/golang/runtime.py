@@ -128,11 +128,7 @@ class GoRuntime(ManagedRuntime):
                 count - placed,
                 (self._next_gc - self._heap_used() - 1) // unit,
             )
-            chunk = None
-            for candidate in reversed(self._arenas.chunks):
-                if candidate.fits(unit):
-                    chunk = candidate
-                    break
+            chunk = self._arenas.first_fit(unit)
             if chunk is None:
                 members = min(members, self._arenas.payload // unit)
                 large = sum(m.length for m in self._large.values())
@@ -145,7 +141,7 @@ class GoRuntime(ManagedRuntime):
             def place(oid: int = oid, members: int = members) -> None:
                 chunk, offset, _new = self._arenas.allocate(oid, members * unit)
                 addr = chunk.mapping.start + PAGE_SIZE + offset
-                self._touch_cohort_segment(chunk.mapping, addr, unit, members)
+                self._touch_cohort_segment(addr, unit, members)
 
             self._place_cohort_segment(oid, scope, place)
             oids.append(oid)

@@ -153,6 +153,42 @@ class HotSpotRuntime(ManagedRuntime):
         self._where[oid] = self._eden
         self._materialize(self._eden)
 
+    def _supports_cohorts(self, unit: int) -> bool:
+        return unit <= self._eden.reserved
+
+    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+        """Bump whole runs into eden, one segment per run that fits.
+
+        Each segment is the longest run that fits ``eden.free``: one
+        cohort node, one bump, one page touch from eden's ``touched``
+        watermark.  The member that does not fit goes through
+        :meth:`~ManagedRuntime.alloc` unbatched, so the scavenge (and any
+        eden growth) it triggers sees exactly the scalar path's graph.
+        """
+        eden = self._eden
+        base = self._heap.start + eden.offset
+        oids: List[int] = []
+        placed = 0
+        while placed < count:
+            members = min(count - placed, eden.free // unit)
+            if not members:
+                oids.append(self.alloc(unit, scope=scope))
+                placed += 1
+                continue
+            oid = self.graph.new_cohort(members, unit)
+
+            def place(oid: int = oid, members: int = members) -> None:
+                addr = base + eden.top
+                eden.bump(oid, members * unit)
+                self._where[oid] = eden
+                self._touch_cohort_segment(addr, unit, members, base + eden.touched)
+                eden.touched = max(eden.touched, page_ceil(eden.top))
+
+            self._place_cohort_segment(oid, scope, place)
+            oids.append(oid)
+            placed += members
+        return oids
+
     def _place_old_direct(self, oid: int, size: int) -> None:
         if not self._old.fits(size):
             self._ensure_old_capacity(size)
@@ -207,6 +243,14 @@ class HotSpotRuntime(ManagedRuntime):
         for oid in survivors:
             obj = self.graph.objects[oid]
             obj.age += 1
+            if obj.age < cfg.tenure_threshold:
+                tail = self._split_cohort_to_fit(oid, self._to.free, live)
+                if tail is not None:
+                    # The leading members fill ``to``; the rest overflow.
+                    self._to.bump(oid, obj.size)
+                    self._where[oid] = self._to
+                    copied += obj.size
+                    oid, obj = tail, self.graph.objects[tail]
             if obj.age >= cfg.tenure_threshold or not self._to.fits(obj.size):
                 self._old.bump(oid, obj.size)
                 self._where[oid] = self._old

@@ -99,6 +99,40 @@ class ObjectGraph:
         self.objects[oid] = CohortObject(oid, count * unit, [], 0, count, unit)
         return oid
 
+    def split_cohort(self, oid: int, head: int) -> int:
+        """Cut cohort ``oid`` after its first ``head`` members.
+
+        ``oid`` keeps the leading ``head`` members; a new cohort takes the
+        rest and its id is returned.  The tail inherits the head's age and
+        edges and is rooted in every frame, persistent, and weak root set
+        that holds the head, so it lives and dies exactly as the members
+        it stands for.  Moving collectors call this where a run's members
+        would part ways (a survivor space or an old chunk filling up).
+        """
+        obj = self.objects[oid]
+        if not isinstance(obj, CohortObject):
+            raise TypeError(f"object {oid} is not a cohort")
+        if not 0 < head < obj.count:
+            raise ValueError(
+                f"split point {head} outside cohort of {obj.count} members"
+            )
+        tail = self._next_id
+        self._next_id += 1
+        rest = obj.count - head
+        self.objects[tail] = CohortObject(
+            tail, rest * obj.unit, list(obj.refs), obj.age, rest, obj.unit
+        )
+        obj.count = head
+        obj.size = head * obj.unit
+        if oid in self.persistent_roots:
+            self.persistent_roots.add(tail)
+        if oid in self.weak_roots:
+            self.weak_roots.add(tail)
+        for frame in self._frames:
+            if oid in frame:
+                frame.add(tail)
+        return tail
+
     def add_ref(self, parent: int, child: int) -> None:
         """Add a strong edge parent -> child."""
         self._require(parent)

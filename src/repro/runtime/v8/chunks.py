@@ -112,15 +112,23 @@ class ChunkedSpace:
     def used(self) -> int:
         return sum(c.top for c in self.chunks)
 
+    def first_fit(self, size: int) -> Optional[Chunk]:
+        """The chunk :meth:`allocate` would bump ``size`` bytes into: the
+        newest one with room, or ``None`` when a new chunk is needed."""
+        for chunk in reversed(self.chunks):
+            if chunk.fits(size):
+                return chunk
+        return None
+
     def allocate(self, oid: int, size: int) -> Tuple[Chunk, int, bool]:
         """Place an object, returning ``(chunk, offset, chunk_was_new)``."""
         if size > self.payload:
             raise ValueError(
                 f"{size}-byte object exceeds chunk payload; use large-object space"
             )
-        for chunk in reversed(self.chunks):
-            if chunk.fits(size):
-                return chunk, chunk.bump(oid, size), False
+        chunk = self.first_fit(size)
+        if chunk is not None:
+            return chunk, chunk.bump(oid, size), False
         chunk = self._new_chunk()
         return chunk, chunk.bump(oid, size), True
 

@@ -16,7 +16,7 @@ deoptimize (§4.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 from repro.mem.layout import KIB, MIB, PAGE_SIZE, Protection, page_ceil
 from repro.mem.vmm import Mapping
@@ -31,6 +31,7 @@ from repro.runtime.base import (
 )
 from repro.runtime.hotspot.spaces import ContiguousSpace
 from repro.runtime.jit import CodeCache
+from repro.runtime.object_model import CohortObject
 from repro.runtime.v8.chunks import CHUNK_PAYLOAD, ChunkedSpace
 from repro.runtime.v8.policy import V8YoungPolicy
 
@@ -147,12 +148,64 @@ class V8Runtime(ManagedRuntime):
         self._materialize_semi(self._from)
         self._young_alloc_since_full_gc += size
 
-    def _place_old(self, oid: int, size: int) -> None:
+    def _supports_cohorts(self, unit: int) -> bool:
+        cfg: V8Config = self.config  # type: ignore[assignment]
+        return unit < cfg.large_object_threshold
+
+    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
+        """Bump whole runs into from-space; see the HotSpot twin for the
+        scheme.  The member that does not fit goes through
+        :meth:`~ManagedRuntime.alloc`, which scavenges, expands the
+        semispaces, or places it in old space exactly as the scalar path
+        does."""
+        oids: List[int] = []
+        placed = 0
+        while placed < count:
+            semi = self._from
+            members = min(count - placed, semi.free // unit)
+            if not members:
+                oids.append(self.alloc(unit, scope=scope))
+                placed += 1
+                continue
+            oid = self.graph.new_cohort(members, unit)
+
+            def place(oid: int = oid, members: int = members) -> None:
+                base = self._semi_base(semi)
+                addr = base + semi.top
+                semi.bump(oid, members * unit)
+                self._touch_cohort_segment(addr, unit, members, base + semi.touched)
+                semi.touched = max(semi.touched, page_ceil(semi.top))
+                self._young_alloc_since_full_gc += members * unit
+
+            self._place_cohort_segment(oid, scope, place)
+            oids.append(oid)
+            placed += members
+        return oids
+
+    def _place_old(
+        self, oid: int, size: int, live: Optional[Set[int]] = None
+    ) -> None:
         # Promotions during a collection must not re-enter the collector.
+        # (Cohorts only arrive here from a collection or compaction.)
         if not self._in_gc and self._heap_over_budget(size):
             self.collect(full=True)
             if self._heap_over_budget(size):
                 raise OutOfMemory(f"{self.name}: old space over heap budget")
+        obj = self.graph.objects[oid]
+        while isinstance(obj, CohortObject):
+            # Cut the run where its members would fill the chunk they
+            # land in; the tail continues in the next chunk.
+            chunk = self._old.first_fit(obj.unit)
+            room = self._old.payload if chunk is None else chunk.free
+            tail = self._split_cohort_to_fit(oid, room, live)
+            chunk, offset, _new = self._old.allocate(oid, obj.size)
+            counts = self._touch_cohort_segment(
+                chunk.mapping.start + PAGE_SIZE + offset, obj.unit, obj.count
+            )
+            self._evac_fault_bytes += (counts.minor + counts.major) * PAGE_SIZE
+            if tail is None:
+                return
+            oid, obj = tail, self.graph.objects[tail]
         chunk, offset, _new = self._old.allocate(oid, size)
         counts = self.space.touch(chunk.mapping.start + PAGE_SIZE + offset, size)
         self._evac_fault_bytes += (counts.minor + counts.major) * PAGE_SIZE
@@ -210,9 +263,17 @@ class V8Runtime(ManagedRuntime):
                 continue
             obj = self.graph.objects[oid]
             obj.age += 1
+            if obj.age < cfg.tenure_threshold:
+                tail = self._split_cohort_to_fit(oid, self._to.free, live)
+                if tail is not None:
+                    # The leading members fill ``to``; the rest overflow.
+                    self._to.bump(oid, obj.size)
+                    copied += obj.size
+                    oid, obj = tail, self.graph.objects[tail]
             if obj.age >= cfg.tenure_threshold or not self._to.fits(obj.size):
-                self._place_old(oid, obj.size)
-                promoted += obj.size
+                size = obj.size  # read before placement may split it
+                self._place_old(oid, size, live)
+                promoted += size
             else:
                 self._to.bump(oid, obj.size)
                 copied += obj.size
@@ -249,8 +310,9 @@ class V8Runtime(ManagedRuntime):
         promoted = 0
         for oid in list(self._from.objects) + list(self._to.objects):
             if oid in self.graph.objects:
-                self._place_old(oid, self.graph.objects[oid].size)
-                promoted += self.graph.objects[oid].size
+                size = self.graph.objects[oid].size
+                self._place_old(oid, size)
+                promoted += size
         self._from.reset()
         self._to.reset()
 
@@ -367,16 +429,11 @@ class V8Runtime(ManagedRuntime):
         for chunk in list(self._old.chunks):
             self.space.munmap(chunk.mapping.start, chunk.mapping.length)
         self._old.chunks.clear()
-        moved = 0
+        self._in_gc = True  # part of the collection: no budget re-entry
         for oid, size in movers:
-            chunk, offset, _new = self._old.allocate(oid, size)
-            counts = self.space.touch(
-                chunk.mapping.start + PAGE_SIZE + offset, size
-            )
-            self._evac_fault_bytes += (counts.minor + counts.major) * PAGE_SIZE
-            self._charge_faults(counts.minor, counts.major)
-            moved += size
-        return costs.copy_cost(moved)
+            self._place_old(oid, size)
+        self._in_gc = False
+        return costs.copy_cost(sum(size for _oid, size in movers))
 
     # -------------------------------------------------------------- metrics
 
