@@ -84,6 +84,12 @@ ID_KEYS = ("request_id", "instance_id")
 #: (live object references a handler might need) is dropped.
 SCALARS = (str, int, float, bool, type(None))
 
+#: Keys every record opens with.  A payload key repeating one overwrites
+#: that value in place (plain dict semantics in the generic encoder),
+#: which no baked fragment plan expresses, so such shapes run the
+#: reference encoder itself.
+_ENVELOPE_KEYS = frozenset(("seq", "t", "node", "kind"))
+
 #: The exact string-escaping function ``json.dumps`` uses with the
 #: default ``ensure_ascii=True`` (C-accelerated when available).
 _escape = json.encoder.encode_basestring_ascii
@@ -205,6 +211,25 @@ def _encode_fallback(value: object) -> str:
     return json.dumps(value)
 
 
+def _compile_reference(kind: str):
+    """An encoder for ``kind`` that delegates to the generic reference.
+
+    Correct for every payload, so it needs no key-set guard; the sink's
+    id-map hook is rebuilt over ``id_maps`` per call.
+    """
+
+    def encode(seq, t, node, data, id_maps):
+        def normalize(key, value):
+            mapping = id_maps.get(key)
+            if mapping is None:
+                return value
+            return mapping.setdefault(value, len(mapping) + 1)
+
+        return encode_line_generic(seq, t, node, kind, data, normalize)
+
+    return encode
+
+
 def _compile_polymorphic(kind: str, keys: Tuple[str, ...]):
     """The per-value type-dispatching encoder for one shape.
 
@@ -317,7 +342,12 @@ def compile_shape(
     alone (no per-event shape tuple): the fallback re-dispatches by the
     full shape, so a kind re-emitted with a different key-set stays
     byte-correct, just slower.
+
+    A key-set that repeats an envelope key (``seq``, ``t``, ``node``,
+    ``kind``) gets the reference encoder instead of generated code.
     """
+    if not _ENVELOPE_KEYS.isdisjoint(keys):
+        return _compile_reference(kind)
     poly = _compile_polymorphic(kind, keys)
     ordered = sorted(keys)
     if sample is None or any(

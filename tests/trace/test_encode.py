@@ -17,7 +17,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.bus import EventBus
@@ -124,6 +124,9 @@ _times = st.floats(allow_nan=True, allow_infinity=True)
     t=_times,
     node=st.integers(min_value=0, max_value=64),
 )
+# A payload key repeating an envelope key overwrites that value in place.
+@example(kind="0", payload={"t": 0}, seq=0, t=0.0, node=0)
+@example(kind="k", payload={"kind": 1, "node": None}, seq=3, t=1.5, node=2)
 def test_every_encoder_tier_matches_json_dumps(kind, payload, seq, t, node):
     if not (t != t or t in (math.inf, -math.inf)):
         t = round(t, 9)  # the sink rounds before either encoder runs
@@ -154,6 +157,7 @@ def test_every_encoder_tier_matches_json_dumps(kind, payload, seq, t, node):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(first=_payloads, second=_payloads, t=st.floats(0, 1e6))
+@example(first={"a": 1}, second={"seq": 7}, t=0.0)
 def test_kind_encoder_fallback_keeps_bytes_on_shape_change(first, second, t):
     """A kind re-emitted with a different key-set routes through the
     fallback dispatch -- and still byte-matches the reference."""
