@@ -2,10 +2,9 @@
 """Parallel benchmark fan-out: the script face of ``repro bench``.
 
 Fans the characterize grid, the VMM microbenchmark, and the macro replay
-suite (fast/base leg pairs per size, plus digest-gated ``:memo``
-effect-cache twins with ``--memo-twin`` -- docs/MEMOIZATION.md -- and the
-``:enc`` generic-encoder / ``:digest-only`` storeless-sink twins with
-``--encoder-twin`` / ``--digest-only-twin`` -- docs/EVENT_TRACE.md)
+suite (fast/base leg pairs per size, plus the ``:enc`` generic-encoder /
+``:digest-only`` storeless-sink twins with ``--encoder-twin`` /
+``--digest-only-twin`` -- docs/EVENT_TRACE.md)
 across a process pool and writes the aggregated wall/CPU timings +
 metrics to a JSON document (the committed ``BENCH_vmm.json`` and
 ``BENCH_replay.json`` baselines are these)::
@@ -13,7 +12,7 @@ metrics to a JSON document (the committed ``BENCH_vmm.json`` and
     python benchmarks/runner.py --jobs 4 --json BENCH_vmm.json
     python benchmarks/runner.py --suite replay --sizes small,medium,large \\
         --policies vanilla,desiccant --nodes 8 --shards 2,4 \\
-        --unbatched-twin --memo-twin --encoder-twin --digest-only-twin \\
+        --unbatched-twin --encoder-twin --digest-only-twin \\
         --jobs 1 --json BENCH_replay.json
 
 Metrics are deterministic -- every run seeds its own RNG streams and builds

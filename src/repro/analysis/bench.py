@@ -37,7 +37,6 @@ import tempfile
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -45,7 +44,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import fastpath, procenv
 from repro.mem.layout import MIB, PAGE_SIZE
-from repro.memo import toggle as memo_toggle
 
 #: Policies a replay spec accepts (characterize accepts POLICIES as well).
 REPLAY_POLICIES = ("vanilla", "eager", "desiccant")
@@ -113,12 +111,6 @@ class BenchSpec:
     #: and gate the forked leg's merged-trace digest against the
     #: from-scratch run's (docs/CHECKPOINTS.md).
     fork: bool = False
-    #: Run with the invocation effect cache (``REPRO_MEMO``) enabled and
-    #: report its hit/miss/eviction/bytes counters.  The digest gate pins
-    #: a memo leg's trace to its plain twin (same label without
-    #: ``:memo``) -- memoization changes speed, never bytes
-    #: (docs/MEMOIZATION.md).
-    memo: bool = False
     #: Trace-line encoder for the leg: ``"fast"`` (the compiled
     #: per-kind encoders, the default everywhere) or ``"generic"`` --
     #: the reference twin (label suffix ``:enc``) that re-runs the same
@@ -146,8 +138,6 @@ class BenchSpec:
                 label += ":unbatched"
             if self.fork:
                 label += ":fork"
-            if self.memo:
-                label += ":memo"
             if self.encoder == "generic":
                 label += ":enc"
             if self.digest_only:
@@ -227,27 +217,6 @@ def _archive_metrics(archive_dir: str, flat_path: str) -> Dict[str, object]:
     return metrics
 
 
-def _memo_metrics(stats: Optional[Dict[str, int]]) -> Dict[str, object]:
-    """Flatten a replay's effect-cache counters into leg metrics.
-
-    ``stats`` is the measurement-window counter dict a memoized
-    :func:`~repro.trace.replay.replay` / ``cluster_replay`` attaches to
-    its result (summed over shards for cluster legs).  The hit rate is
-    derived here so the committed baseline carries it directly.
-    """
-    if stats is None:
-        return {}
-    lookups = stats["hits"] + stats["misses"]
-    return {
-        "memo_hits": stats["hits"],
-        "memo_misses": stats["misses"],
-        "memo_evictions": stats["evictions"],
-        "memo_entries": stats["entries"],
-        "memo_cached_bytes": stats["cached_bytes"],
-        "memo_hit_rate": round(stats["hits"] / lookups, 4) if lookups else 0.0,
-    }
-
-
 def _run_replay(spec: BenchSpec) -> Dict[str, object]:
     from repro.core import Desiccant, EagerGcManager, VanillaManager
     from repro.faas.platform import PlatformConfig
@@ -293,7 +262,6 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
             "trace_events": result.trace_events,
             "trace_sha256": result.trace_sha256,
         }
-        metrics.update(_memo_metrics(result.memo_stats))
         return metrics
     if spec.nodes:
         with tempfile.TemporaryDirectory(prefix="repro-bench-arc-") as scratch:
@@ -369,7 +337,6 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
             if spec.trace:
                 metrics["trace_events"] = result.trace_events
                 metrics["trace_sha256"] = result.trace_sha256
-            metrics.update(_memo_metrics(result.memo_stats))
             if fork_result is not None:
                 metrics["scratch_wall_seconds"] = round(scratch_wall, 4)
                 metrics["fork_wall_seconds"] = round(fork_wall, 4)
@@ -417,7 +384,6 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
             metrics["trace_sha256"] = hashlib.sha256(
                 Path(trace_path).read_bytes()
             ).hexdigest()
-        metrics.update(_memo_metrics(result.memo_stats))
         if spec.archive:
             metrics.update(_archive_metrics(archive_dir, trace_path))
         return metrics
@@ -475,16 +441,16 @@ def execute_spec(
 ) -> Dict[str, object]:
     """Run one spec; returns its metrics plus wall/CPU timings.
 
-    The spec's ``fastpath``, ``memo``, and ``encoder`` flags are forced
-    for the duration of the run (overriding
-    ``REPRO_FASTPATH``/``REPRO_MEMO``/``REPRO_TRACE_ENCODER``), so a spec
-    names one leg unambiguously.  Traced replay legs additionally report
-    ``trace_events_per_second`` -- emitted trace events over the leg's
-    wall time, the emission-throughput headline the encoder twins pair
-    on.  Every leg also samples its own Python
-    allocation high-water mark (``peak_tracemalloc_bytes``): tracemalloc
-    runs for *all* legs, memoized or not, so the uniform tracing overhead
-    cancels out of every wall-time ratio the suite reports.  With
+    The spec's ``fastpath`` and ``encoder`` flags are forced for the
+    duration of the run (overriding ``REPRO_FASTPATH`` and
+    ``REPRO_TRACE_ENCODER``), so a spec names one leg unambiguously.
+    Traced replay legs additionally report ``trace_events_per_second``
+    -- emitted trace events over the leg's wall time, the
+    emission-throughput headline the encoder twins pair on.  Every leg
+    also samples its own Python allocation high-water mark
+    (``peak_tracemalloc_bytes``): tracemalloc runs for *all* legs, so
+    the uniform tracing overhead cancels out of every wall-time ratio
+    the suite reports.  With
     ``profile_dir`` the run executes under ``cProfile`` and dumps
     ``<label>.prof`` plus a cumulative-time top-30 listing next to it.
     Top-level (not a closure) so ``ProcessPoolExecutor`` can pickle it.
@@ -499,9 +465,7 @@ def execute_spec(
         profiler = cProfile.Profile()
     tracemalloc.start()
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    with fastpath.override(spec.fastpath), (
-        memo_toggle.override(True) if spec.memo else nullcontext()
-    ), trace_encode.override(spec.encoder):
+    with fastpath.override(spec.fastpath), trace_encode.override(spec.encoder):
         if profiler is not None:
             profiler.enable()
         try:
@@ -542,60 +506,6 @@ def execute_spec(
             stats.sort_stats("cumulative").print_stats(30)
         result["profile"] = f"{stem}.prof"
     return result
-
-
-def write_profile_diffs(
-    profile_dir: str, results: Sequence[Dict[str, object]], top: int = 30
-) -> List[str]:
-    """Pair each memo leg's profile with its plain twin's and diff them.
-
-    For every profiled ``:memo`` replay leg whose plain twin was also
-    profiled in this run, writes ``<memo label>.diff.txt`` next to the
-    ``.prof`` dumps: the ``top`` functions ranked by absolute
-    cumulative-time delta (negative = the memoized leg spent less time
-    there -- the warm path the cache removed; positive = cost the memo
-    layer added, e.g. effect capture and fingerprinting).  Returns the
-    paths written.  Legs without a profiled twin are simply skipped.
-    """
-    profiled = {
-        r["label"]: r["profile"] for r in results if "profile" in r
-    }
-    written: List[str] = []
-    for label, prof in sorted(profiled.items()):
-        if not _MEMO_SUFFIX.search(label):
-            continue
-        twin = profiled.get(_MEMO_SUFFIX.sub("", label))
-        if twin is None:
-            continue
-        memo_stats = pstats.Stats(str(prof)).stats
-        plain_stats = pstats.Stats(str(twin)).stats
-        rows = []
-        for func in set(memo_stats) | set(plain_stats):
-            memo_cum = memo_stats.get(func, (0, 0, 0.0, 0.0, {}))[3]
-            plain_cum = plain_stats.get(func, (0, 0, 0.0, 0.0, {}))[3]
-            delta = memo_cum - plain_cum
-            if memo_cum or plain_cum:
-                rows.append((delta, memo_cum, plain_cum, func))
-        rows.sort(key=lambda row: (-abs(row[0]), row[3]))
-        path = Path(profile_dir) / (label.replace(":", "_") + ".diff.txt")
-        with open(path, "w") as sink:
-            sink.write(
-                f"profile-diff: {label} vs {_MEMO_SUFFIX.sub('', label)}\n"
-                f"top {top} functions by |cumulative-time delta| "
-                "(negative = memoized leg cheaper)\n\n"
-            )
-            sink.write(
-                f"{'delta_s':>10} {'memo_cum_s':>11} {'plain_cum_s':>12}  "
-                "function\n"
-            )
-            for delta, memo_cum, plain_cum, func in rows[:top]:
-                file, line, name = func
-                sink.write(
-                    f"{delta:>+10.4f} {memo_cum:>11.4f} {plain_cum:>12.4f}  "
-                    f"{name} ({file}:{line})\n"
-                )
-        written.append(str(path))
-    return written
 
 
 def run_benchmarks(
@@ -678,9 +588,6 @@ def build_replay_macro(
     scheduler: str = "warm-affinity",
     include_unbatched: bool = False,
     include_forked: bool = False,
-    include_memo: bool = False,
-    memo_policies: Sequence[str] = ("vanilla",),
-    memo_sizes: Optional[Sequence[str]] = None,
     include_encoder_twin: bool = False,
     include_digest_only: bool = False,
 ) -> List[BenchSpec]:
@@ -704,23 +611,6 @@ def build_replay_macro(
     ``measure-start`` checkpoint, a forked twin resumes from it skipping
     the warmup prefix, and :func:`verify_trace_identity` pins the two
     merged-trace digests to each other.
-
-    ``include_memo`` adds an effect-cache twin (label suffix ``:memo``)
-    per ``memo_policies`` cell: same workload with ``REPRO_MEMO`` on,
-    digest-gated byte-identical against the plain fast leg, reporting
-    hit/miss/bytes counters and the warm-path speedup.  Memo twins trace
-    but skip archive metrics (like the ``:unbatched`` comparison legs,
-    they time the bare simulation), and default to the vanilla policy:
-    desiccant's per-invocation threshold adaptation perturbs the causal
-    fingerprint almost every call, so its hit rate is structurally near
-    zero (docs/MEMOIZATION.md).  ``memo_sizes`` restricts which sizes get
-    the twin (``None`` = all of ``sizes``): the committed baseline keeps
-    memo legs on medium/large, where the measurement window is long
-    enough for recurring trajectories to dominate -- small's 30-second
-    window structurally caps the hit rate around 40%.  With ``nodes``
-    set each memo policy also gets cluster memo twins -- the serial twin
-    plus one per shard count -- so the digest gate pins memoized merged
-    traces across process boundaries too.
 
     ``include_encoder_twin`` adds a generic-encoder reference leg (label
     suffix ``:enc``) per single-platform (size, policy) cell: the same
@@ -787,43 +677,6 @@ def build_replay_macro(
                         digest_only=True,
                     )
                 )
-            if (
-                include_memo
-                and policy in memo_policies
-                and (memo_sizes is None or size in memo_sizes)
-            ):
-                specs.append(
-                    BenchSpec(
-                        kind="replay",
-                        policy=policy,
-                        scale=shape["scale"],
-                        duration=shape["duration"],
-                        warmup=shape["warmup"],
-                        capacity_mib=int(shape["capacity_mib"]),
-                        seed=seed,
-                        trace=True,
-                        memo=True,
-                    )
-                )
-                if nodes:
-                    for shards in (1, *shard_counts):
-                        specs.append(
-                            BenchSpec(
-                                kind="replay",
-                                policy=policy,
-                                scale=shape["scale"],
-                                duration=shape["duration"],
-                                warmup=shape["warmup"],
-                                capacity_mib=int(shape["capacity_mib"]),
-                                seed=seed,
-                                trace=True,
-                                nodes=nodes,
-                                shards=shards,
-                                scheduler=scheduler,
-                                epoch=2.0,
-                                memo=True,
-                            )
-                        )
             if nodes:
                 for shards in (1, *shard_counts):
                     protocols = ["batched"]
@@ -882,8 +735,6 @@ _SHARD_SUFFIX = re.compile(r":s\d+")
 _NODES_SUFFIX = re.compile(r":n\d+")
 #: ``:unbatched`` protocol suffix (the batched default has none).
 _UNBATCHED_SUFFIX = re.compile(r":unbatched")
-#: ``:memo`` effect-cache suffix (the plain twin has none).
-_MEMO_SUFFIX = re.compile(r":memo")
 #: ``:enc`` generic-encoder reference suffix (compiled default has none).
 _ENC_SUFFIX = re.compile(r":enc")
 #: ``:digest-only`` storeless-sink suffix (the plain twin has none).
@@ -891,11 +742,7 @@ _DIGEST_ONLY_SUFFIX = re.compile(r":digest-only")
 
 
 def _serial_twin_label(label: str) -> str:
-    """The serial-twin label a sharded leg's digest gates against.
-
-    Keeps a ``:memo`` suffix: a sharded memo leg's serial twin is the
-    *memoized* single-shard run (its plain pairing is handled separately).
-    """
+    """The serial-twin label a sharded leg's digest gates against."""
     return _SHARD_SUFFIX.sub("", _UNBATCHED_SUFFIX.sub("", label))
 
 
@@ -908,11 +755,6 @@ def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
     * every sharded cluster leg (``:sK``) vs its serial twin (the same
       label without the shard suffix) -- the multi-process run must merge
       to the exact bytes of the single-process run;
-    * every memoized leg (``:memo``) vs its plain twin (the same label
-      without the memo suffix) -- applying recorded effect deltas must
-      reproduce the simulated run byte for byte (docs/MEMOIZATION.md);
-      sharded memo legs additionally gate against their *memoized*
-      serial twin through the shard pairing above;
     * every generic-encoder reference leg (``:enc``) vs its compiled
       twin (the same label without the suffix) -- the per-kind compiled
       encoders must emit the exact bytes of the original ``json.dumps``
@@ -960,16 +802,6 @@ def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
                 f"({metrics['trace_events']} events, "
                 f"{metrics['trace_sha256'][:12]} != {base['trace_sha256'][:12]})"
             )
-        if _MEMO_SUFFIX.search(label):
-            plain = digests.get(_MEMO_SUFFIX.sub("", label))
-            if plain is not None and metrics["trace_sha256"] != plain["trace_sha256"]:
-                failures.append(
-                    f"{label}: memoized trace diverged from the plain twin "
-                    f"({metrics['trace_events']} vs "
-                    f"{plain['trace_events']} events, "
-                    f"{metrics['trace_sha256'][:12]} != "
-                    f"{plain['trace_sha256'][:12]})"
-                )
         if _ENC_SUFFIX.search(label):
             compiled = digests.get(_ENC_SUFFIX.sub("", label))
             if (
@@ -1055,11 +887,9 @@ def verify_coordination(
 def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Wall-clock ratios for every paired replay label.
 
-    Six pairings, one entry per non-reference label that has a partner:
+    Five pairings, one entry per non-reference label that has a partner:
 
     * fast leg vs ``:base`` leg (the fast-path speedup);
-    * ``:memo`` leg vs its plain twin (the warm-path memoization speedup,
-      reported as ``memo_speedup``);
     * plain leg vs its ``:enc`` generic-encoder reference twin (the
       compiled-encoder speedup, reported as ``encoder_speedup``);
     * plain leg vs its ``:digest-only`` twin (the storeless-sink gain,
@@ -1106,15 +936,6 @@ def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
                     round(plain / storeless, 2) if storeless else None
                 ),
             )
-        if _MEMO_SUFFIX.search(label):
-            plain_label = _MEMO_SUFFIX.sub("", label)
-            if plain_label in walls:
-                memo, plain = walls[label], walls[plain_label]
-                entry.update(
-                    plain_wall_seconds=plain,
-                    memo_wall_seconds=memo,
-                    memo_speedup=round(plain / memo, 2) if memo else None,
-                )
         if _SHARD_SUFFIX.search(label):
             serial_label = _serial_twin_label(label)
             sharded = walls[label]

@@ -93,12 +93,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "eager": EagerGcManager,
         "desiccant": Desiccant,
     }
-    if args.memo:
-        from repro.memo import toggle as memo_toggle
-
-        # Equivalent to REPRO_MEMO=1; procenv.snapshot ships the live
-        # flag to shard workers, so --memo covers sharded runs too.
-        memo_toggle.set_enabled(True)
     if args.digest_only and (args.event_trace or args.archive or args.nodes):
         print(
             "error: --digest-only neither stores nor writes the trace; "
@@ -257,17 +251,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     f"{result.archive_sha256[:16]})",
                     file=sys.stderr,
                 )
-        memo_stats = result.memo_stats
-        if memo_stats is not None:
-            lookups = memo_stats["hits"] + memo_stats["misses"]
-            rate = memo_stats["hits"] / lookups if lookups else 0.0
-            print(
-                f"memo [{policy}]: {memo_stats['hits']}/{lookups} hits "
-                f"({rate:.1%}), {memo_stats['entries']} entries, "
-                f"{fmt_bytes(memo_stats['cached_bytes'])} cached, "
-                f"{memo_stats['evictions']} evictions",
-                file=sys.stderr,
-            )
         rows.append(
             [
                 stats.policy,
@@ -384,7 +367,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         summarize,
         verify_coordination,
         verify_trace_identity,
-        write_profile_diffs,
         write_results,
     )
 
@@ -419,18 +401,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 shard_counts=shard_counts,
                 include_unbatched=args.unbatched_twin,
                 include_forked=args.forked,
-                include_memo=args.memo_twin,
-                memo_sizes=(
-                    args.memo_sizes.split(",") if args.memo_sizes else None
-                ),
                 include_encoder_twin=args.encoder_twin,
                 include_digest_only=args.digest_only_twin,
             )
         )
     results = run_benchmarks(specs, jobs=args.jobs, profile_dir=args.profile)
-    if args.profile:
-        for diff in write_profile_diffs(args.profile, results):
-            print(f"wrote {diff}", file=sys.stderr)
     rows = []
     for result in results:
         metrics = result["metrics"]
@@ -599,13 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=float, default=30.0)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--memo",
-        action="store_true",
-        help="memoize warm-path invocations through the content-addressed "
-        "effect cache (same as REPRO_MEMO=1; output stays byte-identical, "
-        "see docs/MEMOIZATION.md)",
-    )
     p.add_argument(
         "--event-trace",
         metavar="PATH",
@@ -813,14 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         "against the from-scratch run's",
     )
     p.add_argument(
-        "--memo-twin",
-        action="store_true",
-        help="add an effect-cache leg (REPRO_MEMO on, ':memo' label) per "
-        "vanilla replay cell, digest-gated byte-identical against the "
-        "plain fast leg; with --profile each memo leg also gets a "
-        "profile-diff top-30 listing against its twin",
-    )
-    p.add_argument(
         "--encoder-twin",
         action="store_true",
         help="add a generic-encoder reference leg (':enc' label) per "
@@ -834,13 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="add a storeless digest-only leg (':digest-only' label) per "
         "single-platform replay cell, digest-gated against the plain "
         "twin's written trace and paired as digest_only_speedup",
-    )
-    p.add_argument(
-        "--memo-sizes",
-        default="medium,large",
-        help="replay sizes that get the --memo-twin leg (comma-separated; "
-        "'' = all of --sizes).  Defaults to the sizes whose measurement "
-        "window is long enough for recurring trajectories to dominate",
     )
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--budget-mib", type=int, default=256)

@@ -65,8 +65,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import procenv
 from repro.faas.instance import InstanceState
-from repro.memo import cache as memo_cache
-from repro.memo import toggle as memo_toggle
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request, RequestOutcome
 from repro.sim import Event, EventTraceSink, REQUEST_DONE, SimKernel
 from repro.sim.shard import adaptive_horizons, epoch_horizons, make_pool
@@ -722,32 +720,10 @@ class ClusterShardHost:
             for stream in self.kernel._rngs.values():
                 stream.setstate(stream.split(str(label)).getstate())
 
-    def memo_flush(self) -> None:
-        """Materialize every deferred effect-cache restore on this shard.
-
-        Called by :func:`repro.sim.checkpoint.snapshot_host` before the
-        host pickles: a parked memo entry holds payload bytes whose
-        boundary tokens resolve against *this* process's live objects,
-        so the snapshot materializes them first and carries only plain
-        simulation state.  The process-local cache itself is never
-        serialized -- a restored run starts cold and re-simulates its
-        misses organically, which is byte-identical by construction.
-        """
-        for platform in self.platforms.values():
-            for instance in platform.all_instances():
-                runtime = getattr(instance, "runtime", None)
-                if runtime is not None:
-                    runtime._memo_materialize()
-
     def mark(self, name: str) -> None:
         if name == "reset-metrics":
             for platform in self.platforms.values():
                 platform.reset_metrics()
-            # Same warmup-boundary convention as the serial leg: the
-            # effect cache keeps its entries (a warm cache *is* the
-            # steady state being measured) but its counters restart
-            # alongside the platform meters.
-            memo_cache.drain_stats()
         elif name == "start-trace":
             if self.spec.trace_dir is None and self.spec.archive_dir is None:
                 return
@@ -840,11 +816,6 @@ class ClusterShardHost:
             "archive_segments": archive_segments,
             "archive_events": archive_events,
             "profile_path": self.spec.profile_path,
-            # Per-shard effect-cache counters (measurement window).  Each
-            # worker owns a private cache and they never coordinate, so
-            # shipping raw counters lets the coordinator sum them without
-            # double counting.
-            "memo": memo_cache.stats() if memo_toggle.enabled() else None,
             "nodes": nodes,
         }
 
@@ -1024,8 +995,6 @@ class ShardedClusterSession:
         self.worker_busy_seconds = 0.0
         self.archive_footers: List[Dict[str, object]] = []
         self.archive_events = 0
-        #: Summed per-shard effect-cache counters (memo runs only).
-        self.memo_stats: Optional[Dict[str, int]] = None
 
     # --------------------------------------------------------- accounting
 
@@ -1325,22 +1294,6 @@ class ShardedClusterSession:
         )
         self.archive_events = sum(
             result.get("archive_events", 0) for result in results
-        )
-        # Sum the per-shard effect-cache counters.  Each worker's cache
-        # is private and drain-accounted, so addition is exact; the total
-        # is shard-count-invariant in hits/misses (the same fingerprints
-        # recur whatever the partition) though cached_bytes naturally
-        # splits across processes.
-        shard_memo = [
-            result["memo"] for result in results if result.get("memo") is not None
-        ]
-        self.memo_stats = (
-            {
-                key: sum(stats[key] for stats in shard_memo)
-                for key in shard_memo[0]
-            }
-            if shard_memo
-            else None
         )
         nodes: Dict[int, dict] = {}
         for result in results:

@@ -14,8 +14,6 @@ from typing import Callable, Dict, Optional
 
 from repro.mem.layout import MIB, PAGE_SIZE
 from repro.mem.physical import MappedFile, PhysicalMemory
-from repro.memo import digest as memo_digest
-from repro.memo import effects as memo_effects
 from repro.runtime.base import ManagedRuntime, ReclaimOutcome
 from repro.runtime.cpython import CPythonConfig, CPythonRuntime
 from repro.runtime.golang import GoConfig, GoRuntime
@@ -103,9 +101,6 @@ class FunctionInstance:
             name=f"{spec.name}#{self.id}",
         )
         self.model = FunctionModel(spec, seed=seed)
-        #: Platform-configuration token folded into memo fingerprints so
-        #: entries recorded under one platform shape never hit in another.
-        self.memo_context = 0
         self._state = InstanceState.IDLE
         #: Optional ``(instance, previous, new)`` callback fired on every
         #: state change, however it happens (method or direct assignment);
@@ -160,7 +155,7 @@ class FunctionInstance:
         if self.state is InstanceState.DEAD:
             raise RuntimeError(f"instance {self.id} is dead")
         self.state = InstanceState.RUNNING
-        result = memo_effects.invoke(self)
+        result = self.model.invoke(self.runtime)
         self.state = InstanceState.IDLE
         self.invocation_count += 1
         self.last_used_at = now
@@ -226,8 +221,6 @@ class FunctionInstance:
         """
         if self.state is not InstanceState.FROZEN:
             raise RuntimeError("reclaim targets frozen instances only")
-        self.runtime._memo_materialize()
-        self.runtime.memo_note(memo_digest.OP_RECLAIM, int(aggressive))
         outcome = self.runtime.reclaim(aggressive=aggressive)
         self.reclaim_count += 1
         self.last_reclaim = outcome

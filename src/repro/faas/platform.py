@@ -24,7 +24,6 @@ they consume back to the platform's accountant.
 from __future__ import annotations
 
 import itertools
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -345,19 +344,6 @@ class FaasPlatform:
         #: are exact and order-independent, so the totals match the slow
         #: path's fresh sums bit for bit.
         self._fastpath = fastpath.enabled()
-        #: Platform-shape token stamped onto every instance so memo entries
-        #: recorded under one manager/policy/config never hit in another.
-        self._memo_context = zlib.crc32(
-            "|".join(
-                (
-                    type(self.manager).__name__,
-                    type(self.eviction_policy).__name__,
-                    self.config.idle_policy,
-                    str(int(bool(self.config.shared_libraries))),
-                    str(self.config.instance_memory),
-                )
-            ).encode()
-        )
         self._tracked: Dict[int, FunctionInstance] = {}
         self._uss_cache: Dict[int, int] = {}
         self._uss_total = 0
@@ -402,7 +388,6 @@ class FaasPlatform:
         """Hook a new instance into the incremental aggregates: watch its
         state transitions (frozen-set membership) and its address space's
         change counter (USS drift), and queue it for the first fold-in."""
-        instance.memo_context = self._memo_context
         if not self._fastpath:
             return
         self._tracked[instance.id] = instance

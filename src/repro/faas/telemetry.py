@@ -19,12 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from typing import Dict
-
 from repro.analysis.report import write_csv
 from repro.faas.platform import FaasPlatform
-from repro.memo import cache as memo_cache
-from repro.memo import toggle as memo_toggle
 from repro.sim import Event, SAMPLE, STEP
 
 _SPARK_GLYPHS = " .:-=+*#%@"
@@ -248,31 +244,6 @@ class TelemetryRecorder:
         return write_csv(
             path, list(self.HEADERS), (self._row(s) for s in self.samples)
         )
-
-
-def stats_probe(platform: FaasPlatform) -> Dict[str, object]:
-    """A ``/stats``-ready snapshot: platform meters plus the process
-    effect-cache counters.
-
-    Deliberately *outside* the sampled ``SAMPLE`` bus events and the CSV
-    stream: memo hit/miss counts differ between a memoized run and its
-    plain twin by design, so surfacing them in-band would break the
-    byte-identity of the traces the digest gates compare.  Probes read
-    this out-of-band dict instead.
-    """
-    probe: Dict[str, object] = {
-        "node": platform.node_id,
-        "instances": len(platform.all_instances()),
-        "frozen_instances": len(platform.frozen_instances()),
-        "frozen_bytes": platform.frozen_bytes(),
-        "used_bytes": platform.used_bytes(),
-        "cold_boots": platform.cold_boots,
-        "warm_starts": platform.warm_starts,
-        "evictions": platform.evictions,
-        "memo_enabled": memo_toggle.enabled(),
-        "memo": memo_cache.stats() if memo_toggle.enabled() else None,
-    }
-    return probe
 
 
 def bucket_means(values: Sequence[float], width: int) -> List[float]:

@@ -40,8 +40,6 @@ from repro.mem.layout import (
 )
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.runlist import RunList
-from repro.memo import digest as memo_digest
-from repro.memo import toggle as memo_toggle
 
 #: Where anonymous/bump allocations start; mirrors the x86-64 mmap area.
 DEFAULT_MMAP_BASE = 0x7F00_0000_0000
@@ -277,22 +275,6 @@ class VirtualAddressSpace:
         #: ``external_version`` moves; the platform uses it for dirty-set
         #: incremental aggregation.
         self.change_listener: Optional[Callable[[], None]] = None
-        #: REPRO_MEMO construction snapshot: an FNV-1a fold over every
-        #: state-changing operation on this space (``None`` = memo off).
-        #: Equal digests from equal construction imply equal mutation
-        #: histories, hence identical page-table state -- the space's
-        #: contribution to the invocation fingerprint.
-        self._memo_sig: Optional[int] = (
-            memo_digest.FNV_OFFSET if memo_toggle.enabled() else None
-        )
-        #: Recording tape for the invocation currently being memoized
-        #: (list of replayable op tuples); ``None`` outside recording.
-        self._memo_tape: Optional[List[Tuple[int, ...]]] = None
-        #: Per-``touch()`` scratch: pre-resolved splice effects, and
-        #: whether any faulted segment involved shared page-cache state
-        #: (which forces the whole touch back to op-level taping).
-        self._touch_buf: List[Tuple[int, ...]] = []
-        self._touch_file = False
 
     @property
     def version(self) -> int:
@@ -363,26 +345,6 @@ class VirtualAddressSpace:
             file.watch(mapping.id, self._on_file_change)
         self._insert(mapping)
         self.version += 1
-        if self._memo_sig is not None:
-            self._memo_sig = memo_digest.fold(
-                self._memo_sig,
-                memo_digest.OP_MMAP,
-                mapping.start,
-                length,
-                prot.value,
-                int(shared),
-                int(file is not None),
-            )
-            if self._memo_tape is not None:
-                if file is not None:
-                    # File-backed mappings carry cross-instance page-cache
-                    # identity; they only appear at boot, never inside an
-                    # invocation -- drop the tape rather than record one.
-                    self._memo_tape = None
-                else:
-                    self._memo_tape.append(
-                        (memo_digest.OP_MMAP, length, prot.value, name, mapping.start)
-                    )
         return mapping
 
     def munmap(self, addr: int, length: int) -> None:
@@ -396,12 +358,6 @@ class VirtualAddressSpace:
             self._release_range(mapping, 0, mapping.num_pages)
             self._remove(mapping)
         self.version += 1
-        if self._memo_sig is not None:
-            self._memo_sig = memo_digest.fold(
-                self._memo_sig, memo_digest.OP_MUNMAP, addr, length
-            )
-            if self._memo_tape is not None:
-                self._memo_tape.append((memo_digest.OP_MUNMAP, addr, length))
 
     def mprotect(self, addr: int, length: int, prot: Protection) -> None:
         """Change protection over a range (does *not* free frames)."""
@@ -413,14 +369,6 @@ class VirtualAddressSpace:
         for mapping in self._overlapping(start, end):
             mapping.prot = prot
         self.version += 1
-        if self._memo_sig is not None:
-            self._memo_sig = memo_digest.fold(
-                self._memo_sig, memo_digest.OP_MPROTECT, addr, length, prot.value
-            )
-            if self._memo_tape is not None:
-                self._memo_tape.append(
-                    (memo_digest.OP_MPROTECT, addr, length, prot.value)
-                )
 
     def commit(self, addr: int, length: int) -> None:
         """Make a reserved range usable (``mprotect`` to read/write)."""
@@ -446,10 +394,6 @@ class VirtualAddressSpace:
         self._check_open()
         counts = FaultCounts()
         start, end = page_floor(addr), page_ceil(addr + length)
-        recording = self._memo_tape is not None
-        if recording:
-            self._touch_buf = []
-            self._touch_file = False
         pos = start
         while pos < end:
             mapping = self.find_mapping(pos)
@@ -467,32 +411,6 @@ class VirtualAddressSpace:
             counts += self._touch_range(mapping, first, last, write)
             pos = span_end
         self.faults += counts
-        if self._memo_sig is not None and counts.total:
-            # Zero-fault touches change no state and stay off the digest
-            # and the tape; fault counts pin the pre-state the replay must
-            # reproduce.
-            self._memo_sig = memo_digest.fold(
-                self._memo_sig,
-                memo_digest.OP_TOUCH,
-                addr,
-                length,
-                int(write),
-                counts.minor,
-                counts.major,
-            )
-            if recording:
-                if self._touch_file:
-                    # Page-cache state is shared across instances, so the
-                    # effect of a file-backed fault depends on global state
-                    # the fingerprint does not pin: keep the whole touch
-                    # op-level and re-execute it organically on a hit.
-                    self._memo_tape.append(
-                        (memo_digest.OP_TOUCH, addr, length, int(write))
-                    )
-                else:
-                    # Pure anon/swap faults: record the pre-resolved splice
-                    # effects so a hit applies them directly.
-                    self._memo_tape.extend(self._touch_buf)
         return counts
 
     def _touch_range(
@@ -504,10 +422,6 @@ class VirtualAddressSpace:
         changed = 0
         pieces: List[Tuple[int, int, PageState]] = []
         phys = self.physical
-        recording = self._memo_tape is not None
-        if recording:
-            anon_before = mapping.n_anon
-            swapped_before = mapping.n_swapped
         for s, e, state in mapping._runs.iter_segments(
             first, last, PageState.NOT_PRESENT
         ):
@@ -520,8 +434,6 @@ class VirtualAddressSpace:
                 if mapping.file is not None and not cow:
                     # Read of file pages, or write to MAP_SHARED file pages:
                     # serve from / install into the page cache.
-                    if recording:
-                        self._touch_file = True
                     fresh = mapping.file.touch_range(
                         mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
                     )
@@ -539,8 +451,6 @@ class VirtualAddressSpace:
                     # Copy-on-write: private file pages become anon frames.
                     counts.minor += n
                     changed += n
-                    if recording:
-                        self._touch_file = True
                     freed = mapping.file.untouch_range(
                         mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
                     )
@@ -563,21 +473,6 @@ class VirtualAddressSpace:
         if changed:
             mapping._runs.splice(first, last, pieces)
             self.version += changed
-            if recording and not self._touch_file:
-                self._touch_buf.append(
-                    (
-                        memo_digest.TAPE_SPLICE,
-                        mapping.start,
-                        first,
-                        last,
-                        tuple(pieces),
-                        mapping.n_anon - anon_before,
-                        mapping.n_swapped - swapped_before,
-                        counts.minor,
-                        counts.major,
-                        changed,
-                    )
-                )
         return counts
 
     # ------------------------------------------------------------- reclaim
@@ -597,13 +492,7 @@ class VirtualAddressSpace:
                 mapping.num_pages,
                 (min(end, mapping.end) - mapping.start + PAGE_SIZE - 1) >> PAGE_SHIFT,
             )
-            released += self._release_range(mapping, first, last, record=True)
-        if self._memo_sig is not None and released:
-            # The tape records per-mapping effects inside ``_release_range``;
-            # the digest keeps folding at the call level.
-            self._memo_sig = memo_digest.fold(
-                self._memo_sig, memo_digest.OP_DISCARD, addr, length, released
-            )
+            released += self._release_range(mapping, first, last)
         return released
 
     def swap_out_range(self, addr: int, length: int) -> SwapOutResult:
@@ -651,17 +540,6 @@ class VirtualAddressSpace:
         if result.total:
             self.version += 1
             self.release_epoch += 1
-            if self._memo_sig is not None:
-                self._memo_sig = memo_digest.fold(
-                    self._memo_sig,
-                    memo_digest.OP_SWAP_OUT,
-                    addr,
-                    length,
-                    result.swapped,
-                    result.dropped,
-                )
-                if self._memo_tape is not None:
-                    self._memo_tape.append((memo_digest.OP_SWAP_OUT, addr, length))
         return result
 
     def close(self) -> None:
@@ -675,28 +553,15 @@ class VirtualAddressSpace:
 
     # ------------------------------------------------------------ internals
 
-    def _release_range(
-        self, mapping: Mapping, first: int, last: int, record: bool = False
-    ) -> int:
-        """Free frames for every present page in ``[first, last)``.
-
-        With ``record=True`` (the ``discard`` path) and an active memo tape,
-        the per-mapping release is taped as a pre-resolved ``TAPE_CLEAR``
-        effect -- unless file pages were involved, in which case the
-        sub-range is taped op-level and replays organically.  ``munmap`` and
-        ``close`` pass ``record=False``: their callers tape (or need) the
-        whole operation instead.
-        """
+    def _release_range(self, mapping: Mapping, first: int, last: int) -> int:
+        """Free frames for every present page in ``[first, last)``."""
         released = 0
-        anon_freed = swap_freed = 0
-        file_seen = False
         phys = self.physical
         for s, e, state in mapping._runs.iter_runs(first, last):
             n = e - s
             if state is PageState.ANON_DIRTY:
                 phys.free_anon(n)
                 mapping.n_anon -= n
-                anon_freed += n
             elif state is PageState.FILE_CLEAN:
                 freed = mapping.file.untouch_range(
                     mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
@@ -704,39 +569,17 @@ class VirtualAddressSpace:
                 if freed:
                     phys.free_file(freed)
                 mapping.n_file -= n
-                file_seen = True
             else:  # SWAPPED: discard straight from the swap device.  Not a
                 # swap-in -- no frame is allocated and no major fault is paid,
                 # so counting it as one would break swap-in/major-fault parity
                 # (and under-report swap traffic in snapshot accounting).
                 phys.swap.discard(n)
                 mapping.n_swapped -= n
-                swap_freed += n
             released += n
         if released:
             mapping._runs.clear(first, last)
             self.version += 1
             self.release_epoch += 1
-            if record and self._memo_tape is not None:
-                if file_seen:
-                    self._memo_tape.append(
-                        (
-                            memo_digest.OP_DISCARD,
-                            mapping.start + (first << PAGE_SHIFT),
-                            (last - first) << PAGE_SHIFT,
-                        )
-                    )
-                else:
-                    self._memo_tape.append(
-                        (
-                            memo_digest.TAPE_CLEAR,
-                            mapping.start,
-                            first,
-                            last,
-                            anon_freed,
-                            swap_freed,
-                        )
-                    )
         return released
 
     def _insert(self, mapping: Mapping) -> None:

@@ -25,8 +25,6 @@ import time
 from typing import Dict, Optional
 
 from repro import fastpath
-from repro.memo import cache as memo_cache
-from repro.memo import toggle as memo_toggle
 
 #: Flags forwarded verbatim from the parent environment when set.
 _PASSTHROUGH = ("REPRO_CHECK", "REPRO_CHECK_CADENCE", "REPRO_CHECK_EVERY")
@@ -45,7 +43,6 @@ def snapshot(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
 
     env: Dict[str, str] = {
         "REPRO_FASTPATH": "1" if fastpath.enabled() else "0",
-        "REPRO_MEMO": "1" if memo_toggle.enabled() else "0",
         "REPRO_TRACE_ENCODER": trace_encode.mode(),
     }
     for key in _PASSTHROUGH:
@@ -68,11 +65,7 @@ def apply(env: Dict[str, str]) -> None:
     from repro.trace import encode as trace_encode
 
     fastpath.set_enabled(env.get("REPRO_FASTPATH", "1") not in ("", "0"))
-    memo_toggle.set_enabled(env.get("REPRO_MEMO", "0") not in ("", "0"))
     trace_encode.set_mode(env.get("REPRO_TRACE_ENCODER", "fast") or "fast")
-    # A worker adopting flags starts a fresh leg; stale entries from a
-    # previous configuration must never satisfy its lookups.
-    memo_cache.reset()
 
 
 def initializer(env: Dict[str, str]) -> None:

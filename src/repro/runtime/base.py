@@ -17,7 +17,6 @@ FaaS simulator can charge latency and cgroup CPU time.
 from __future__ import annotations
 
 import abc
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -33,9 +32,6 @@ from repro.mem.layout import (
 )
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.vmm import FaultCounts, Mapping, PageState, VirtualAddressSpace
-from repro.memo import digest as memo_digest
-from repro.memo import effects as memo_effects
-from repro.memo import toggle as memo_toggle
 from repro.runtime import costs
 from repro.runtime.object_model import CohortObject, ObjectGraph
 
@@ -170,25 +166,6 @@ class ManagedRuntime(abc.ABC):
         self._fastpath = fastpath.enabled()
         self._uss_cache: Optional[Tuple[Tuple[int, int], int]] = None
         self._hrb_cache: Optional[Tuple[int, int]] = None
-        #: REPRO_MEMO construction snapshot (``None`` = memo off): an
-        #: FNV-1a fold seeded from (class, config, fastpath flavor) that
-        #: accumulates the externally driven mutations the space digest
-        #: cannot see (``full_gc``/``free_persistent``/``reclaim``) plus
-        #: one marker per completed invocation, so the interleaving of
-        #: invocations and external operations addresses the effect cache.
-        if memo_toggle.enabled():
-            token = zlib.crc32(
-                f"{type(self).__name__}|{config!r}|{int(self._fastpath)}".encode()
-            )
-            self._memo_sig: Optional[int] = memo_digest.fold(
-                memo_digest.FNV_OFFSET, token
-            )
-        else:
-            self._memo_sig = None
-        #: Lazily deferred structural restore from the last memo hit:
-        #: ``(entry, [gc_event suffixes])`` or ``None``.  Materialized by
-        #: ``_memo_materialize`` before anything reads structural state.
-        self._memo_pending: Optional[tuple] = None
 
     # ------------------------------------------------------------------ boot
 
@@ -447,8 +424,6 @@ class ManagedRuntime(abc.ABC):
 
     def free_persistent(self, oid: int) -> None:
         """Drop a persistent root (cached state handed off / invalidated)."""
-        self._memo_materialize()
-        self.memo_note(memo_digest.OP_FREE_PERSISTENT, oid)
         self.graph.unroot_persistent(oid)
 
     @abc.abstractmethod
@@ -464,7 +439,6 @@ class ManagedRuntime(abc.ABC):
     def full_gc(self, aggressive: bool = True) -> float:
         """The application-facing ``System.gc()`` / ``global.gc`` (eager
         baseline).  Aggressive by default, per §4.7."""
-        self.memo_note(memo_digest.OP_FULL_GC, int(aggressive))
         return self.collect(full=True, aggressive=aggressive)
 
     @abc.abstractmethod
@@ -507,7 +481,6 @@ class ManagedRuntime(abc.ABC):
             cached = self._hrb_cache
             if cached is not None and cached[0] == self.space.version:
                 return cached[1]
-        self._memo_materialize()
         total = 0
         for mapping in self._heap_mappings():
             total += measure_mapping(mapping).rss
@@ -533,7 +506,6 @@ class ManagedRuntime(abc.ABC):
         # touch, every page this would visit is still resident.
         if self._live_touch_epoch == self.space.release_epoch:
             return 0.0
-        self._memo_materialize()
         seconds = self._touch_live_heap()
         if self._native is not None and self._native_touched > 0:
             counts = self.space.touch(self._native.start, self._native_touched)
@@ -582,7 +554,6 @@ class ManagedRuntime(abc.ABC):
 
     def live_bytes(self) -> int:
         """Exact live bytes (the runtime's query interface, §4.5.2)."""
-        self._memo_materialize()
         return self.graph.live_bytes(include_weak=True)
 
     def ideal_uss(self) -> int:
@@ -591,13 +562,7 @@ class ManagedRuntime(abc.ABC):
         return self.live_bytes() + self._native_touched
 
     def destroy(self) -> None:
-        """Tear the instance down (eviction).
-
-        A deferred memo restore is dropped, not materialized: teardown
-        only closes the address space (a live object), so the structural
-        state the restore would rebuild is about to be garbage anyway.
-        """
-        self._memo_pending = None
+        """Tear the instance down (eviction)."""
         self.space.close()
 
     # ------------------------------------------------------------ internals
@@ -623,23 +588,5 @@ class ManagedRuntime(abc.ABC):
         return seconds
 
     def _check_booted(self) -> None:
-        # Every mutator and GC entry point passes through here, which
-        # makes it the one choke point for deferred memo restores.
-        if self._memo_pending is not None:
-            self._memo_materialize()
         if not self.booted:
             raise RuntimeError(f"{self.name}: not booted")
-
-    # ---------------------------------------------------------------- memo
-
-    def memo_note(self, *values: int) -> None:
-        """Fold an externally driven mutation into the memo digest."""
-        if self._memo_sig is not None:
-            self._memo_sig = memo_digest.fold(self._memo_sig, *values)
-
-    def _memo_materialize(self) -> None:
-        """Apply the structural half of the last memo hit, if deferred."""
-        pending = self._memo_pending
-        if pending is not None:
-            self._memo_pending = None
-            memo_effects.materialize(self, pending)

@@ -197,7 +197,6 @@ class CPythonRuntime(ManagedRuntime):
     # -------------------------------------------------------------- metrics
 
     def heap_stats(self) -> HeapStats:
-        self._memo_materialize()
         large = sum(m.length for m in self._large.values())
         return HeapStats(
             committed=self._arenas.committed + large,

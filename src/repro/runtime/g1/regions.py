@@ -47,8 +47,8 @@ class Region:
 
     def __getstate__(self) -> tuple:
         """Compact pickle state (a flat tuple, the kind by value): the
-        region array dominates the G1 portion of memo effect payloads and
-        epoch checkpoints, and the flat form dumps faster at fewer bytes."""
+        region array dominates the G1 portion of epoch checkpoints, and
+        the flat form dumps faster at fewer bytes."""
         return (
             self.index,
             self.kind.value,

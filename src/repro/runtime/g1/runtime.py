@@ -315,7 +315,6 @@ class G1Runtime(ManagedRuntime):
 
     def heap_stats(self) -> HeapStats:
         """Committed/used/live-estimate snapshot."""
-        self._memo_materialize()
         return HeapStats(
             committed=self._regions.committed_kinds_bytes(),
             used=self._regions.used_bytes(),

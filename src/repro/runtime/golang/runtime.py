@@ -187,7 +187,6 @@ class GoRuntime(ManagedRuntime):
         cfg: GoConfig = self.config  # type: ignore[assignment]
         if idle_seconds < cfg.scavenger_retention_seconds:
             return 0
-        self._memo_materialize()
         live_sizes = {oid: obj.size for oid, obj in self.graph.objects.items()}
         return self._arenas.release_free_pages(live_sizes)
 
@@ -215,7 +214,6 @@ class GoRuntime(ManagedRuntime):
 
     def heap_stats(self) -> HeapStats:
         """Committed/used/live-estimate snapshot."""
-        self._memo_materialize()
         large = sum(m.length for m in self._large.values())
         return HeapStats(
             committed=self._arenas.committed + large,

@@ -392,7 +392,6 @@ class HotSpotRuntime(ManagedRuntime):
     # -------------------------------------------------------------- metrics
 
     def heap_stats(self) -> HeapStats:
-        self._memo_materialize()
         return HeapStats(
             committed=sum(s.committed for s in self._spaces()),
             used=sum(s.top for s in self._spaces()),

@@ -35,8 +35,8 @@ class ContiguousSpace:
 
     def __getstate__(self) -> tuple:
         """Compact pickle state (a flat tuple, no keyed ``__dict__``):
-        heap spaces recur in every memo effect payload and epoch
-        checkpoint, and the flat form dumps faster at fewer bytes."""
+        heap spaces recur in every epoch checkpoint, and the flat form
+        dumps faster at fewer bytes."""
         return (
             self.name,
             self.offset,

@@ -242,9 +242,8 @@ class ObjectGraph:
 
     def __getstate__(self) -> Tuple[object, ...]:
         """Compact pickle state: one small tuple per node instead of a
-        class-tagged ``__dict__`` each.  Graph serialization sits on two
-        hot paths -- memo effect capture (``repro.memo.effects``) and
-        epoch checkpoints (``repro.sim.checkpoint``) -- and the flat form
+        class-tagged ``__dict__`` each.  Graph serialization dominates
+        epoch checkpoints (``repro.sim.checkpoint``), and the flat form
         dumps several times faster at roughly half the bytes."""
         nodes: List[Tuple[object, ...]] = []
         append = nodes.append

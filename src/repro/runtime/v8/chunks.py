@@ -52,8 +52,8 @@ class Chunk:
 
     def __getstate__(self) -> Tuple[object, ...]:
         """Compact pickle state (a flat tuple, no keyed ``__dict__``):
-        chunks dominate the V8 portion of memo effect payloads and epoch
-        checkpoints, and the flat form dumps faster at fewer bytes."""
+        chunks dominate the V8 portion of epoch checkpoints, and the flat
+        form dumps faster at fewer bytes."""
         return (self.mapping, self.top, self.objects, self.payload)
 
     def __setstate__(self, state: Tuple[object, ...]) -> None:

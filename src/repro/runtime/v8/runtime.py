@@ -439,7 +439,6 @@ class V8Runtime(ManagedRuntime):
 
     def heap_stats(self) -> HeapStats:
         """Committed/used/live-estimate snapshot."""
-        self._memo_materialize()
         used = (
             self._from.top
             + self._old.used

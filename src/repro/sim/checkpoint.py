@@ -36,6 +36,9 @@ Invariant names
 ``checkpoint-truncated``  payload shorter than the header promises
 ``checkpoint-digest``     payload bytes do not hash to the header digest
 ``checkpoint-env``        capture/restore environment flags disagree
+``checkpoint-payload``    an intact payload names a class or function this
+                          build no longer has (it was captured by an older
+                          build, so it cannot be rebuilt here)
 
 Module-global counters
 ----------------------
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import os
@@ -62,7 +66,6 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro import fastpath
 from repro.check.invariants import Violation
-from repro.memo import toggle as memo_toggle
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -102,6 +105,32 @@ class CheckpointError(Violation):
 
 def _fail(invariant: str, subject: str, detail: str) -> None:
     raise CheckpointError(invariant, subject, detail)
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Names the global a payload references but this build lacks."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except (ImportError, AttributeError) as exc:
+            raise pickle.UnpicklingError(
+                f"payload references {module}.{name}, which this build "
+                f"does not have ({exc})"
+            ) from exc
+
+
+def _unpickle(data: bytes, subject: str) -> Any:
+    """Unpickle a payload that already passed the byte-level checks.
+
+    An intact payload can still reference a module, class or function
+    this build no longer has; that raises ``checkpoint-payload`` instead
+    of a raw import or attribute error from deep inside pickle.
+    """
+    try:
+        return _PayloadUnpickler(io.BytesIO(data)).load()
+    except (ImportError, AttributeError, pickle.UnpicklingError) as exc:
+        _fail("checkpoint-payload", subject, str(exc))
 
 
 # ------------------------------------------------------- global id counters
@@ -147,17 +176,12 @@ def restore_counters(values: Dict[str, int]) -> None:
 def environment_fingerprint() -> Dict[str, object]:
     """The flags a checkpoint's state is only meaningful under.
 
-    ``memo`` is recorded for observability but never gated on:
-    memoization only changes how fast state is computed, never what it
-    is, so a checkpoint captured under either flavor restores under
-    either (the effect cache itself is process-local and is dropped, not
-    serialized -- a restored run starts cold and re-simulates misses
-    organically, byte-identically).
+    Only ``fastpath`` is gated on restore; other keys (including ones
+    older builds recorded) are informational.
     """
     return {
         "fastpath": fastpath.enabled(),
         "check": os.environ.get("REPRO_CHECK", ""),
-        "memo": memo_toggle.enabled(),
     }
 
 
@@ -278,7 +302,7 @@ def load(path: str | Path) -> Tuple[Dict[str, object], Any]:
             f"restoring with {'on' if live['fastpath'] else 'off'}",
         )
     _, payload = _read_raw(path)
-    state = pickle.loads(payload[: header["payload_bytes"]])
+    state = _unpickle(payload[: header["payload_bytes"]], f"checkpoint {path}")
     return header, state
 
 
@@ -291,14 +315,7 @@ def snapshot_host(host: Any) -> bytes:
     The worker-side half of the pool ``snapshot`` command: the blob is
     opaque to the coordinator, which stores one per shard inside the
     session checkpoint payload.
-
-    A host carrying deferred memo restores materializes them first (its
-    ``memo_flush`` hook): parked effect-cache entries resolve against
-    live process state and must not leak into the payload.
     """
-    flush = getattr(host, "memo_flush", None)
-    if flush is not None:
-        flush()
     return pickle.dumps(
         {"host": host, "counters": capture_counters()},
         protocol=PICKLE_PROTOCOL,
@@ -314,7 +331,7 @@ def restore_host(blob: bytes, fork: Optional[Dict[str, object]] = None) -> Any:
     policy/parameters via the host's ``apply_fork`` hook before any
     event runs.
     """
-    state = pickle.loads(blob)
+    state = _unpickle(blob, "shard host snapshot")
     restore_counters(state["counters"])
     host = state["host"]
     reopen = getattr(host, "reopen_outputs", None)

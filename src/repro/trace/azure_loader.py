@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.memo import statcache
+from repro.trace import statcache
 from repro.workloads.model import FunctionDefinition
 from repro.workloads.registry import all_definitions
 
@@ -55,7 +55,7 @@ def load_invocation_counts(path: str | Path) -> List[AzureFunctionRow]:
     """Parse an ``invocations_per_function`` CSV.
 
     Parses are memoized per file identity (``(path, mtime, size)`` via
-    :mod:`repro.memo.statcache`), so bench suites and checkpoint-restore
+    :mod:`repro.trace.statcache`), so bench suites and checkpoint-restore
     arrival regeneration stop re-parsing the same CSV per leg; an edited
     or replaced file re-parses.  Returns a fresh list each call (the rows
     themselves are frozen and shared).

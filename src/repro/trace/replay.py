@@ -23,8 +23,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.baselines import MemoryManager
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request
-from repro.memo import cache as memo_cache
-from repro.memo import toggle as memo_toggle
 from repro.sim import EventTraceSink
 from repro.trace.generator import TraceGenerator
 from repro.trace.stats import ReplayStats, percentile
@@ -114,10 +112,6 @@ class ReplayResult:
     archive_events: int = 0
     archive_sha256: Optional[str] = None
     window: Optional[WindowResult] = None
-    #: Effect-cache counters for the measurement window (memo runs only):
-    #: hits/misses/evictions accumulated after the warmup drain, plus the
-    #: live entry/byte footprint at run end.
-    memo_stats: Optional[Dict[str, int]] = None
 
 
 def replay(
@@ -128,11 +122,6 @@ def replay(
     """Run warmup + measurement for one policy and scale factor."""
     config = config or ReplayConfig()
     generator = generator or TraceGenerator(seed=config.trace_seed)
-    memoizing = memo_toggle.enabled()
-    if memoizing:
-        # Leg hygiene: a run never inherits entries recorded by an
-        # earlier replay in the same process.
-        memo_cache.reset()
     manager = manager_factory()
     platform = FaasPlatform(config=config.platform, manager=manager)
 
@@ -141,11 +130,6 @@ def replay(
     platform.run()
 
     platform.reset_metrics()
-    if memoizing:
-        # The warmup boundary zeroes every platform meter; memo counters
-        # follow the same convention (entries stay -- a warm cache *is*
-        # the steady state the measurement window reports on).
-        memo_cache.drain_stats()
     if config.window is not None and config.archive_dir is None:
         raise ValueError("window requires archive_dir")
     if config.digest_only and (
@@ -210,7 +194,6 @@ def replay(
         archive_events=archive_events,
         archive_sha256=archive_sha256,
         window=window,
-        memo_stats=memo_cache.stats() if memoizing else None,
     )
 
 
@@ -325,9 +308,6 @@ class ClusterReplayResult:
     resumed_phase: Optional[str] = None
     #: Simulated time the measurement window started at.
     measure_start: float = 0.0
-    #: Effect-cache counters summed over shards for the measurement
-    #: window (memo runs only; ``None`` with ``REPRO_MEMO`` off).
-    memo_stats: Optional[Dict[str, int]] = None
 
 
 def cluster_replay(
@@ -351,13 +331,6 @@ def cluster_replay(
 
     config = config or ClusterReplayConfig()
     generator = generator or TraceGenerator(seed=config.trace_seed)
-    if memo_toggle.enabled():
-        # Leg hygiene for the *coordinator's* cache: process workers
-        # start cold via procenv.apply, but inline-pool hosts share this
-        # process, and entries warmed by a previous leg in it would skew
-        # this leg's counters (never its bytes -- entries are
-        # content-addressed).
-        memo_cache.reset()
     tracing = config.trace or config.event_trace_path is not None
     archiving = config.archive_dir is not None
     if config.window is not None and not archiving:
@@ -535,7 +508,6 @@ def cluster_replay(
             on_barrier=measured_barrier,
         )
         nodes = session.finish()
-        memo_stats = session.memo_stats
         per_node_requests = list(session.router.assigned)
         epochs, events = session.epochs, session.events
         round_trips = session.round_trips
@@ -634,5 +606,4 @@ def cluster_replay(
         checkpoints=checkpoints,
         resumed_phase=resumed_phase,
         measure_start=measure_start,
-        memo_stats=memo_stats,
     )

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.mem.layout import KIB, MIB
-from repro.memo import toggle as memo_toggle
-from repro.memo.rng import CountingRandom
 from repro.runtime.base import ManagedRuntime
 
 
@@ -104,17 +102,7 @@ class FunctionModel:
         self.spec = spec
         # crc32, not hash(): str hashing is salted per process, and the
         # jitter stream must be reproducible across runs.
-        seed_value = (zlib.crc32(spec.name.encode()) ^ seed) & 0x7FFFFFFF
-        if memo_toggle.enabled():
-            # The memo layer fingerprints invocations by (spec, seed,
-            # draws-so-far); CountingRandom exposes the draw count.
-            self._rng: random.Random = CountingRandom(seed_value)
-            self._memo_ident: Optional[int] = (
-                zlib.crc32(repr(spec).encode()) ^ seed_value
-            )
-        else:
-            self._rng = random.Random(seed_value)
-            self._memo_ident = None
+        self._rng = random.Random((zlib.crc32(spec.name.encode()) ^ seed) & 0x7FFFFFFF)
 
     def invoke(self, runtime: ManagedRuntime) -> InvocationResult:
         """Execute one invocation: allocate, account JIT, return the cost."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -96,6 +95,10 @@ class TestExecution:
         parallel = run_benchmarks(specs, jobs=2)
         assert [r["label"] for r in serial] == [r["label"] for r in parallel]
         assert [r["metrics"] for r in serial] == [r["metrics"] for r in parallel]
+
+    def test_execute_spec_records_tracemalloc_peak(self):
+        out = execute_spec(BenchSpec(kind="micro", size_mib=4, repeats=1))
+        assert out["peak_tracemalloc_bytes"] > 0
 
 
 class TestBaseline:
@@ -477,171 +480,3 @@ class TestWorkerEnvPropagation:
             specs, jobs=2, mp_context=multiprocessing.get_context("spawn")
         )
         assert [r["metrics"] for r in spawned] == [r["metrics"] for r in serial]
-
-
-def _memo_result(label, wall, sha="a" * 64, **memo_metrics):
-    result = _replay_result(label, wall, sha=sha)
-    result["metrics"].update(memo_metrics)
-    return result
-
-
-class TestMemoLegs:
-    def test_memo_label_suffix(self):
-        serial = BenchSpec(kind="replay", policy="vanilla", scale=8.0, memo=True)
-        sharded = BenchSpec(
-            kind="replay", policy="vanilla", scale=8.0, nodes=8, shards=4, memo=True
-        )
-        assert serial.label == "replay:vanilla:x8:d20:memo"
-        assert sharded.label == "replay:vanilla:x8:d20:n8:s4:memo"
-
-    def test_build_replay_macro_adds_memo_twins(self):
-        specs = build_replay_macro(
-            sizes=("small",),
-            policies=("vanilla", "desiccant"),
-            include_memo=True,
-        )
-        memo = [s for s in specs if s.memo]
-        # Vanilla only by default: desiccant's threshold adaptation makes
-        # its hit rate structurally near zero.
-        assert len(memo) == 1 and memo[0].policy == "vanilla"
-        assert memo[0].trace and not memo[0].archive and memo[0].fastpath
-        assert memo[0].label.endswith(":memo")
-
-    def test_build_replay_macro_memo_sizes_restriction(self):
-        specs = build_replay_macro(
-            sizes=("small", "large"),
-            policies=("vanilla",),
-            include_memo=True,
-            memo_sizes=("large",),
-        )
-        memo = [s for s in specs if s.memo]
-        assert len(memo) == 1
-        assert memo[0].scale == REPLAY_SIZES["large"]["scale"]
-
-    def test_build_replay_macro_adds_cluster_memo_twins(self):
-        specs = build_replay_macro(
-            sizes=("small",),
-            policies=("vanilla",),
-            nodes=8,
-            shard_counts=(2,),
-            include_memo=True,
-        )
-        memo = [s.label for s in specs if s.memo]
-        assert memo == [
-            "replay:vanilla:x8:d30:memo",
-            "replay:vanilla:x8:d30:n8:memo",
-            "replay:vanilla:x8:d30:n8:s2:memo",
-        ]
-
-    def test_verify_trace_identity_gates_memo_twins(self):
-        matching = [
-            _replay_result("replay:vanilla:x8:d30", 2.0, sha="f" * 64),
-            _replay_result("replay:vanilla:x8:d30:memo", 1.0, sha="f" * 64),
-        ]
-        assert verify_trace_identity(matching) == []
-        diverged = [
-            _replay_result("replay:vanilla:x8:d30", 2.0, sha="f" * 64),
-            _replay_result("replay:vanilla:x8:d30:memo", 1.0, sha="0" * 64),
-        ]
-        failures = verify_trace_identity(diverged)
-        assert len(failures) == 1 and "memoized trace diverged" in failures[0]
-
-    def test_verify_trace_identity_gates_sharded_memo_against_memo_serial(self):
-        results = [
-            _replay_result("replay:vanilla:x8:d30:n8:memo", 2.0, sha="f" * 64),
-            _replay_result("replay:vanilla:x8:d30:n8:s2:memo", 1.0, sha="0" * 64),
-        ]
-        failures = verify_trace_identity(results)
-        assert len(failures) == 1 and "serial twin" in failures[0]
-
-    def test_verify_trace_identity_skips_unpaired_memo_leg(self):
-        alone = [_replay_result("replay:vanilla:x8:d30:memo", 1.0)]
-        assert verify_trace_identity(alone) == []
-
-    def test_replay_speedups_memo_pairing(self):
-        speedups = replay_speedups(
-            [
-                _replay_result("replay:vanilla:x8:d30", 3.0),
-                _replay_result("replay:vanilla:x8:d30:memo", 1.5),
-            ]
-        )
-        entry = speedups["replay:vanilla:x8:d30:memo"]
-        assert entry["memo_speedup"] == 2.0
-        assert entry["plain_wall_seconds"] == 3.0
-        assert entry["memo_wall_seconds"] == 1.5
-
-    def test_execute_spec_memo_leg_matches_plain_and_reports_counters(self):
-        base = dict(
-            kind="replay",
-            policy="vanilla",
-            scale=4.0,
-            duration=10.0,
-            warmup=5.0,
-            capacity_mib=512,
-            trace=True,
-        )
-        plain = execute_spec(BenchSpec(**base))
-        memo = execute_spec(BenchSpec(**base, memo=True))
-        assert memo["label"] == plain["label"] + ":memo"
-        assert (
-            memo["metrics"]["trace_sha256"] == plain["metrics"]["trace_sha256"]
-        )
-        for key in (
-            "memo_hits",
-            "memo_misses",
-            "memo_evictions",
-            "memo_entries",
-            "memo_cached_bytes",
-            "memo_hit_rate",
-        ):
-            assert key in memo["metrics"], key
-            assert key not in plain["metrics"], key
-        assert memo["metrics"]["memo_hits"] + memo["metrics"]["memo_misses"] > 0
-
-    def test_execute_spec_records_tracemalloc_peak(self):
-        out = execute_spec(BenchSpec(kind="micro", size_mib=4, repeats=1))
-        assert out["peak_tracemalloc_bytes"] > 0
-
-    def test_write_profile_diffs_pairs_memo_twin(self, tmp_path):
-        from repro.analysis.bench import write_profile_diffs
-
-        base = dict(
-            kind="replay",
-            policy="vanilla",
-            scale=3.0,
-            duration=8.0,
-            warmup=4.0,
-            capacity_mib=512,
-            trace=True,
-        )
-        results = [
-            execute_spec(BenchSpec(**base), profile_dir=str(tmp_path)),
-            execute_spec(BenchSpec(**base, memo=True), profile_dir=str(tmp_path)),
-        ]
-        written = write_profile_diffs(str(tmp_path), results)
-        assert len(written) == 1
-        listing = Path(written[0]).read_text()
-        assert "profile-diff" in listing
-        assert "replay:vanilla:x3:d8:memo vs replay:vanilla:x3:d8" in listing
-        # The diff ranks real functions with signed deltas.
-        assert "(" in listing and "+" in listing
-
-    def test_write_profile_diffs_skips_unpaired_legs(self, tmp_path):
-        results = [
-            execute_spec(
-                BenchSpec(
-                    kind="replay",
-                    policy="vanilla",
-                    scale=3.0,
-                    duration=8.0,
-                    warmup=4.0,
-                    capacity_mib=512,
-                    trace=True,
-                    memo=True,
-                ),
-                profile_dir=str(tmp_path),
-            )
-        ]
-        from repro.analysis.bench import write_profile_diffs
-
-        assert write_profile_diffs(str(tmp_path), results) == []

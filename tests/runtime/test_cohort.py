@@ -134,7 +134,7 @@ class TestObjectModel:
             graph.split_cohort(graph.new_object(64), 1)
 
     def test_split_graph_survives_pickle(self):
-        """Checkpoints and memo snapshots pickle the graph."""
+        """Checkpoints pickle the graph."""
         graph = ObjectGraph()
         graph.push_frame()
         oid = graph.new_cohort(9, 128)

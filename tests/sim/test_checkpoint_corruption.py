@@ -8,7 +8,9 @@ exactly the law that caught it -- before a single pickle byte executes.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,60 @@ class TestEnvironmentGate:
         with fastpath.override(True):
             _, state = checkpoint.load(path)
             assert state == {"x": 1}
+
+
+def _write_payload(path: Path, payload: bytes, env: dict) -> None:
+    """A checkpoint whose header digest matches ``payload`` exactly."""
+    header = {
+        "magic": checkpoint.CHECKPOINT_MAGIC,
+        "schema": checkpoint.SCHEMA_VERSION,
+        "meta": {},
+        "env": env,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_bytes": len(payload),
+    }
+    _rewrite(path, header, payload)
+
+
+class TestUnloadablePayload:
+    """An intact payload naming a global this build lacks fails by name."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.retired_layer.rng", "_rebuild_counting_random"),
+            ("repro.sim.checkpoint", "_retired_helper"),
+        ],
+    )
+    def test_missing_global_is_a_payload_violation(self, tmp_path, module, name):
+        path = tmp_path / "old-build.ckpt"
+        # Protocol-4 GLOBAL opcode, then STOP: the payload's only content
+        # is a reference to ``module.name``.
+        payload = b"\x80\x04c" + f"{module}\n{name}\n".encode() + b"."
+        _write_payload(path, payload, checkpoint.environment_fingerprint())
+        check_checkpoint(path)  # every byte-level check passes
+        with pytest.raises(Violation) as caught:
+            checkpoint.load(path)
+        assert caught.value.invariant == "checkpoint-payload"
+        assert f"{module}.{name}" in str(caught.value)
+
+    def test_shard_host_blob_with_missing_global_is_a_payload_violation(self):
+        blob = b"\x80\x04crepro.retired_layer\nShardHost\n."
+        with pytest.raises(Violation) as caught:
+            checkpoint.restore_host(blob)
+        assert caught.value.invariant == "checkpoint-payload"
+        assert "repro.retired_layer.ShardHost" in str(caught.value)
+
+    def test_header_with_retired_env_key_still_restores(self, tmp_path):
+        # Only ``fastpath`` is gated; keys older builds recorded (such as
+        # ``memo``) are informational and must not block a restore.
+        path = tmp_path / "older-env.ckpt"
+        payload = pickle.dumps({"x": 1}, protocol=checkpoint.PICKLE_PROTOCOL)
+        env = dict(checkpoint.environment_fingerprint(), memo=False)
+        _write_payload(path, payload, env)
+        header, state = checkpoint.load(path)
+        assert header["env"]["memo"] is False
+        assert state == {"x": 1}
 
 
 class TestSessionCheckpointCorruption:
