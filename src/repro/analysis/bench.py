@@ -19,9 +19,11 @@ Entry points:
   the regression check CI applies against the committed ``BENCH_vmm.json``,
 * :func:`build_replay_macro` / :func:`compare_replay` /
   :func:`verify_trace_identity` -- the Azure-scale replay macro suite: each
-  size runs the same trace with the fast path on and off, the event-trace
-  digests of the two legs must be byte-identical, and CI gates the fast
-  leg's wall time against the committed ``BENCH_replay.json``.
+  size runs the same trace with the fast path on and off (plus optional
+  cluster, sharded, unbatched and forked legs), every pair's event-trace
+  digests must be byte-identical, and CI gates the fast leg's wall time
+  against the committed ``BENCH_replay.json``.  Every leg encodes its
+  trace through the one line encoder, :mod:`repro.trace.encode`.
 """
 
 from __future__ import annotations
@@ -111,18 +113,6 @@ class BenchSpec:
     #: and gate the forked leg's merged-trace digest against the
     #: from-scratch run's (docs/CHECKPOINTS.md).
     fork: bool = False
-    #: Trace-line encoder for the leg: ``"fast"`` (the compiled
-    #: per-kind encoders, the default everywhere) or ``"generic"`` --
-    #: the reference twin (label suffix ``:enc``) that re-runs the same
-    #: workload through the original ``json.dumps`` path with
-    #: line-at-a-time I/O.  The digest gate pins the pair byte-identical
-    #: (docs/EVENT_TRACE.md).
-    encoder: str = "fast"
-    #: Digest-only twin (label suffix ``:digest-only``): the sink
-    #: computes the stream SHA-256 without storing or writing lines --
-    #: pure emission + simulation speed, digest gate still armed against
-    #: the plain leg.  Single-platform traced replays only.
-    digest_only: bool = False
 
     @property
     def label(self) -> str:
@@ -138,10 +128,6 @@ class BenchSpec:
                 label += ":unbatched"
             if self.fork:
                 label += ":fork"
-            if self.encoder == "generic":
-                label += ":enc"
-            if self.digest_only:
-                label += ":digest-only"
             return label if self.fastpath else label + ":base"
         return f"micro:vmm:{self.size_mib}mib"
 
@@ -237,32 +223,6 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
         raise ValueError("archive metrics require trace=True")
     if spec.fork and not (spec.nodes and spec.trace):
         raise ValueError("fork legs require a traced cluster replay")
-    if spec.digest_only and (spec.trace or spec.archive or spec.nodes):
-        raise ValueError(
-            "digest-only legs compute the stream digest on a bare "
-            "single-platform replay; drop trace/archive/nodes"
-        )
-    if spec.digest_only:
-        config = ReplayConfig(
-            scale_factor=spec.scale,
-            warmup_seconds=spec.warmup,
-            warmup_scale_factor=spec.scale,
-            duration_seconds=spec.duration,
-            platform=PlatformConfig(capacity_bytes=spec.capacity_mib * MIB),
-            digest_only=True,
-        )
-        result = replay(factories[spec.policy], config, TraceGenerator(seed=spec.seed))
-        stats = result.stats
-        metrics = {
-            "cold_boot_rate": round(stats.cold_boot_rate, 9),
-            "throughput_rps": round(stats.throughput_rps, 9),
-            "cpu_utilization": round(stats.cpu_utilization, 9),
-            "p99_latency": round(stats.p99_latency, 9),
-            "evictions": stats.evictions,
-            "trace_events": result.trace_events,
-            "trace_sha256": result.trace_sha256,
-        }
-        return metrics
     if spec.nodes:
         with tempfile.TemporaryDirectory(prefix="repro-bench-arc-") as scratch:
             archive_dir = str(Path(scratch) / "archive") if spec.archive else None
@@ -441,12 +401,11 @@ def execute_spec(
 ) -> Dict[str, object]:
     """Run one spec; returns its metrics plus wall/CPU timings.
 
-    The spec's ``fastpath`` and ``encoder`` flags are forced for the
-    duration of the run (overriding ``REPRO_FASTPATH`` and
-    ``REPRO_TRACE_ENCODER``), so a spec names one leg unambiguously.
-    Traced replay legs additionally report ``trace_events_per_second``
-    -- emitted trace events over the leg's wall time, the
-    emission-throughput headline the encoder twins pair on.  Every leg
+    The spec's ``fastpath`` flag is forced for the duration of the run
+    (overriding ``REPRO_FASTPATH``), so a spec names one leg
+    unambiguously.  Traced replay legs additionally report
+    ``trace_events_per_second`` -- emitted trace events over the leg's
+    wall time, the emission-throughput headline.  Every leg
     also samples its own Python allocation high-water mark
     (``peak_tracemalloc_bytes``): tracemalloc runs for *all* legs, so
     the uniform tracing overhead cancels out of every wall-time ratio
@@ -455,17 +414,13 @@ def execute_spec(
     ``<label>.prof`` plus a cumulative-time top-30 listing next to it.
     Top-level (not a closure) so ``ProcessPoolExecutor`` can pickle it.
     """
-    # Lazy: repro.trace imports replay -> repro.sim; bench keeps heavy
-    # simulation imports out of module import time (matching _run_replay).
-    from repro.trace import encode as trace_encode
-
     profiler = None
     if profile_dir is not None:
         Path(profile_dir).mkdir(parents=True, exist_ok=True)
         profiler = cProfile.Profile()
     tracemalloc.start()
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    with fastpath.override(spec.fastpath), trace_encode.override(spec.encoder):
+    with fastpath.override(spec.fastpath):
         if profiler is not None:
             profiler.enable()
         try:
@@ -588,8 +543,6 @@ def build_replay_macro(
     scheduler: str = "warm-affinity",
     include_unbatched: bool = False,
     include_forked: bool = False,
-    include_encoder_twin: bool = False,
-    include_digest_only: bool = False,
 ) -> List[BenchSpec]:
     """The macro replay suite: every (size, policy) as a fast/base leg pair.
 
@@ -611,17 +564,6 @@ def build_replay_macro(
     ``measure-start`` checkpoint, a forked twin resumes from it skipping
     the warmup prefix, and :func:`verify_trace_identity` pins the two
     merged-trace digests to each other.
-
-    ``include_encoder_twin`` adds a generic-encoder reference leg (label
-    suffix ``:enc``) per single-platform (size, policy) cell: the same
-    traced workload through the original ``json.dumps`` line-at-a-time
-    path, digest-gated byte-identical against the compiled default and
-    paired as ``encoder_speedup``.  ``include_digest_only`` adds a
-    storeless digest-only leg (label suffix ``:digest-only``) per cell:
-    the sink computes the stream SHA-256 without storing or writing
-    lines, digest-gated against the plain twin's written trace and
-    paired as ``digest_only_speedup``.  Both twins skip archive metrics
-    -- like ``:base``, they time the bare workload (docs/EVENT_TRACE.md).
     """
     specs = []
     for size in sizes:
@@ -648,33 +590,6 @@ def build_replay_macro(
                         # Archive metrics ride on the fast leg only; the
                         # :base reference leg times the bare simulation.
                         archive=leg_fast,
-                    )
-                )
-            if include_encoder_twin:
-                specs.append(
-                    BenchSpec(
-                        kind="replay",
-                        policy=policy,
-                        scale=shape["scale"],
-                        duration=shape["duration"],
-                        warmup=shape["warmup"],
-                        capacity_mib=int(shape["capacity_mib"]),
-                        seed=seed,
-                        trace=True,
-                        encoder="generic",
-                    )
-                )
-            if include_digest_only:
-                specs.append(
-                    BenchSpec(
-                        kind="replay",
-                        policy=policy,
-                        scale=shape["scale"],
-                        duration=shape["duration"],
-                        warmup=shape["warmup"],
-                        capacity_mib=int(shape["capacity_mib"]),
-                        seed=seed,
-                        digest_only=True,
                     )
                 )
             if nodes:
@@ -735,10 +650,6 @@ _SHARD_SUFFIX = re.compile(r":s\d+")
 _NODES_SUFFIX = re.compile(r":n\d+")
 #: ``:unbatched`` protocol suffix (the batched default has none).
 _UNBATCHED_SUFFIX = re.compile(r":unbatched")
-#: ``:enc`` generic-encoder reference suffix (compiled default has none).
-_ENC_SUFFIX = re.compile(r":enc")
-#: ``:digest-only`` storeless-sink suffix (the plain twin has none).
-_DIGEST_ONLY_SUFFIX = re.compile(r":digest-only")
 
 
 def _serial_twin_label(label: str) -> str:
@@ -749,19 +660,14 @@ def _serial_twin_label(label: str) -> str:
 def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
     """Check that every replay equivalence pair produced identical traces.
 
-    Two pairings gate:
+    Four pairings gate:
 
     * fast leg vs its ``:base`` reference leg (same run, fast path off);
     * every sharded cluster leg (``:sK``) vs its serial twin (the same
       label without the shard suffix) -- the multi-process run must merge
       to the exact bytes of the single-process run;
-    * every generic-encoder reference leg (``:enc``) vs its compiled
-      twin (the same label without the suffix) -- the per-kind compiled
-      encoders must emit the exact bytes of the original ``json.dumps``
-      path (docs/EVENT_TRACE.md);
-    * every digest-only leg (``:digest-only``) vs its plain twin -- the
-      storeless streaming digest must equal the SHA-256 of the twin's
-      written trace file;
+    * within every ``:fork`` leg, the forked twin's merged trace vs the
+      from-scratch run's;
     * within every archiving leg, the archive's composed per-segment
       digest vs the flat whole-run digest -- the composition rule
       (docs/TRACE_ARCHIVE.md) holding at benchmark scale.
@@ -802,29 +708,6 @@ def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
                 f"({metrics['trace_events']} events, "
                 f"{metrics['trace_sha256'][:12]} != {base['trace_sha256'][:12]})"
             )
-        if _ENC_SUFFIX.search(label):
-            compiled = digests.get(_ENC_SUFFIX.sub("", label))
-            if (
-                compiled is not None
-                and metrics["trace_sha256"] != compiled["trace_sha256"]
-            ):
-                failures.append(
-                    f"{label}: compiled-encoder trace diverged from the "
-                    f"generic reference ({compiled['trace_events']} vs "
-                    f"{metrics['trace_events']} events, "
-                    f"{compiled['trace_sha256'][:12]} != "
-                    f"{metrics['trace_sha256'][:12]})"
-                )
-        if _DIGEST_ONLY_SUFFIX.search(label):
-            plain = digests.get(_DIGEST_ONLY_SUFFIX.sub("", label))
-            if plain is not None and metrics["trace_sha256"] != plain["trace_sha256"]:
-                failures.append(
-                    f"{label}: digest-only stream digest diverged from the "
-                    f"written twin ({metrics['trace_events']} vs "
-                    f"{plain['trace_events']} events, "
-                    f"{metrics['trace_sha256'][:12]} != "
-                    f"{plain['trace_sha256'][:12]})"
-                )
         if _SHARD_SUFFIX.search(label) or _UNBATCHED_SUFFIX.search(label):
             serial = digests.get(_serial_twin_label(label))
             if serial is None or serial is metrics:
@@ -887,13 +770,9 @@ def verify_coordination(
 def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Wall-clock ratios for every paired replay label.
 
-    Five pairings, one entry per non-reference label that has a partner:
+    Three pairings, one entry per non-reference label that has a partner:
 
     * fast leg vs ``:base`` leg (the fast-path speedup);
-    * plain leg vs its ``:enc`` generic-encoder reference twin (the
-      compiled-encoder speedup, reported as ``encoder_speedup``);
-    * plain leg vs its ``:digest-only`` twin (the storeless-sink gain,
-      reported as ``digest_only_speedup``);
     * sharded cluster leg (``:sK``) vs its serial twin (the multi-process
       speedup -- bounded by the machine's core count);
     * sharded cluster leg vs the *single-platform* fast leg of the same
@@ -907,10 +786,7 @@ def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
     }
     speedups = {}
     for label in sorted(walls):
-        if label.endswith(":base") or _ENC_SUFFIX.search(label):
-            continue
-        if _DIGEST_ONLY_SUFFIX.search(label):
-            # The digest-only leg's pairing lives on its plain twin.
+        if label.endswith(":base"):
             continue
         entry = {}
         if label + ":base" in walls:
@@ -919,22 +795,6 @@ def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
                 fast_wall_seconds=fast,
                 base_wall_seconds=base,
                 speedup=round(base / fast, 2) if fast else None,
-            )
-        if label + ":enc" in walls:
-            compiled, generic = walls[label], walls[label + ":enc"]
-            entry.update(
-                generic_encoder_wall_seconds=generic,
-                encoder_speedup=(
-                    round(generic / compiled, 2) if compiled else None
-                ),
-            )
-        if label + ":digest-only" in walls:
-            plain, storeless = walls[label], walls[label + ":digest-only"]
-            entry.update(
-                digest_only_wall_seconds=storeless,
-                digest_only_speedup=(
-                    round(plain / storeless, 2) if storeless else None
-                ),
             )
         if _SHARD_SUFFIX.search(label):
             serial_label = _serial_twin_label(label)
@@ -965,10 +825,9 @@ def compare_replay(
     """Regression check for the macro suite: returns failure messages.
 
     Every *fast-leg* replay run present in both result lists gates on wall
-    time against ``factor`` times the committed baseline; base legs,
-    ``:enc`` generic-encoder reference legs, and unmatched labels are
-    informational.  Labels encode (policy, scale, duration), so a matched
-    label is the same workload.
+    time against ``factor`` times the committed baseline; base legs and
+    unmatched labels are informational.  Labels encode (policy, scale,
+    duration), so a matched label is the same workload.
     """
     base_walls = {
         r["label"]: r["wall_seconds"]
@@ -980,8 +839,6 @@ def compare_replay(
     for result in current:
         label = result["label"]
         if result["spec"]["kind"] != "replay" or label.endswith(":base"):
-            continue
-        if _ENC_SUFFIX.search(label):
             continue
         base = base_walls.get(label)
         if base is None:

@@ -401,8 +401,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 shard_counts=shard_counts,
                 include_unbatched=args.unbatched_twin,
                 include_forked=args.forked,
-                include_encoder_twin=args.encoder_twin,
-                include_digest_only=args.digest_only_twin,
             )
         )
     results = run_benchmarks(specs, jobs=args.jobs, profile_dir=args.profile)
@@ -592,9 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--digest-only",
         action="store_true",
         help="compute the measurement window's trace-stream SHA-256 "
-        "without storing or writing lines (the fastest equivalence "
-        "witness; single platform only, incompatible with "
-        "--event-trace/--archive/--nodes)",
+        "without storing or writing lines (single platform only, "
+        "incompatible with --event-trace/--archive/--nodes)",
     )
     p.add_argument(
         "--bucket-seconds",
@@ -779,21 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         "capture a measure-start checkpoint, resume a forked twin that "
         "skips the warmup prefix, and gate its merged-trace digest "
         "against the from-scratch run's",
-    )
-    p.add_argument(
-        "--encoder-twin",
-        action="store_true",
-        help="add a generic-encoder reference leg (':enc' label) per "
-        "single-platform replay cell: the original json.dumps "
-        "line-at-a-time path, digest-gated byte-identical against the "
-        "compiled default and paired as encoder_speedup",
-    )
-    p.add_argument(
-        "--digest-only-twin",
-        action="store_true",
-        help="add a storeless digest-only leg (':digest-only' label) per "
-        "single-platform replay cell, digest-gated against the plain "
-        "twin's written trace and paired as digest_only_speedup",
     )
     p.add_argument("--iterations", type=int, default=30)
     p.add_argument("--budget-mib", type=int, default=256)

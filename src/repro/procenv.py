@@ -1,14 +1,14 @@
 """Explicit run-flag propagation into worker processes.
 
-The repo's behavioral switches (``REPRO_FASTPATH``, ``REPRO_CHECK`` and
-its tuning knobs) are read from the environment once per process.  Under
-the ``fork`` start method children inherit both the environment and the
-already-parsed module state, so everything "just works"; under ``spawn``
-(macOS/Windows default) children re-import from a fresh interpreter, and
--- worse -- a parent that flipped a flag programmatically
-(:func:`repro.fastpath.set_enabled`, a test monkeypatching ``os.environ``
-after the module cached it) silently runs its workers with a *different*
-configuration than itself.
+The repo's behavioral switches -- ``REPRO_FASTPATH``, plus ``REPRO_CHECK``
+and its tuning knobs; there are no others -- are read from the
+environment once per process.  Under the ``fork`` start method children
+inherit both the environment and the already-parsed module state, so
+everything "just works"; under ``spawn`` (macOS/Windows default)
+children re-import from a fresh interpreter, and -- worse -- a parent
+that flipped a flag programmatically (:func:`repro.fastpath.set_enabled`,
+a test monkeypatching ``os.environ`` after the module cached it)
+silently runs its workers with a *different* configuration than itself.
 
 Every process pool in the repo therefore propagates the flags
 explicitly: :func:`snapshot` captures the parent's *effective*
@@ -37,14 +37,7 @@ def snapshot(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
     (the live flag), so a parent that called ``set_enabled`` ships what
     it is actually running, not a stale environment value.
     """
-    # Lazy: importing repro.trace at module top would cycle through
-    # replay -> repro.sim; snapshot/apply run long after imports settle.
-    from repro.trace import encode as trace_encode
-
-    env: Dict[str, str] = {
-        "REPRO_FASTPATH": "1" if fastpath.enabled() else "0",
-        "REPRO_TRACE_ENCODER": trace_encode.mode(),
-    }
+    env: Dict[str, str] = {"REPRO_FASTPATH": "1" if fastpath.enabled() else "0"}
     for key in _PASSTHROUGH:
         value = os.environ.get(key)
         if value is not None:
@@ -62,10 +55,7 @@ def apply(env: Dict[str, str]) -> None:
     """
     for key, value in env.items():
         os.environ[key] = value
-    from repro.trace import encode as trace_encode
-
     fastpath.set_enabled(env.get("REPRO_FASTPATH", "1") not in ("", "0"))
-    trace_encode.set_mode(env.get("REPRO_TRACE_ENCODER", "fast") or "fast")
 
 
 def initializer(env: Dict[str, str]) -> None:

@@ -19,19 +19,15 @@ The sharded-replay digest gate (:mod:`repro.sim.shard`) is built on
 exactly this: per-node canonical traces merge into one stream ordered by
 ``(t, node, seq)`` whose bytes do not depend on the shard count.
 
-Line *encoding* lives in :mod:`repro.trace.encode`: the default is the
-compiled per-``(kind, key-set)`` fast path, with the original generic
-``json.dumps`` encoder kept as the differential reference twin
-(``REPRO_TRACE_ENCODER=generic``, or ``encoder="generic"`` here).  Both
-produce byte-identical lines; the fast path additionally *batches* its
-downstream I/O -- lines buffer in the sink and reach the file, the
-archive (:meth:`~repro.trace.archive.ArchiveWriter.add_many`), and the
-digest stream in chunks, drained at the existing epoch-barrier
-:meth:`flush` (and at :meth:`detach` / checkpoint capture), so
-checkpoint/restore semantics are untouched.  ``digest_only=True`` runs
-the sink as a pure SHA-256 stream -- no stored lines, no file, no
-archive -- for measuring emission speed with the digest gate still
-armed.
+Line *encoding* lives in :mod:`repro.trace.encode`, which documents the
+byte format.  The sink *batches* its downstream I/O: lines buffer in the
+sink and reach the file, the archive
+(:meth:`~repro.trace.archive.ArchiveWriter.add_many`), and the digest
+stream in chunks, drained at the epoch-barrier :meth:`flush` (and at
+:meth:`detach` / checkpoint capture), so checkpoint/restore semantics
+are untouched.  ``digest_only=True`` runs the sink as a pure SHA-256
+stream -- no stored lines, no file, no archive -- the sink behind
+``repro replay --digest-only``.
 """
 
 from __future__ import annotations
@@ -39,15 +35,10 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.sim.bus import EventBus, Subscription
 from repro.sim.events import TRACE_KINDS, Event
-
-#: data keys holding process-global ids that must be normalized.
-_ID_KEYS = ("request_id", "instance_id")
-
-_SCALARS = (str, int, float, bool, type(None))
 
 _encode_mod = None
 
@@ -66,8 +57,9 @@ def _encode():
         _encode_mod = encode
     return _encode_mod
 
-#: Buffered lines per downstream hand-off on the fast path.  Epoch
-#: barriers drain regardless, so this only caps memory between barriers.
+
+#: Buffered lines per downstream hand-off.  Epoch barriers drain
+#: regardless, so this only caps memory between barriers.
 _CHUNK_LINES = 1024
 
 
@@ -85,14 +77,15 @@ class EventTraceSink:
         archive: Optional[object] = None,
         archive_dir: Optional[str | Path] = None,
         archive_bucket_seconds: float = 60.0,
-        encoder: Optional[str] = None,
         digest_only: bool = False,
     ) -> None:
         self.lines: List[str] = []
         #: Records written (== ``len(self.lines)`` unless ``store=False``).
         self.count = 0
         self._normalize_seq = normalize_seq
-        self._id_maps: Dict[str, Dict[object, int]] = {k: {} for k in _ID_KEYS}
+        self._id_maps: Dict[str, Dict[object, int]] = {
+            key: {} for key in _encode().ID_KEYS
+        }
         if digest_only and (
             path is not None or archive is not None or archive_dir is not None
         ):
@@ -125,28 +118,17 @@ class EventTraceSink:
                 archive_dir, bucket_seconds=archive_bucket_seconds
             )
             self._owns_archive = True
-        encode = _encode()
-        self._encoder_mode = encode.resolve(encoder)
-        self._table = (
-            encode.EncoderTable() if self._encoder_mode == "fast" else None
-        )
-        #: The reference encoder, bound once (a top-level function, so
-        #: checkpoint pickling carries it by reference).
-        self._encode_generic = encode.encode_line_generic
-        #: Alias of the table's hot ``kind -> encoder`` dict (one
-        #: attribute load per event instead of two).
-        self._by_kind = self._table.by_kind if self._table is not None else {}
-        #: Fast-path line buffer, drained in chunks: bare lines, or
+        #: Line buffer, drained in chunks: bare lines, or
         #: ``(t, node, line)`` tuples when an archive needs the keys.
         self._pending: List[object] = []
         self._pending_plain = self._archive is None
-        self._buffered = self._table is not None and (
+        self._buffered = (
             self._file is not None
             or self._archive is not None
             or self._digest is not None
         )
         self._subscription: Optional[Subscription] = bus.subscribe(
-            self._record if self._table is None else self._record_fast,
+            self._record,
             kinds=tuple(kinds) if kinds is not None else TRACE_KINDS,
             node=node,
         )
@@ -154,52 +136,15 @@ class EventTraceSink:
 
     # ------------------------------------------------------------- recording
 
-    def _normalize(self, key: str, value: object) -> object:
-        mapping = self._id_maps.get(key)
-        if mapping is None:
-            return value
-        return mapping.setdefault(value, len(mapping) + 1)
-
     def _record(self, event: Event) -> None:
-        """The generic reference encoder leg (line-at-a-time I/O)."""
+        """Encode one event and queue its line for the chunked hand-off."""
         t = round(event.time, 9)
-        line = self._encode_generic(
+        line = _encode().encode_line(
             self.count if self._normalize_seq else event.seq,
             t,
             event.node,
             event.kind,
             event.data,
-            self._normalize,
-        )
-        self.count += 1
-        if self._store:
-            self.lines.append(line)
-        if self._file is not None:
-            self._file.write(line + "\n")
-        if self._archive is not None:
-            self._archive.add(t, event.node, line)
-        if self._digest is not None:
-            self._digest.update(line.encode("utf-8") + b"\n")
-
-    def _record_fast(self, event: Event) -> None:
-        """The compiled encoder leg: kind-keyed dispatch, chunked I/O.
-
-        Dispatch is by ``kind`` alone -- no per-event shape tuple.  The
-        compiled encoder pins the key-set it was built from and routes
-        any other payload shape of the same kind through the full
-        ``(kind, key-tuple)`` table (see :meth:`_compile_kind`), so the
-        cheap probe never changes bytes.
-        """
-        data = event.data
-        encode_line = self._by_kind.get(event.kind)
-        if encode_line is None:
-            encode_line = self._table.kind_encoder(event.kind, data)
-        t = round(event.time, 9)
-        line = encode_line(
-            self.count if self._normalize_seq else event.seq,
-            t,
-            event.node,
-            data,
             self._id_maps,
         )
         self.count += 1
@@ -210,6 +155,10 @@ class EventTraceSink:
             pending.append(line if self._pending_plain else (t, event.node, line))
             if len(pending) >= _CHUNK_LINES:
                 self._drain()
+
+    #: ``perfbench/layers.py`` wraps both ``_record`` and this name; the
+    #: alias goes when that file drops its second wrap.
+    _record_fast = _record
 
     def _drain(self) -> None:
         """Hand buffered lines downstream in one call per consumer."""
@@ -295,10 +244,6 @@ class EventTraceSink:
             )
         self._drain()
         state = dict(self.__dict__)
-        # Compiled encoders are a pure function of the event shapes seen;
-        # the restore side rebuilds the table lazily from scratch.
-        state.pop("_table", None)
-        state.pop("_by_kind", None)
         handle = state.pop("_file", None)
         offset = 0
         if handle is not None:
@@ -310,10 +255,6 @@ class EventTraceSink:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._file = None
-        self._table = (
-            _encode().EncoderTable() if self._encoder_mode == "fast" else None
-        )
-        self._by_kind = self._table.by_kind if self._table is not None else {}
 
     def reopen_outputs(self) -> None:
         """Re-attach the streaming file after a checkpoint restore."""

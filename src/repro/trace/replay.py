@@ -90,9 +90,8 @@ class ReplayConfig:
     #: (requires ``archive_dir``).
     window: Optional[TraceWindow] = None
     #: Run the trace sink as a pure SHA-256 stream: no stored lines, no
-    #: file, no archive -- the digest gate stays armed while the run
-    #: measures emission speed alone.  Mutually exclusive with
-    #: ``event_trace_path`` / ``archive_dir``.
+    #: file, no archive; the digest lands in ``ReplayResult.trace_sha256``.
+    #: Mutually exclusive with ``event_trace_path`` / ``archive_dir``.
     digest_only: bool = False
 
 

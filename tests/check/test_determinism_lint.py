@@ -63,10 +63,9 @@ PICKLE_EXEMPT = {"sim/checkpoint.py", "sim/wire.py"}
 
 #: Modules on the per-event emission path, where ``json.dumps`` is
 #: banned outright: line encoding must flow through
-#: ``repro.trace.encode`` so the compiled fast path and the generic
-#: reference twin stay the only two serializers whose bytes the digest
-#: gates compare.  An ad-hoc ``json.dumps`` here would bypass that
-#: differential pairing silently.
+#: ``repro.trace.encode``, the one serializer whose byte contract
+#: ``tests/trace/test_encode.py`` pins.  An ad-hoc ``json.dumps`` here
+#: would emit lines outside that contract silently.
 JSON_EVENT_HOT_PATH = {"sim/trace.py", "sim/bus.py", "sim/shard.py"}
 
 #: The one module allowed a module-level cache: the Azure CSV parse
@@ -185,8 +184,7 @@ def _lint(rel: str, tree: ast.AST):
                 if rel in JSON_EVENT_HOT_PATH:
                     yield (
                         f"{where}: json.{attr} on the event hot path "
-                        "(line encoding belongs in repro.trace.encode, "
-                        "paired with its generic reference twin)"
+                        "(line encoding belongs in repro.trace.encode)"
                     )
             if base == "pickle" and attr in ("dump", "dumps", "load", "loads",
                                              "Pickler", "Unpickler"):

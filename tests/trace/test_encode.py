@@ -1,13 +1,12 @@
-"""Byte-identity gates for the compiled trace-line encoders.
+"""The byte contract of the trace-line encoder.
 
-The compiled fast path (``repro.trace.encode``) must be byte-identical
-to the generic reference twin -- which is itself pinned to
-``json.dumps(record, separators=(",", ":"))``.  The property tests here
-drive all three encoder tiers (type-specialized fused, polymorphic twin,
-key-set-miss fallback) against an independently built ``json.dumps``
-reference over arbitrary scalar payloads; the mutation test proves the
-differential digest gate actually fires when a float formatter is
-deliberately broken.
+``repro.trace.encode.encode_line`` must emit exactly the line
+``reference_line`` below rebuilds independently with ``json.dumps``:
+envelope keys first, sorted scalar payload keys, floats rounded to 9
+places, ``request_id`` / ``instance_id`` remapped to dense
+first-appearance indexes.  The Hypothesis property drives arbitrary
+scalar payloads through both; the golden lines pin the bytes themselves,
+without calling ``json``.
 """
 
 from __future__ import annotations
@@ -22,31 +21,11 @@ from hypothesis import strategies as st
 
 from repro.sim.bus import EventBus
 from repro.sim.trace import EventTraceSink
-from repro.trace import encode
-from repro.trace.encode import (
-    ID_KEYS,
-    SCALARS,
-    EncoderTable,
-    compile_shape,
-    encode_line_generic,
-    format_float,
-)
+from repro.trace.encode import ID_KEYS, SCALARS, encode_line
 
 
 def fresh_maps():
     return {key: {} for key in ID_KEYS}
-
-
-def make_normalize(maps):
-    """The sink's id-map hook, detached from a sink."""
-
-    def normalize(key, value):
-        mapping = maps.get(key)
-        if mapping is None:
-            return value
-        return mapping.setdefault(value, len(mapping) + 1)
-
-    return normalize
 
 
 def reference_line(seq, t, node, kind, data, maps):
@@ -65,10 +44,49 @@ def reference_line(seq, t, node, kind, data, maps):
     return json.dumps(record, sort_keys=False, separators=(",", ":"))
 
 
+# ------------------------------------------------------------- golden lines
+
+
+class TestGoldenLines:
+    def test_order_rounding_drops_and_ids(self):
+        data = {
+            "thaw_seconds": 0.1234567891234,
+            "instance_id": 9001,
+            "handle": object(),
+            "function": "fft",
+            "warm": True,
+            "reason": None,
+        }
+        line = encode_line(7, 1.5, 2, "thaw", data, fresh_maps())
+        assert line == (
+            '{"seq":7,"t":1.5,"node":2,"kind":"thaw","function":"fft",'
+            '"instance_id":1,"reason":null,"thaw_seconds":0.123456789,'
+            '"warm":true}'
+        )
+
+    def test_non_finite_floats_and_negative_zero(self):
+        data = {"a": math.nan, "b": math.inf, "c": -0.0, "d": -math.inf}
+        line = encode_line(0, 0.0, 0, "k", data, fresh_maps())
+        assert line == (
+            '{"seq":0,"t":0.0,"node":0,"kind":"k",'
+            '"a":NaN,"b":Infinity,"c":-0.0,"d":-Infinity}'
+        )
+
+    def test_non_ascii_is_escaped(self):
+        data = {"function": "café"}
+        line = encode_line(1, 2.25, 3, "cold-boot", data, fresh_maps())
+        assert line == (
+            r'{"seq":1,"t":2.25,"node":3,"kind":"cold-boot","function":"caf\u00e9"}'
+        )
+
+
 # ------------------------------------------------------------ float contract
 
 
 class TestFormatFloat:
+    """A payload float is rounded to 9 places, then spelled as ``json``
+    spells it."""
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -86,7 +104,8 @@ class TestFormatFloat:
         ],
     )
     def test_matches_json_dumps(self, value):
-        assert format_float(value) == json.dumps(value)
+        line = encode_line(0, 0.0, 0, "k", {"v": value}, fresh_maps())
+        assert line.endswith(',"v":' + json.dumps(round(value, 9)) + "}")
 
 
 # ----------------------------------------------------- property: byte parity
@@ -97,7 +116,7 @@ _scalar_values = st.one_of(
     st.booleans(),
     st.none(),
     st.text(max_size=16),
-    st.builds(object),  # non-scalar: must be dropped by every encoder
+    st.builds(object),  # non-scalar: must be dropped
 )
 
 _keys = st.one_of(
@@ -127,49 +146,11 @@ _times = st.floats(allow_nan=True, allow_infinity=True)
 # A payload key repeating an envelope key overwrites that value in place.
 @example(kind="0", payload={"t": 0}, seq=0, t=0.0, node=0)
 @example(kind="k", payload={"kind": 1, "node": None}, seq=3, t=1.5, node=2)
-def test_every_encoder_tier_matches_json_dumps(kind, payload, seq, t, node):
+def test_encode_line_matches_json_dumps(kind, payload, seq, t, node):
     if not (t != t or t in (math.inf, -math.inf)):
-        t = round(t, 9)  # the sink rounds before either encoder runs
-
+        t = round(t, 9)  # the sink rounds before encoding
     expected = reference_line(seq, t, node, kind, payload, fresh_maps())
-    generic = encode_line_generic(
-        seq, t, node, kind, payload, make_normalize(fresh_maps())
-    )
-    fused = compile_shape(kind, tuple(payload), payload)(
-        seq, t, node, payload, fresh_maps()
-    )
-    poly = compile_shape(kind, tuple(payload))(
-        seq, t, node, payload, fresh_maps()
-    )
-    table = EncoderTable()
-    via_kind = table.kind_encoder(kind, payload)(
-        seq, t, node, payload, fresh_maps()
-    )
-    assert generic == expected
-    assert fused == expected
-    assert poly == expected
-    assert via_kind == expected
-
-
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(first=_payloads, second=_payloads, t=st.floats(0, 1e6))
-@example(first={"a": 1}, second={"seq": 7}, t=0.0)
-def test_kind_encoder_fallback_keeps_bytes_on_shape_change(first, second, t):
-    """A kind re-emitted with a different key-set routes through the
-    fallback dispatch -- and still byte-matches the reference."""
-    t = round(t, 9)
-    table = EncoderTable()
-    encoder = table.kind_encoder("mutating", first)
-    maps = fresh_maps()
-    ref_maps = fresh_maps()
-    for seq, payload in enumerate((first, second, first, second)):
-        got = encoder(seq, t, seq % 4, payload, maps)
-        want = reference_line(seq, t, seq % 4, "mutating", payload, ref_maps)
-        assert got == want
+    assert encode_line(seq, t, node, kind, payload, fresh_maps()) == expected
 
 
 # --------------------------------------------------------- id normalization
@@ -184,28 +165,21 @@ class TestIdNormalization:
             ("b", {"request_id": 902.5, "instance_id": 17}),  # float id
             ("b", {"request_id": 902.5000000001, "instance_id": 17}),
         ]
-        table, fast_maps = EncoderTable(), fresh_maps()
-        gen_maps = fresh_maps()
-        normalize = make_normalize(gen_maps)
+        maps, ref_maps = fresh_maps(), fresh_maps()
         for seq, (kind, data) in enumerate(events):
-            enc = table.by_kind.get(kind) or table.kind_encoder(kind, data)
-            fast = enc(seq, 1.5, 0, data, fast_maps)
-            slow = encode_line_generic(seq, 1.5, 0, kind, data, normalize)
-            assert fast == slow
-        assert fast_maps == gen_maps
+            line = encode_line(seq, 1.5, 0, kind, data, maps)
+            assert line == reference_line(seq, 1.5, 0, kind, data, ref_maps)
+        assert maps == ref_maps
         # floats are rounded before keying the map, so the two nearby
         # request ids above collapsed to one dense index
-        assert list(fast_maps["request_id"]) == [900, 901, 902.5]
+        assert list(maps["request_id"]) == [900, 901, 902.5]
 
     def test_indexes_start_at_one(self):
-        table = EncoderTable()
-        maps = fresh_maps()
-        enc = table.kind_encoder("k", {"request_id": 5})
-        line = enc(0, 0.0, 0, {"request_id": 5}, maps)
+        line = encode_line(0, 0.0, 0, "k", {"request_id": 5}, fresh_maps())
         assert '"request_id":1' in line
 
 
-# ----------------------------------------------- subclasses + escape cache
+# --------------------------------------------------------- scalar subclasses
 
 
 class TestOddScalars:
@@ -220,77 +194,11 @@ class TestOddScalars:
             pass
 
         data = {"a": MyInt(7), "b": MyFloat(0.1234567891234), "c": MyStr("x")}
-        fast = compile_shape("sub", tuple(data), data)(
-            3, 1.25, 2, data, fresh_maps()
-        )
-        slow = encode_line_generic(
-            3, 1.25, 2, "sub", data, make_normalize(fresh_maps())
-        )
-        assert fast == slow
-
-    def test_escape_cache_overflow_stays_correct(self):
-        """>1024 distinct strings exceed the per-encoder cache cap; bytes
-        must not change when the cache stops filling."""
-        table = EncoderTable()
-        enc = table.kind_encoder("s", {"function": "seed"})
-        maps = fresh_maps()
-        normalize = make_normalize(fresh_maps())
-        for i in range(1100):
-            value = f"fn-{i}-é"
-            data = {"function": value}
-            assert enc(i, 0.5, 0, data, maps) == encode_line_generic(
-                i, 0.5, 0, "s", data, normalize
-            )
+        line = encode_line(3, 1.25, 2, "sub", data, fresh_maps())
+        assert line == reference_line(3, 1.25, 2, "sub", data, fresh_maps())
 
 
-# ------------------------------------------------------------ mutation gate
-
-
-def _stream_digest(lines):
-    return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
-
-
-def _run_both_legs():
-    """Encode the same small corpus with both encoders; return digests."""
-    events = [
-        ("thaw", {"instance_id": 7 + i % 3, "thaw_seconds": 0.001234567891 * (i + 1)})
-        for i in range(64)
-    ]
-    table, fast_maps = EncoderTable(), fresh_maps()
-    normalize = make_normalize(fresh_maps())
-    fast_lines, slow_lines = [], []
-    for seq, (kind, data) in enumerate(events):
-        t = round(0.123456789123 * (seq + 1), 9)
-        enc = table.by_kind.get(kind) or table.kind_encoder(kind, data)
-        fast_lines.append(enc(seq, t, 0, data, fast_maps))
-        slow_lines.append(encode_line_generic(seq, t, 0, kind, data, normalize))
-    return _stream_digest(fast_lines), _stream_digest(slow_lines)
-
-
-class TestMutationGate:
-    def test_healthy_encoders_share_a_digest(self):
-        fast, slow = _run_both_legs()
-        assert fast == slow
-
-    def test_broken_float_formatter_is_caught(self, monkeypatch):
-        """Deliberately mutate the compiled float formatting (3 digits
-        instead of 9): the differential digest gate must fire."""
-        real = encode.compile_shape
-
-        def broken_compile(kind, keys, sample=None, fallback=None):
-            inner = real(kind, keys, sample, fallback)
-
-            def wrap(seq, t, node, data, id_maps):
-                return inner(seq, round(t, 3), node, data, id_maps)
-
-            return wrap
-
-        monkeypatch.setattr(encode, "compile_shape", broken_compile)
-        fast, slow = _run_both_legs()
-        assert fast != slow
-
-
-# ------------------------------------------------------- sink-level parity
+# ------------------------------------------------------------ sink streams
 
 _KINDS = ("freeze", "thaw", "request-arrival")
 
@@ -323,16 +231,6 @@ def _publish_corpus(bus):
 
 
 class TestSinkParity:
-    def test_fast_and_generic_sinks_emit_identical_bytes(self):
-        bus = EventBus()
-        fast = EventTraceSink(bus, kinds=_KINDS)
-        slow = EventTraceSink(bus, kinds=_KINDS, encoder="generic")
-        _publish_corpus(bus)
-        fast.detach()
-        slow.detach()
-        assert fast.count == slow.count == 300
-        assert fast.to_jsonl() == slow.to_jsonl()
-
     def test_digest_only_sink_matches_stored_stream(self):
         bus = EventBus()
         stored = EventTraceSink(bus, kinds=_KINDS)
