@@ -19,11 +19,12 @@ Entry points:
   the regression check CI applies against the committed ``BENCH_vmm.json``,
 * :func:`build_replay_macro` / :func:`compare_replay` /
   :func:`verify_trace_identity` -- the Azure-scale replay macro suite: each
-  size runs the same trace with the fast path on and off (plus optional
-  cluster, sharded, unbatched and forked legs), every pair's event-trace
-  digests must be byte-identical, and CI gates the fast leg's wall time
-  against the committed ``BENCH_replay.json``.  Every leg encodes its
-  trace through the one line encoder, :mod:`repro.trace.encode`.
+  size runs one traced single-platform leg (plus optional cluster,
+  sharded and forked legs), every equivalence pair's event-trace digests
+  must be byte-identical, and CI gates each leg's wall time, digest and
+  coordination cost against the committed ``BENCH_replay.json``.  Every
+  leg encodes its trace through the one line encoder,
+  :mod:`repro.trace.encode`.
 """
 
 from __future__ import annotations
@@ -44,16 +45,14 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro import fastpath, procenv
+from repro import procenv
 from repro.mem.layout import MIB, PAGE_SIZE
 
 #: Policies a replay spec accepts (characterize accepts POLICIES as well).
 REPLAY_POLICIES = ("vanilla", "eager", "desiccant")
 
 #: The macro replay sizes (§5.3 at increasing Azure-trace scale).  Each
-#: size fixes (scale factor, measured duration, warmup, node capacity);
-#: the suite runs every size twice -- fast path on and off -- and the two
-#: legs must produce byte-identical event traces.
+#: size fixes (scale factor, measured duration, warmup, node capacity).
 REPLAY_SIZES: Dict[str, Dict[str, float]] = {
     "small": {"scale": 8.0, "duration": 30.0, "warmup": 15.0, "capacity_mib": 768},
     "medium": {"scale": 15.0, "duration": 60.0, "warmup": 30.0, "capacity_mib": 1024},
@@ -83,12 +82,9 @@ class BenchSpec:
     seed: int = 42
     size_mib: int = 200
     repeats: int = 3
-    #: Run with the O(1) fast paths (indexed dispatch, cohort heap,
-    #: incremental aggregates) enabled.  ``False`` is the reference leg:
-    #: same simulation, linear/scalar code paths.
-    fastpath: bool = True
     #: Stream the replay's event trace to a scratch file and report its
-    #: SHA-256 -- the equivalence witness between the two legs.
+    #: SHA-256 -- the equivalence witness between paired legs and the
+    #: committed baseline.
     trace: bool = False
     #: Replay on a cluster of this many nodes (0 = single platform).
     nodes: int = 0
@@ -99,10 +95,6 @@ class BenchSpec:
     scheduler: str = "warm-affinity"
     #: Simulated seconds per conservative epoch (cluster replays only).
     epoch: float = 5.0
-    #: Shard wire protocol (cluster replays only): ``"batched"`` is the
-    #: default window protocol, ``"unbatched"`` the PR 5 comparison leg
-    #: that :func:`verify_coordination` gates against.
-    protocol: str = "batched"
     #: Also roll the traced replay into a segmented archive and report
     #: archive metrics (compressed bytes, compression ratio, pack
     #: throughput, windowed-read latency).  Requires ``trace``.
@@ -124,11 +116,9 @@ class BenchSpec:
                 label += f":n{self.nodes}"
             if self.shards > 1:
                 label += f":s{self.shards}"
-            if self.nodes and self.protocol == "unbatched":
-                label += ":unbatched"
             if self.fork:
                 label += ":fork"
-            return label if self.fastpath else label + ":base"
+            return label
         return f"micro:vmm:{self.size_mib}mib"
 
 
@@ -233,7 +223,6 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
                 scheduler=spec.scheduler,
                 shards=spec.shards,
                 epoch_seconds=spec.epoch,
-                protocol=spec.protocol,
                 scale_factor=spec.scale,
                 warmup_seconds=spec.warmup,
                 warmup_scale_factor=spec.scale,
@@ -401,18 +390,15 @@ def execute_spec(
 ) -> Dict[str, object]:
     """Run one spec; returns its metrics plus wall/CPU timings.
 
-    The spec's ``fastpath`` flag is forced for the duration of the run
-    (overriding ``REPRO_FASTPATH``), so a spec names one leg
-    unambiguously.  Traced replay legs additionally report
-    ``trace_events_per_second`` -- emitted trace events over the leg's
-    wall time, the emission-throughput headline.  Every leg
-    also samples its own Python allocation high-water mark
-    (``peak_tracemalloc_bytes``): tracemalloc runs for *all* legs, so
-    the uniform tracing overhead cancels out of every wall-time ratio
-    the suite reports.  With
-    ``profile_dir`` the run executes under ``cProfile`` and dumps
-    ``<label>.prof`` plus a cumulative-time top-30 listing next to it.
-    Top-level (not a closure) so ``ProcessPoolExecutor`` can pickle it.
+    Traced replay legs additionally report ``trace_events_per_second``
+    -- emitted trace events over the leg's wall time, the
+    emission-throughput headline.  Every leg also samples its own Python
+    allocation high-water mark (``peak_tracemalloc_bytes``): tracemalloc
+    runs for *all* legs, so the uniform tracing overhead cancels out of
+    every wall-time ratio the suite reports.  With ``profile_dir`` the
+    run executes under ``cProfile`` and dumps ``<label>.prof`` plus a
+    cumulative-time top-30 listing next to it.  Top-level (not a
+    closure) so ``ProcessPoolExecutor`` can pickle it.
     """
     profiler = None
     if profile_dir is not None:
@@ -420,21 +406,20 @@ def execute_spec(
         profiler = cProfile.Profile()
     tracemalloc.start()
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    with fastpath.override(spec.fastpath):
+    if profiler is not None:
+        profiler.enable()
+    try:
+        if spec.kind == "characterize":
+            metrics = _run_characterize(spec)
+        elif spec.kind == "replay":
+            metrics = _run_replay(spec)
+        elif spec.kind == "micro":
+            metrics = run_vmm_microbench(spec.size_mib, spec.repeats)
+        else:
+            raise ValueError(f"unknown bench kind {spec.kind!r}")
+    finally:
         if profiler is not None:
-            profiler.enable()
-        try:
-            if spec.kind == "characterize":
-                metrics = _run_characterize(spec)
-            elif spec.kind == "replay":
-                metrics = _run_replay(spec)
-            elif spec.kind == "micro":
-                metrics = run_vmm_microbench(spec.size_mib, spec.repeats)
-            else:
-                raise ValueError(f"unknown bench kind {spec.kind!r}")
-        finally:
-            if profiler is not None:
-                profiler.disable()
+            profiler.disable()
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
     _, peak_bytes = tracemalloc.get_traced_memory()
@@ -477,12 +462,12 @@ def run_benchmarks(
     (``profile_dir``) composes with fan-out: each worker profiles only its
     own spec's process.
 
-    The parent's effective run flags (``REPRO_FASTPATH``, ``REPRO_CHECK``
-    and friends) are re-applied in every worker by an explicit pool
-    initializer, so results do not depend on the multiprocessing start
-    method -- under ``spawn`` (the macOS/Windows default, injectable here
-    via ``mp_context`` for tests) workers would otherwise re-read a stale
-    environment instead of the configuration the parent is running with.
+    The parent's run flags (``REPRO_CHECK`` and its tuning knobs) are
+    re-applied in every worker by an explicit pool initializer, so
+    results do not depend on the multiprocessing start method -- under
+    ``spawn`` or ``forkserver`` (injectable here via ``mp_context`` for
+    tests) workers would otherwise see a stale environment instead of
+    the configuration the parent is running with.
     """
     run_one = partial(execute_spec, profile_dir=profile_dir)
     if jobs <= 1 or len(specs) <= 1:
@@ -537,33 +522,27 @@ def build_replay_macro(
     sizes: Sequence[str] = ("small", "medium", "large"),
     policies: Sequence[str] = ("vanilla", "desiccant"),
     seed: int = 42,
-    include_base: bool = True,
     nodes: int = 0,
     shard_counts: Sequence[int] = (),
     scheduler: str = "warm-affinity",
-    include_unbatched: bool = False,
     include_forked: bool = False,
 ) -> List[BenchSpec]:
-    """The macro replay suite: every (size, policy) as a fast/base leg pair.
+    """The macro replay suite: one traced, archiving leg per (size, policy).
 
-    Both legs trace: :func:`verify_trace_identity` requires the pair's
-    event-stream digests to match, which pins the fast path's semantics to
-    the reference implementation at full Azure-replay scale.  CI smoke runs
-    pass ``include_base=False`` to time only the fast leg.
+    :func:`verify_trace_identity` pins each leg's composed archive digest
+    to its flat trace, and ``--check`` pins the trace digest to the
+    committed baseline's.
 
     With ``nodes`` set, every (size, policy) additionally gets cluster
     legs: one serial-twin run (``shards=1``) plus one per entry in
     ``shard_counts``.  All of them trace, and the digest gate pins each
     sharded leg's merged trace to the serial twin's byte for byte --
-    the cross-process equivalence witness.  ``include_unbatched`` adds a
-    PR 5-protocol twin per sharded leg (label suffix ``:unbatched``):
-    same workload, one pipe message per epoch -- the comparison leg
-    :func:`verify_coordination` gates round-trips and pipe bytes against.
-    ``include_forked`` adds a checkpoint-fork sweep leg per cluster cell
-    (label suffix ``:fork``): the from-scratch run captures a
-    ``measure-start`` checkpoint, a forked twin resumes from it skipping
-    the warmup prefix, and :func:`verify_trace_identity` pins the two
-    merged-trace digests to each other.
+    the cross-process equivalence witness.  ``include_forked`` adds a
+    checkpoint-fork sweep leg per cluster cell (label suffix ``:fork``):
+    the from-scratch run captures a ``measure-start`` checkpoint, a
+    forked twin resumes from it skipping the warmup prefix, and
+    :func:`verify_trace_identity` pins the two merged-trace digests to
+    each other.
     """
     specs = []
     for size in sizes:
@@ -575,54 +554,40 @@ def build_replay_macro(
                 f"{', '.join(REPLAY_SIZES)})"
             ) from None
         for policy in policies:
-            for leg_fast in (True, False) if include_base else (True,):
-                specs.append(
-                    BenchSpec(
-                        kind="replay",
-                        policy=policy,
-                        scale=shape["scale"],
-                        duration=shape["duration"],
-                        warmup=shape["warmup"],
-                        capacity_mib=int(shape["capacity_mib"]),
-                        seed=seed,
-                        fastpath=leg_fast,
-                        trace=True,
-                        # Archive metrics ride on the fast leg only; the
-                        # :base reference leg times the bare simulation.
-                        archive=leg_fast,
-                    )
+            specs.append(
+                BenchSpec(
+                    kind="replay",
+                    policy=policy,
+                    scale=shape["scale"],
+                    duration=shape["duration"],
+                    warmup=shape["warmup"],
+                    capacity_mib=int(shape["capacity_mib"]),
+                    seed=seed,
+                    trace=True,
+                    archive=True,
                 )
+            )
             if nodes:
                 for shards in (1, *shard_counts):
-                    protocols = ["batched"]
-                    if include_unbatched and shards > 1:
-                        protocols.append("unbatched")
-                    for protocol in protocols:
-                        specs.append(
-                            BenchSpec(
-                                kind="replay",
-                                policy=policy,
-                                scale=shape["scale"],
-                                duration=shape["duration"],
-                                warmup=shape["warmup"],
-                                capacity_mib=int(shape["capacity_mib"]),
-                                seed=seed,
-                                trace=True,
-                                # Archive metrics ride on the batched
-                                # leg; the :unbatched twin times the
-                                # bare protocol comparison.
-                                archive=protocol == "batched",
-                                nodes=nodes,
-                                shards=shards,
-                                scheduler=scheduler,
-                                protocol=protocol,
-                                # Fine base grid: adaptive horizons make
-                                # it nearly free for the batched leg,
-                                # while the per-epoch comparison leg pays
-                                # the PR 5 barrier cost it's measuring.
-                                epoch=2.0,
-                            )
+                    specs.append(
+                        BenchSpec(
+                            kind="replay",
+                            policy=policy,
+                            scale=shape["scale"],
+                            duration=shape["duration"],
+                            warmup=shape["warmup"],
+                            capacity_mib=int(shape["capacity_mib"]),
+                            seed=seed,
+                            trace=True,
+                            archive=True,
+                            nodes=nodes,
+                            shards=shards,
+                            scheduler=scheduler,
+                            # Fine base grid: adaptive horizons make it
+                            # nearly free.
+                            epoch=2.0,
                         )
+                    )
                     if include_forked:
                         specs.append(
                             BenchSpec(
@@ -648,21 +613,18 @@ def build_replay_macro(
 _SHARD_SUFFIX = re.compile(r":s\d+")
 #: ``:nK`` cluster-size suffix (single-platform labels have none).
 _NODES_SUFFIX = re.compile(r":n\d+")
-#: ``:unbatched`` protocol suffix (the batched default has none).
-_UNBATCHED_SUFFIX = re.compile(r":unbatched")
 
 
 def _serial_twin_label(label: str) -> str:
     """The serial-twin label a sharded leg's digest gates against."""
-    return _SHARD_SUFFIX.sub("", _UNBATCHED_SUFFIX.sub("", label))
+    return _SHARD_SUFFIX.sub("", label)
 
 
 def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
     """Check that every replay equivalence pair produced identical traces.
 
-    Four pairings gate:
+    Three pairings gate:
 
-    * fast leg vs its ``:base`` reference leg (same run, fast path off);
     * every sharded cluster leg (``:sK``) vs its serial twin (the same
       label without the shard suffix) -- the multi-process run must merge
       to the exact bytes of the single-process run;
@@ -672,8 +634,8 @@ def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
       digest vs the flat whole-run digest -- the composition rule
       (docs/TRACE_ARCHIVE.md) holding at benchmark scale.
 
-    Returns failure messages; an unpaired leg (CI smoke's fast-only runs)
-    or a replay without tracing is simply not checked.
+    Returns failure messages; an unpaired leg or a replay without
+    tracing is simply not checked.
     """
     digests: Dict[str, Dict[str, object]] = {}
     for result in results:
@@ -699,16 +661,7 @@ def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
                 f"{metrics['trace_events']} events, {str(fork_sha)[:12]} != "
                 f"{metrics['trace_sha256'][:12]})"
             )
-        if label.endswith(":base"):
-            continue
-        base = digests.get(label + ":base")
-        if base is not None and metrics["trace_sha256"] != base["trace_sha256"]:
-            failures.append(
-                f"{label}: fast-path trace diverged from the reference leg "
-                f"({metrics['trace_events']} events, "
-                f"{metrics['trace_sha256'][:12]} != {base['trace_sha256'][:12]})"
-            )
-        if _SHARD_SUFFIX.search(label) or _UNBATCHED_SUFFIX.search(label):
+        if _SHARD_SUFFIX.search(label):
             serial = digests.get(_serial_twin_label(label))
             if serial is None or serial is metrics:
                 continue
@@ -723,59 +676,14 @@ def verify_trace_identity(results: Sequence[Dict[str, object]]) -> List[str]:
     return failures
 
 
-def verify_coordination(
-    results: Sequence[Dict[str, object]],
-    min_round_trip_ratio: float = 5.0,
-    min_pipe_byte_ratio: float = 10.0,
-) -> List[str]:
-    """Gate the batched protocol's coordination costs against its twin.
-
-    For every batched sharded replay leg whose ``:unbatched`` twin is
-    present (same workload, PR 5 one-message-per-epoch protocol), the
-    batched leg must record at least ``min_round_trip_ratio`` times fewer
-    coordinator round-trips and ``min_pipe_byte_ratio`` times fewer pipe
-    bytes.  Returns failure messages; legs without a twin (or without the
-    coordination metrics -- older baselines) are simply not checked.
-    """
-    metrics_by_label = {
-        r["label"]: r["metrics"]
-        for r in results
-        if r["spec"]["kind"] == "replay" and "round_trips" in r["metrics"]
-    }
-    failures = []
-    for label, batched in sorted(metrics_by_label.items()):
-        if _UNBATCHED_SUFFIX.search(label) or label.endswith(":base"):
-            continue
-        twin = metrics_by_label.get(label + ":unbatched")
-        if twin is None:
-            continue
-        if batched["round_trips"] * min_round_trip_ratio > twin["round_trips"]:
-            failures.append(
-                f"{label}: {batched['round_trips']} round-trips is not "
-                f"{min_round_trip_ratio:g}x fewer than the unbatched twin's "
-                f"{twin['round_trips']}"
-            )
-        if (
-            twin["pipe_bytes"] > 0
-            and batched["pipe_bytes"] * min_pipe_byte_ratio > twin["pipe_bytes"]
-        ):
-            failures.append(
-                f"{label}: {batched['pipe_bytes']} pipe bytes is not "
-                f"{min_pipe_byte_ratio:g}x fewer than the unbatched twin's "
-                f"{twin['pipe_bytes']}"
-            )
-    return failures
-
-
 def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Wall-clock ratios for every paired replay label.
+    """Wall-clock ratios for every sharded replay label.
 
-    Three pairings, one entry per non-reference label that has a partner:
+    Two pairings, one entry per sharded label:
 
-    * fast leg vs ``:base`` leg (the fast-path speedup);
     * sharded cluster leg (``:sK``) vs its serial twin (the multi-process
       speedup -- bounded by the machine's core count);
-    * sharded cluster leg vs the *single-platform* fast leg of the same
+    * sharded cluster leg vs the *single-platform* leg of the same
       (policy, size), reported as ``vs_single_speedup`` -- the end-to-end
       gain of splitting one big replay into sharded cluster nodes.
     """
@@ -786,32 +694,24 @@ def replay_speedups(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
     }
     speedups = {}
     for label in sorted(walls):
-        if label.endswith(":base"):
+        if not _SHARD_SUFFIX.search(label):
             continue
         entry = {}
-        if label + ":base" in walls:
-            fast, base = walls[label], walls[label + ":base"]
+        serial_label = _serial_twin_label(label)
+        sharded = walls[label]
+        if serial_label in walls:
+            serial = walls[serial_label]
             entry.update(
-                fast_wall_seconds=fast,
-                base_wall_seconds=base,
-                speedup=round(base / fast, 2) if fast else None,
+                serial_wall_seconds=serial,
+                sharded_wall_seconds=sharded,
+                speedup=round(serial / sharded, 2) if sharded else None,
             )
-        if _SHARD_SUFFIX.search(label):
-            serial_label = _serial_twin_label(label)
-            sharded = walls[label]
-            if serial_label in walls:
-                serial = walls[serial_label]
-                entry.update(
-                    serial_wall_seconds=serial,
-                    sharded_wall_seconds=sharded,
-                    speedup=round(serial / sharded, 2) if sharded else None,
-                )
-            single_label = _NODES_SUFFIX.sub("", serial_label)
-            if single_label in walls:
-                entry["vs_single_wall_seconds"] = walls[single_label]
-                entry["vs_single_speedup"] = (
-                    round(walls[single_label] / sharded, 2) if sharded else None
-                )
+        single_label = _NODES_SUFFIX.sub("", serial_label)
+        if single_label in walls:
+            entry["vs_single_wall_seconds"] = walls[single_label]
+            entry["vs_single_speedup"] = (
+                round(walls[single_label] / sharded, 2) if sharded else None
+            )
         if entry:
             speedups[label] = entry
     return speedups
@@ -824,13 +724,17 @@ def compare_replay(
 ) -> List[str]:
     """Regression check for the macro suite: returns failure messages.
 
-    Every *fast-leg* replay run present in both result lists gates on wall
-    time against ``factor`` times the committed baseline; base legs and
-    unmatched labels are informational.  Labels encode (policy, scale,
-    duration), so a matched label is the same workload.
+    Every replay run present in both result lists gates on wall time
+    against ``factor`` times the committed baseline; unmatched labels are
+    informational.  Labels encode (policy, scale, duration, cluster
+    shape), so a matched label is the same workload.  When the matched
+    run also used the committed run's seed, its simulation must be the
+    committed one: the trace digest must equal the committed digest,
+    round trips may not exceed the committed count, and pipe bytes may
+    not exceed ``factor`` times the committed bytes.
     """
-    base_walls = {
-        r["label"]: r["wall_seconds"]
+    committed = {
+        r["label"]: r
         for r in baseline
         if r.get("spec", {}).get("kind") == "replay"
     }
@@ -838,21 +742,40 @@ def compare_replay(
     matched = 0
     for result in current:
         label = result["label"]
-        if result["spec"]["kind"] != "replay" or label.endswith(":base"):
+        if result["spec"]["kind"] != "replay":
             continue
-        base = base_walls.get(label)
-        if base is None:
+        base_run = committed.get(label)
+        if base_run is None:
             continue
         matched += 1
-        wall = result["wall_seconds"]
+        wall, base = result["wall_seconds"], base_run["wall_seconds"]
         if wall > base * factor:
             failures.append(
                 f"{label}: {wall:.2f}s exceeds {factor:g}x baseline "
                 f"({base:.2f}s)"
             )
+        if result["spec"].get("seed") != base_run["spec"].get("seed"):
+            continue
+        metrics, base_metrics = result["metrics"], base_run["metrics"]
+        sha, base_sha = metrics.get("trace_sha256"), base_metrics.get("trace_sha256")
+        if sha is not None and base_sha is not None and sha != base_sha:
+            failures.append(
+                f"{label}: trace digest {sha[:12]} != committed {base_sha[:12]}"
+            )
+        trips, base_trips = metrics.get("round_trips"), base_metrics.get("round_trips")
+        if trips is not None and base_trips is not None and trips > base_trips:
+            failures.append(
+                f"{label}: {trips} round trips exceeds the committed {base_trips}"
+            )
+        pipe, base_pipe = metrics.get("pipe_bytes"), base_metrics.get("pipe_bytes")
+        if pipe is not None and base_pipe is not None and pipe > base_pipe * factor:
+            failures.append(
+                f"{label}: {pipe} pipe bytes exceeds {factor:g}x the committed "
+                f"{base_pipe}"
+            )
     if not matched:
         failures.append(
-            "no fast-leg replay labels matched the baseline "
+            "no replay labels matched the baseline "
             "(wrong --sizes, or the baseline lacks replay runs)"
         )
     return failures

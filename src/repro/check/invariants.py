@@ -474,8 +474,8 @@ def check_platform(platform, subject: Optional[str] = None) -> None:
             )
     # Aggregate parity: recompute the platform's totals from the address
     # spaces directly, bypassing every cache layer (the runtime USS caches
-    # and the platform's incremental totals), so drift anywhere in the
-    # fast-path stack surfaces here.  Skipped for reduced platform stubs
+    # and the platform's incremental totals), so drift anywhere in those
+    # caches surfaces here.  Skipped for reduced platform stubs
     # (unit tests drive this checker with partial doubles).
     if not hasattr(platform, "all_instances"):
         return

@@ -161,7 +161,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 scheduler=args.scheduler,
                 shards=args.shards,
                 epoch_seconds=args.epoch,
-                protocol=args.protocol,
                 window_epochs=args.window_epochs,
                 scale_factor=args.scale_factor,
                 warmup_seconds=args.warmup,
@@ -195,7 +194,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 )
             if args.shards > 1:
                 print(
-                    f"shard protocol {args.protocol}: {result.round_trips} "
+                    f"shard coordination: {result.round_trips} "
                     f"round trips, {fmt_bytes(result.pipe_bytes)} over pipes "
                     f"({result.epochs} epochs), coordination overhead "
                     f"{result.coordination_overhead:.3f}s",
@@ -365,7 +364,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         load_baseline,
         run_benchmarks,
         summarize,
-        verify_coordination,
         verify_trace_identity,
         write_results,
     )
@@ -396,10 +394,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     p for p in args.policies.split(",") if p in REPLAY_POLICIES
                 ],
                 seed=args.seed,
-                include_base=not args.fast_only,
                 nodes=args.nodes if shard_counts or args.forked else 0,
                 shard_counts=shard_counts,
-                include_unbatched=args.unbatched_twin,
                 include_forked=args.forked,
             )
         )
@@ -425,11 +421,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for mismatch in mismatches:
         print(f"TRACE MISMATCH {mismatch}", file=sys.stderr)
     if mismatches:
-        return 1
-    overhead = verify_coordination(results)
-    for violation in overhead:
-        print(f"COORDINATION OVERHEAD {violation}", file=sys.stderr)
-    if overhead:
         return 1
     if args.check:
         baseline = load_baseline(Path(args.check))
@@ -629,23 +620,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="simulated seconds per synchronization epoch (--shards only; "
-        "the batched protocol treats this as the base grid for adaptive "
-        "horizons)",
-    )
-    p.add_argument(
-        "--protocol",
-        choices=("batched", "unbatched"),
-        default="batched",
-        help="shard wire protocol: 'batched' grants multi-epoch windows "
-        "over framed pipes with out-of-pipe traces; 'unbatched' is the "
-        "per-epoch comparison protocol (--shards only)",
+        "the base grid for adaptive horizons)",
     )
     p.add_argument(
         "--window-epochs",
         type=int,
         default=32,
-        help="max epochs granted per coordinator message under the "
-        "batched protocol",
+        help="max epochs granted per coordinator message",
     )
     p.add_argument(
         "--checkpoint-dir",
@@ -744,12 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay macro sizes, comma-separated (small, medium, large)",
     )
     p.add_argument(
-        "--fast-only",
-        action="store_true",
-        help="skip the fastpath-off reference legs of the replay suite "
-        "(CI smoke: time only the fast path)",
-    )
-    p.add_argument(
         "--shards",
         default="",
         help="also run cluster replay legs at these shard counts "
@@ -761,13 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="cluster size for the sharded replay legs (with --shards)",
-    )
-    p.add_argument(
-        "--unbatched-twin",
-        action="store_true",
-        help="also run each sharded leg under the per-epoch 'unbatched' "
-        "protocol and gate the batched legs on >=5x fewer round trips "
-        "and >=10x fewer pipe bytes",
     )
     p.add_argument(
         "--forked",

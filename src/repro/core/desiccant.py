@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro import fastpath
 from repro.core.activation import ActivationController
 from repro.core.profiles import ProfileStore
 from repro.core.reclaimer import ReclaimReport, reclaim_instance
@@ -56,7 +55,6 @@ class Desiccant:
         self.reports: List[ReclaimReport] = []
         self.total_released_bytes = 0
         self.total_cpu_seconds = 0.0
-        self._fastpath = fastpath.enabled()
         #: ``(fingerprint, ranked, next_eligible_at)``: the ranking is a
         #: pure function of the frozen set, the instances' memory state,
         #: and the profile store -- all carried in the fingerprint -- plus
@@ -106,7 +104,7 @@ class Desiccant:
         the fingerprint holds and the activation check costs O(1)."""
         frozen = platform.frozen_instances()
         timeout = self.config.freeze_timeout_seconds
-        if not (self._fastpath and hasattr(frozen, "version")):
+        if not hasattr(frozen, "version"):
             return rank_candidates(frozen, self.profiles, now, freeze_timeout=timeout)
         fingerprint = (frozen.version, frozen.state_version, self.profiles.version)
         cached = self._ranked_cache

@@ -40,17 +40,15 @@ routes from epoch-boundary load digests rather than live arrival-time
 state, which is deterministic and shard-count-invariant but *not* the
 serial policy; the digest gate therefore runs on static schedulers.
 
-The session speaks the *batched* window protocol by default: epoch
-horizons are computed adaptively from the submission log's arrival
-density (:func:`repro.sim.shard.adaptive_horizons`), multiple epochs are
-granted per framed pipe message, function definitions are interned
-per shard (names travel per arrival, each definition's body ships
-once), and load digests are shipped only when a deferred scheduler
-actually consumes them -- reduced worker-side to fixed-size summaries
-(``used_bytes`` plus sorted crc32s of the warm function names).
-``protocol="unbatched"`` reproduces the PR 5 wire behaviour (fixed
-grid, one epoch per message, full definitions per arrival, loads every
-epoch) as the comparison leg for the coordination-cost benchmarks.
+The session speaks one wire protocol, the batched window protocol:
+epoch horizons are computed adaptively from the submission log's
+arrival density (:func:`repro.sim.shard.adaptive_horizons`), multiple
+epochs are granted per framed pipe message, function definitions are
+interned per shard (names travel per arrival, each definition's body
+ships once), and load digests are shipped only when a deferred
+scheduler actually consumes them -- reduced worker-side to fixed-size
+summaries (``used_bytes`` plus sorted crc32s of the warm function
+names).
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from repro import procenv
 from repro.faas.instance import InstanceState
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request, RequestOutcome
 from repro.sim import Event, EventTraceSink, REQUEST_DONE, SimKernel
-from repro.sim.shard import adaptive_horizons, epoch_horizons, make_pool
+from repro.sim.shard import adaptive_horizons, make_pool
 from repro.workloads.model import FunctionDefinition
 
 SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity", "least-loaded-live")
@@ -75,9 +73,6 @@ SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity", "least-loaded-li
 #: Schedulers whose decisions read live simulation state, so routing must
 #: happen *inside* the timeline (at each request's arrival time).
 DEFERRED_SCHEDULERS = ("least-loaded-live",)
-
-#: Wire protocols a sharded session can speak (see the module docstring).
-SHARD_PROTOCOLS = ("batched", "unbatched")
 
 
 def warm_name_digest(name: str) -> int:
@@ -322,7 +317,6 @@ class Cluster:
         shards: int = 1,
         epoch_seconds: float = 5.0,
         start_method: Optional[str] = None,
-        protocol: str = "batched",
         window_epochs: int = 32,
         checkpoint_dir: Optional[str | Path] = None,
         checkpoint_every: Optional[int] = None,
@@ -386,7 +380,6 @@ class Cluster:
             shards=shards,
             epoch_seconds=epoch_seconds,
             start_method=start_method,
-            protocol=protocol,
             window_epochs=window_epochs,
         )
         deferred = self.config.scheduler in DEFERRED_SCHEDULERS
@@ -495,15 +488,9 @@ class ClusterShardSpec:
     #: Dump a cProfile of this worker here (None = no profiling).
     profile_path: Optional[str] = None
     #: Include per-node load digests in every epoch report.  Only the
-    #: deferred schedulers (and the unbatched comparison protocol) pay
-    #: for them; static-scheduler sessions ship none at all.
+    #: deferred schedulers pay for them; static-scheduler sessions ship
+    #: none at all.
     need_loads: bool = False
-    #: Ship loads in the PR 5 wire shape -- the full sorted warm-name
-    #: string list plus ``frozen_bytes``/``instances`` per node -- instead
-    #: of the reduced crc32 digests.  Set only by the ``unbatched``
-    #: comparison protocol so its pipe-byte accounting reflects what the
-    #: per-epoch protocol actually cost.
-    legacy_loads: bool = False
 
 
 class ClusterShardHost:
@@ -564,16 +551,11 @@ class ClusterShardHost:
         """
         self._definitions.update(preamble)
 
-    def begin_epoch(self, payload: Sequence[Tuple[int, float, object, int]]) -> None:
-        """Accept one epoch's routed arrivals: ``(node, time, fn, id)``.
-
-        ``fn`` is an interned definition *name* under the batched
-        protocol, or a full :class:`FunctionDefinition` under the
-        unbatched comparison protocol -- both resolve to the same
-        submission.
-        """
-        for node_id, time, fn, request_id in payload:
-            definition = self._definitions[fn] if isinstance(fn, str) else fn
+    def begin_epoch(self, payload: Sequence[Tuple[int, float, str, int]]) -> None:
+        """Accept one epoch's routed arrivals: ``(node, time, name, id)``,
+        each ``name`` an interned definition (see :meth:`window_begin`)."""
+        for node_id, time, name, request_id in payload:
+            definition = self._definitions[name]
             self.platforms[node_id].submit(
                 [Request(arrival=time, definition=definition, id=request_id)]
             )
@@ -639,20 +621,10 @@ class ClusterShardHost:
                         and instance.invocation_count > 0
                     )
                 }
-                if self.spec.legacy_loads:
-                    loads[node_id] = {
-                        "used_bytes": platform.used_bytes(),
-                        "frozen_bytes": platform.frozen_bytes(),
-                        "instances": len(platform.all_instances()),
-                        "warm": sorted(warm_names),
-                    }
-                else:
-                    loads[node_id] = {
-                        "used_bytes": platform.used_bytes(),
-                        "warm": sorted(
-                            warm_name_digest(name) for name in warm_names
-                        ),
-                    }
+                loads[node_id] = {
+                    "used_bytes": platform.used_bytes(),
+                    "warm": sorted(warm_name_digest(name) for name in warm_names),
+                }
         return {
             "shard": self.spec.shard,
             "clock": self.kernel.now,
@@ -825,7 +797,6 @@ def _session_fingerprint(
     manager_factory: Callable[[], object],
     shards: int,
     epoch_seconds: float,
-    protocol: str,
     window_epochs: int,
 ) -> str:
     """Digest of every parameter that shapes a session's timeline.
@@ -851,7 +822,10 @@ def _session_fingerprint(
         ),
         "shards": shards,
         "epoch_seconds": epoch_seconds,
-        "protocol": protocol,
+        # The protocol is no longer a choice, but it stays in the hashed
+        # description: without it, every checkpoint captured by an
+        # earlier build would fail ``checkpoint-config`` on resume.
+        "protocol": "batched",
         "window_epochs": window_epochs,
     }
     return hashlib.sha256(
@@ -873,17 +847,14 @@ class ShardedClusterSession:
     the digest gate, reducing the serial/sharded comparison to exactly
     one variable -- how nodes were partitioned across kernels.
 
-    ``protocol="batched"`` (the default) grants up to ``window_epochs``
-    epochs per pipe message, computes adaptive horizons from the
-    submission log, interns definitions per shard, and ships load
-    digests only when routing consumes them.  Deferred schedulers force
-    an effective window of one epoch regardless of ``window_epochs``:
-    their routing feeds on previous-epoch load digests, so granting
-    epoch *k+1* before absorbing epoch *k*'s report would break
-    conservative-horizon safety.  ``protocol="unbatched"`` reproduces
-    the PR 5 wire behaviour (fixed grid, window of one, full definition
-    objects per arrival, loads every epoch) as the comparison leg the
-    coordination-cost benchmarks measure against.
+    The session grants up to ``window_epochs`` epochs per pipe message,
+    computes adaptive horizons from the submission log, interns
+    definitions per shard, and ships load digests only when routing
+    consumes them.  Deferred schedulers force an effective window of one
+    epoch regardless of ``window_epochs``: their routing feeds on
+    previous-epoch load digests, so granting epoch *k+1* before
+    absorbing epoch *k*'s report would break conservative-horizon
+    safety.
     """
 
     def __init__(
@@ -893,7 +864,6 @@ class ShardedClusterSession:
         shards: int = 1,
         epoch_seconds: float = 5.0,
         processes: Optional[bool] = None,
-        protocol: str = "batched",
         window_epochs: int = 32,
         trace_dir: Optional[str] = None,
         archive_dir: Optional[str] = None,
@@ -908,28 +878,15 @@ class ShardedClusterSession:
 
         if epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
-        if protocol not in SHARD_PROTOCOLS:
-            raise ValueError(
-                f"unknown shard protocol {protocol!r}; pick from {SHARD_PROTOCOLS}"
-            )
         if window_epochs < 1:
             raise ValueError("window_epochs must be >= 1")
         factory = manager_factory or VanillaManager
         self.config = config
         self.epoch_seconds = float(epoch_seconds)
-        self.protocol = protocol
-        #: Epochs granted per pipe message.  Deferred schedulers and the
-        #: unbatched protocol run a window of one (see class docstring).
-        self.window_epochs = (
-            1
-            if protocol == "unbatched"
-            or config.scheduler in DEFERRED_SCHEDULERS
-            else window_epochs
-        )
-        need_loads = (
-            protocol == "unbatched" or config.scheduler in DEFERRED_SCHEDULERS
-        )
-        legacy_loads = protocol == "unbatched"
+        need_loads = config.scheduler in DEFERRED_SCHEDULERS
+        #: Epochs granted per pipe message.  Deferred schedulers run a
+        #: window of one (see class docstring).
+        self.window_epochs = 1 if need_loads else window_epochs
         partitions = partition_nodes(config.nodes, shards)
         self.shards = len(partitions)
         self.router = FrontEndRouter(config.nodes, config.scheduler)
@@ -961,7 +918,6 @@ class ShardedClusterSession:
                         else None
                     ),
                     need_loads=need_loads,
-                    legacy_loads=legacy_loads,
                 )
             )
         if processes is None:
@@ -971,14 +927,12 @@ class ShardedClusterSession:
             specs,
             processes=processes,
             start_method=start_method,
-            compress=protocol == "batched",
         )
         #: Stable digest of everything that shapes this session's
         #: timeline; a checkpoint captured by a session with a different
         #: fingerprint is refused at restore (``checkpoint-config``).
         self._fingerprint = _session_fingerprint(
-            config, factory, self.shards, self.epoch_seconds,
-            protocol, self.window_epochs,
+            config, factory, self.shards, self.epoch_seconds, self.window_epochs
         )
         self._request_ids = 0
         self._loads: Optional[Dict[int, dict]] = None
@@ -1022,25 +976,15 @@ class ShardedClusterSession:
     ) -> List[Optional[float]]:
         """The phase's epoch horizons, drain epoch included.
 
-        Batched protocol: density-adaptive
-        (:func:`repro.sim.shard.adaptive_horizons`).  Unbatched: the PR 5
-        fixed grid, extended by whole grid cells until every arrival time
-        is strictly below the last horizon (the adaptive path guarantees
-        this itself).  The trailing ``None`` is the drain-to-quiescence
-        epoch every phase ends with.  A pure function of the submission
-        log, so any shard count derives the identical epoch structure.
+        Density-adaptive (:func:`repro.sim.shard.adaptive_horizons`),
+        with every arrival time strictly below the last finite horizon.
+        The trailing ``None`` is the drain-to-quiescence epoch every
+        phase ends with.  A pure function of the submission log, so any
+        shard count derives the identical epoch structure.
         """
-        if self.protocol == "batched":
-            horizons: List[Optional[float]] = list(
-                adaptive_horizons(times, start, end, self.epoch_seconds)
-            )
-        else:
-            horizons = list(epoch_horizons(start, end, self.epoch_seconds))
-            last = max(times, default=start)
-            cells = round((horizons[-1] - start) / self.epoch_seconds)
-            while horizons[-1] <= last:
-                cells += 1
-                horizons.append(start + cells * self.epoch_seconds)
+        horizons: List[Optional[float]] = list(
+            adaptive_horizons(times, start, end, self.epoch_seconds)
+        )
         horizons.append(None)
         return horizons
 
@@ -1088,7 +1032,6 @@ class ShardedClusterSession:
         horizons = self.phase_horizons(
             [item[0] for item in arrivals], start, end
         )
-        batched = self.protocol == "batched"
         index = start_index
         pos = start_pos
         while pos < len(horizons):
@@ -1101,9 +1044,9 @@ class ShardedClusterSession:
             payloads: List[List[List[Tuple]]] = [
                 [[] for _ in window_horizons] for _ in range(self.shards)
             ]
-            preambles: Optional[List] = (
-                [{} for _ in range(self.shards)] if batched else None
-            )
+            preambles: List[Dict[str, FunctionDefinition]] = [
+                {} for _ in range(self.shards)
+            ]
             for j, horizon in enumerate(window_horizons):
                 if horizon is None:
                     continue  # the drain epoch carries no arrivals
@@ -1118,20 +1061,17 @@ class ShardedClusterSession:
                         self._request_ids += 1
                         request_id = self._request_ids
                     shard = self._shard_of[node]
-                    if batched:
-                        name = definition.name
-                        if name not in self._shipped[shard]:
-                            self._shipped[shard].add(name)
-                            preambles[shard][name] = definition
-                        payloads[shard][j].append((node, time, name, request_id))
-                    else:
-                        payloads[shard][j].append(
-                            (node, time, definition, request_id)
-                        )
-            if preambles is not None:
-                preambles = [preamble or None for preamble in preambles]
+                    name = definition.name
+                    if name not in self._shipped[shard]:
+                        self._shipped[shard].add(name)
+                        preambles[shard][name] = definition
+                    payloads[shard][j].append((node, time, name, request_id))
             self._absorb(
-                self.pool.window(window_horizons, payloads, preambles),
+                self.pool.window(
+                    window_horizons,
+                    payloads,
+                    [preamble or None for preamble in preambles],
+                ),
                 window_horizons[-1],
                 epochs=len(window_horizons),
             )
@@ -1155,14 +1095,6 @@ class ShardedClusterSession:
         loads: Dict[int, dict] = {}
         for report in reports:
             loads.update(report["loads"])
-        # The unbatched leg ships loads in the PR 5 wire shape (full name
-        # strings); reduce to crc32 digests here so route_from_loads sees
-        # one shape regardless of protocol.
-        for load in loads.values():
-            if load["warm"] and isinstance(load["warm"][0], str):
-                load["warm"] = sorted(
-                    warm_name_digest(name) for name in load["warm"]
-                )
         self._loads = loads
 
     def mark(self, name: str) -> None:
@@ -1238,7 +1170,7 @@ class ShardedClusterSession:
                 "checkpoint-config",
                 f"checkpoint {path}",
                 "captured by a session with different parameters "
-                "(config/shards/epoch/protocol fingerprint mismatch)",
+                "(config/shards/epoch/window fingerprint mismatch)",
             )
         fork = dict(fork or {})
         scheduler = fork.pop("scheduler", None)

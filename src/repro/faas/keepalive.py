@@ -28,7 +28,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, runtime_checkable
 
-from repro import fastpath
 from repro.faas.instance import FunctionInstance, InstanceState
 from repro.faas.lazyheap import LazyHeap
 from repro.sim import REQUEST_ARRIVAL
@@ -42,10 +41,10 @@ def _is_frozen(instance: FunctionInstance) -> bool:
     return instance.state is InstanceState.FROZEN
 
 
-def _use_heap(policy, frozen) -> bool:
+def _use_heap(frozen) -> bool:
     """Heap path only for the platform's versioned frozen list; plain
     lists (unit tests, keep-warm evictable sets) take the linear scan."""
-    return policy._fastpath and hasattr(frozen, "adds")
+    return hasattr(frozen, "adds")
 
 
 class _PolicyArrivalHandler:
@@ -109,7 +108,6 @@ class LruEviction:
     name = "lru"
 
     def __init__(self) -> None:
-        self._fastpath = fastpath.enabled()
         self._heap = LazyHeap(_is_frozen)
         self._synced: Optional[int] = None
 
@@ -126,7 +124,7 @@ class LruEviction:
     def choose_victim(self, frozen, now):
         if not frozen:
             return None
-        if _use_heap(self, frozen):
+        if _use_heap(frozen):
             self._sync(frozen)
             entry = self._heap.peek()
             return entry[1] if entry is not None else None
@@ -149,7 +147,6 @@ class GreedyDualSizeFrequency:
     name: str = "greedy-dual"
     clock: float = 0.0
     _frequency: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    _fastpath: bool = field(default_factory=fastpath.enabled)
     _heap: LazyHeap = field(default_factory=lambda: LazyHeap(_is_frozen))
     _synced: Optional[tuple] = None
     _requests: int = 0
@@ -186,7 +183,7 @@ class GreedyDualSizeFrequency:
     def choose_victim(self, frozen, now):
         if not frozen:
             return None
-        if _use_heap(self, frozen):
+        if _use_heap(frozen):
             self._sync(frozen)
             entry = self._heap.peek()
             victim = entry[1] if entry is not None else None
@@ -220,7 +217,6 @@ class HybridHistogramKeepAlive:
     max_window: float = 600.0
     _last_arrival: Dict[str, float] = field(default_factory=dict)
     _intervals: Dict[str, List[float]] = field(default_factory=dict)
-    _fastpath: bool = field(default_factory=fastpath.enabled)
     _heap: LazyHeap = field(default_factory=lambda: LazyHeap(_is_frozen))
     _synced: Optional[int] = None
     #: base function name -> frozen members last keyed under that base,
@@ -284,7 +280,7 @@ class HybridHistogramKeepAlive:
     def choose_victim(self, frozen, now):
         if not frozen:
             return None
-        if _use_heap(self, frozen):
+        if _use_heap(frozen):
             self._sync(frozen)
             entry = self._heap.peek()
             return entry[1] if entry is not None else None
@@ -292,7 +288,7 @@ class HybridHistogramKeepAlive:
         return min(frozen, key=lambda i: (self._deadline(i, now), i.id))
 
     def proactive_victims(self, frozen, now):
-        if _use_heap(self, frozen):
+        if _use_heap(frozen):
             self._sync(frozen)
             victims = []
             popped = []

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
-from repro import fastpath
 from repro.mem.layout import GIB, MIB
 from repro.mem.physical import PhysicalMemory
 from repro.faas.cgroup import CpuAccountant
@@ -336,14 +335,13 @@ class FaasPlatform:
         self.evictions = 0
         self.overcommits = 0
         self._last_event_time = 0.0
-        #: Incremental bookkeeping (fast path).  Instead of summing every
-        #: instance's USS on each query -- the dominant cost of macro-scale
-        #: replays, paid before *every* manager step -- the platform keeps
-        #: running integer totals and a dirty set of instances whose memory
-        #: changed since they were last folded in.  Integer adds/subtracts
-        #: are exact and order-independent, so the totals match the slow
-        #: path's fresh sums bit for bit.
-        self._fastpath = fastpath.enabled()
+        #: Incremental bookkeeping.  Instead of summing every instance's
+        #: USS on each query -- the dominant cost of macro-scale replays,
+        #: paid before *every* manager step -- the platform keeps running
+        #: integer totals and a dirty set of instances whose memory changed
+        #: since they were last folded in.  Integer adds/subtracts are exact
+        #: and order-independent, so the totals match fresh sums bit for
+        #: bit (tests/oracles.py holds the summing reference).
         self._tracked: Dict[int, FunctionInstance] = {}
         self._uss_cache: Dict[int, int] = {}
         self._uss_total = 0
@@ -388,16 +386,12 @@ class FaasPlatform:
         """Hook a new instance into the incremental aggregates: watch its
         state transitions (frozen-set membership) and its address space's
         change counter (USS drift), and queue it for the first fold-in."""
-        if not self._fastpath:
-            return
         self._tracked[instance.id] = instance
         instance.state_listener = self._on_instance_state
         instance.runtime.space.change_listener = self._space_dirtier(instance)
         self._mark_dirty(instance)
 
     def _unregister_instance(self, instance: FunctionInstance) -> None:
-        if not self._fastpath:
-            return
         self._tracked.pop(instance.id, None)
         instance.state_listener = None
         instance.runtime.space.change_listener = None
@@ -466,21 +460,15 @@ class FaasPlatform:
         return [i for pool in self._instances.values() for i in pool]
 
     def frozen_instances(self) -> List[FunctionInstance]:
-        if self._fastpath:
-            # The maintained membership list (live, versioned).  Its order
-            # is freeze order, not pool order; every consumer breaks ties
-            # by instance id, so the two orders are indistinguishable.
-            return self._frozen_list
-        return [
-            i for i in self.all_instances() if i.state is InstanceState.FROZEN
-        ]
+        # The maintained membership list (live, versioned).  Its order is
+        # freeze order, not pool order; every consumer breaks ties by
+        # instance id, so the two orders are indistinguishable.
+        return self._frozen_list
 
     def frozen_bytes(self) -> int:
         """Accumulated USS of frozen instances (what Desiccant watches)."""
-        if self._fastpath:
-            self._flush_dirty()
-            return self._frozen_uss_total
-        return sum(i.uss() for i in self.frozen_instances())
+        self._flush_dirty()
+        return self._frozen_uss_total
 
     def evictable_instances(self) -> List[FunctionInstance]:
         """Instances the cache may destroy: frozen ones always; under the
@@ -496,13 +484,6 @@ class FaasPlatform:
         ]
         return evictable
 
-    def active_instances(self) -> List[FunctionInstance]:
-        return [
-            i
-            for i in self.all_instances()
-            if i.state in (InstanceState.RUNNING, InstanceState.IDLE)
-        ]
-
     def used_bytes(self) -> int:
         """Actual consumption of every cached instance, active or frozen.
 
@@ -510,10 +491,8 @@ class FaasPlatform:
         memory consumption -- that is what lets reclaimed instances pack
         more densely into the cache.
         """
-        if self._fastpath:
-            self._flush_dirty()
-            return self._uss_total
-        return sum(i.uss() for i in self.all_instances())
+        self._flush_dirty()
+        return self._uss_total
 
     def available_for_launch(self) -> int:
         return self.capacity_bytes - self.used_bytes()
@@ -523,11 +502,8 @@ class FaasPlatform:
         minus what running instances use, minus one launch budget of
         headroom.  Desiccant's activation fraction is measured against
         this, so it engages before eviction pressure does."""
-        if self._fastpath:
-            self._flush_dirty()
-            active = self._uss_total - self._frozen_uss_total
-        else:
-            active = sum(i.uss() for i in self.active_instances())
+        self._flush_dirty()
+        active = self._uss_total - self._frozen_uss_total
         return max(1, self.capacity_bytes - self.config.instance_memory - active)
 
     def idle_cpu_share(self) -> float:
@@ -584,14 +560,10 @@ class FaasPlatform:
         """Publish a structured event for this node; returns the summed
         CPU seconds the subscribers reported.
 
-        On the fast path the bus skips constructing and dispatching
-        events nobody subscribed to (it still consumes a sequence
-        number, so traces that attach mid-run see identical seqs)."""
-        if self._fastpath:
-            return self.bus.publish_lazy(
-                kind, self.now, self.node_id, lambda: data
-            )
-        return self.bus.publish(Event(kind, self.now, self.node_id, data))
+        The bus skips constructing and dispatching events nobody
+        subscribed to (it still consumes a sequence number, so traces
+        that attach mid-run see identical seqs)."""
+        return self.bus.publish_lazy(kind, self.now, self.node_id, lambda: data)
 
     # --------------------------------------------------------------- events
 

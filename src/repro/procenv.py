@@ -1,21 +1,20 @@
-"""Explicit run-flag propagation into worker processes.
+"""Explicit run-flag propagation into worker processes, and the wall clock.
 
-The repo's behavioral switches -- ``REPRO_FASTPATH``, plus ``REPRO_CHECK``
-and its tuning knobs; there are no others -- are read from the
-environment once per process.  Under the ``fork`` start method children
-inherit both the environment and the already-parsed module state, so
-everything "just works"; under ``spawn`` (macOS/Windows default)
-children re-import from a fresh interpreter, and -- worse -- a parent
-that flipped a flag programmatically (:func:`repro.fastpath.set_enabled`,
-a test monkeypatching ``os.environ`` after the module cached it)
-silently runs its workers with a *different* configuration than itself.
+The repo's only behavioral switches are ``REPRO_CHECK`` and its tuning
+knobs.  A platform reads them from ``os.environ`` when it is built, so a
+worker must see the parent's *current* environment.  ``fork`` and
+``spawn`` children start with it, but a ``forkserver`` child (the Linux
+default from Python 3.14) inherits the environment the server was
+started with -- not whatever the parent set since, such as a test that
+turned ``REPRO_CHECK`` on after the first pool started.
 
 Every process pool in the repo therefore propagates the flags
-explicitly: :func:`snapshot` captures the parent's *effective*
-configuration (what the parent is actually running with, not what the
-environment happens to say), and :func:`initializer` re-applies it in
-the child before any simulation code runs.  Shard workers
-(:mod:`repro.sim.shard`) use the same pair.
+explicitly: :func:`snapshot` captures the parent's flags, and
+:func:`initializer` re-applies them in the child before any simulation
+code runs.  Shard workers (:mod:`repro.sim.shard`) use the same pair.
+
+:func:`wall_clock` is the module's other job: the one sanctioned
+host-time read for process-level instrumentation.
 """
 
 from __future__ import annotations
@@ -24,20 +23,13 @@ import os
 import time
 from typing import Dict, Optional
 
-from repro import fastpath
-
 #: Flags forwarded verbatim from the parent environment when set.
 _PASSTHROUGH = ("REPRO_CHECK", "REPRO_CHECK_CADENCE", "REPRO_CHECK_EVERY")
 
 
 def snapshot(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """The parent's effective run flags, as an env-shaped dict.
-
-    ``REPRO_FASTPATH`` is derived from :func:`repro.fastpath.enabled`
-    (the live flag), so a parent that called ``set_enabled`` ships what
-    it is actually running, not a stale environment value.
-    """
-    env: Dict[str, str] = {"REPRO_FASTPATH": "1" if fastpath.enabled() else "0"}
+    """The parent's run flags, as an env-shaped dict."""
+    env: Dict[str, str] = {}
     for key in _PASSTHROUGH:
         value = os.environ.get(key)
         if value is not None:
@@ -50,12 +42,10 @@ def snapshot(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
 def apply(env: Dict[str, str]) -> None:
     """Adopt a snapshot in the current process (worker side).
 
-    Writes the flags into ``os.environ`` (so late readers agree) and
-    resets the fastpath module's cached state to match.
+    Writes the flags into ``os.environ``, where platforms read them.
     """
     for key, value in env.items():
         os.environ[key] = value
-    fastpath.set_enabled(env.get("REPRO_FASTPATH", "1") not in ("", "0"))
 
 
 def initializer(env: Dict[str, str]) -> None:

@@ -20,7 +20,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import fastpath
 from repro.mem.accounting import measure, measure_mapping
 from repro.mem.layout import (
     MIB,
@@ -159,11 +158,9 @@ class ManagedRuntime(abc.ABC):
         #: ``space.release_epoch`` as of the last full :meth:`touch_live_data`
         #: walk; ``None`` until the first walk completes.
         self._live_touch_epoch: Optional[int] = None
-        #: Fast-path snapshot (never flips mid-run) plus the measurement
-        #: caches it gates: ``(key, value)`` pairs keyed on the space's
+        #: Measurement caches: ``(key, value)`` pairs keyed on the space's
         #: change counters, so repeated USS reads between mutations are
         #: O(1) instead of O(mappings).
-        self._fastpath = fastpath.enabled()
         self._uss_cache: Optional[Tuple[Tuple[int, int], int]] = None
         self._hrb_cache: Optional[Tuple[int, int]] = None
 
@@ -282,15 +279,16 @@ class ManagedRuntime(abc.ABC):
         """Allocate ``count`` objects of ``unit`` bytes, rooted per ``scope``.
 
         Semantically identical to calling :meth:`alloc` ``count`` times --
-        and that is literally what happens off the fast path or when the
-        runtime cannot batch this unit size.  On the fast path the run is
-        folded into :class:`~repro.runtime.object_model.CohortObject`
-        segments placed with one graph node and one bulk page touch per
-        segment, while GC trigger points, collected volumes, and the
-        per-member fault-cost accumulation order are preserved exactly:
-        both paths produce byte-identical event traces.
+        and that is literally what happens for a single object or when the
+        runtime cannot batch this unit size.  Otherwise the run is folded
+        into :class:`~repro.runtime.object_model.CohortObject` segments
+        placed with one graph node and one bulk page touch per segment,
+        while GC trigger points, collected volumes, and the per-member
+        fault-cost accumulation order are preserved exactly: the result
+        is byte-identical to the scalar loop, which ``tests/oracles.py``
+        keeps as the reference.
 
-        Returns the allocated object ids (segment ids on the fast path).
+        Returns the allocated object ids (segment ids for batched runs).
         A moving collector may later split a segment where its members
         part ways (:meth:`ObjectGraph.split_cohort`); the returned id then
         names the leading members only.
@@ -298,7 +296,7 @@ class ManagedRuntime(abc.ABC):
         self._check_booted()
         if count <= 0:
             return []
-        if count == 1 or not (self._fastpath and self._supports_cohorts(unit)):
+        if count == 1 or not self._supports_cohorts(unit):
             return [self.alloc(unit, scope=scope) for _ in range(count)]
         return self._alloc_cohort_fast(count, unit, scope)
 
@@ -459,8 +457,6 @@ class ManagedRuntime(abc.ABC):
         file pages whose last co-sharer appeared or vanished from another
         space (the only remote influence on USS).
         """
-        if not self._fastpath:
-            return measure(self.space).uss
         key = (self.space.version, self.space.external_version)
         cached = self._uss_cache
         if cached is not None and cached[0] == key:
@@ -477,15 +473,13 @@ class ManagedRuntime(abc.ABC):
         sharer transitions cannot move it: caching on ``space.version``
         alone is exact.
         """
-        if self._fastpath:
-            cached = self._hrb_cache
-            if cached is not None and cached[0] == self.space.version:
-                return cached[1]
+        cached = self._hrb_cache
+        if cached is not None and cached[0] == self.space.version:
+            return cached[1]
         total = 0
         for mapping in self._heap_mappings():
             total += measure_mapping(mapping).rss
-        if self._fastpath:
-            self._hrb_cache = (self.space.version, total)
+        self._hrb_cache = (self.space.version, total)
         return total
 
     @abc.abstractmethod

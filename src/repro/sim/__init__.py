@@ -10,7 +10,7 @@
 * ``trace``  -- JSONL event-trace sink for offline analysis.
 """
 
-from repro.sim.bus import EventBus, LinearEventBus, Subscription
+from repro.sim.bus import EventBus, Subscription
 from repro.sim.clock import Clock
 from repro.sim.events import (
     COLD_BOOT,
@@ -36,7 +36,6 @@ from repro.sim.trace import EventTraceSink
 __all__ = [
     "Clock",
     "EventBus",
-    "LinearEventBus",
     "EventQueue",
     "EventTraceSink",
     "Event",

@@ -15,24 +15,20 @@ queued and delivered only after the outer event's handlers all finish, so
 in sequence order.  A nested publish therefore returns 0.0 (its handlers
 have not run yet); only top-level publishes report handler costs.
 
-Two implementations share that contract:
+Subscriptions live in buckets keyed ``(kind, node)`` (``None`` =
+wildcard); a publish merges the four matching buckets back into
+subscription order, caches the merged list per ``(kind, node)``, and
+invalidates the cache on subscribe or unsubscribe.  Unsubscribe compacts
+the buckets, so dead handlers are never scanned again.
+:meth:`EventBus.publish_lazy` additionally skips *building* events nobody
+listens to -- while still consuming a sequence number, so traces stay
+byte-identical whether or not a sink happens to be attached for other
+kinds.
 
-* :class:`EventBus` -- indexed dispatch.  Subscriptions live in buckets
-  keyed ``(kind, node)`` (``None`` = wildcard); a publish merges the four
-  matching buckets back into subscription order, caches the merged list
-  per ``(kind, node)``, and invalidates the cache on subscribe or
-  unsubscribe.  Unsubscribe compacts the buckets, so dead handlers are
-  never scanned again.  :meth:`EventBus.publish_lazy` additionally skips
-  *building* events nobody listens to -- while still consuming a sequence
-  number, so traces stay byte-identical whether or not a sink happens to
-  be attached for other kinds.
-* :class:`LinearEventBus` -- the original per-publish scan over one flat
-  subscription list, kept as the reference implementation: differential
-  tests and the replay benchmark's baseline leg run against it.
-
-Handler *order* is the observable: both buses call the same handlers in
-the same sequence, so the floating-point sum of their returned costs --
-and therefore every downstream trace byte -- is identical.
+Handler *order* is the observable: the bus calls handlers in exactly the
+sequence one flat scan of the subscription list would (the reference
+scan lives in ``tests/oracles.py``), so the floating-point sum of their
+returned costs -- and therefore every downstream trace byte -- is fixed.
 """
 
 from __future__ import annotations
@@ -51,9 +47,9 @@ DataFactory = Callable[[], dict]
 class Subscription:
     """Handle returned by ``subscribe``; use to unsubscribe.
 
-    ``order`` is the bus-wide subscription counter: the indexed bus
-    merges its buckets by it to reproduce exactly the dispatch order a
-    single flat list would have had.
+    ``order`` is the bus-wide subscription counter: the bus merges its
+    buckets by it to reproduce exactly the dispatch order a single flat
+    list would have had.
     """
 
     __slots__ = ("handler", "kinds", "node", "active", "order")
@@ -71,22 +67,21 @@ class Subscription:
         self.active = True
         self.order = order
 
-    def matches(self, event: Event) -> bool:
-        if not self.active:
-            return False
-        if self.kinds is not None and event.kind not in self.kinds:
-            return False
-        if self.node is not None and event.node != self.node:
-            return False
-        return True
+
+_BucketKey = Tuple[Optional[str], Optional[int]]
 
 
-class LinearEventBus:
-    """Synchronous publish/subscribe over :class:`Event` (reference).
+class EventBus:
+    """Indexed publish/subscribe: O(matching handlers) per event.
 
-    Every publish scans the full subscription list.  O(subscriptions)
-    per event, trivially correct -- the behavior :class:`EventBus` must
-    reproduce bit for bit.
+    Subscriptions are bucketed under every ``(kind, node)`` pair they
+    match (``None`` standing for "any"), so a publish touches only the
+    four buckets that can match it instead of the whole list.  The merged
+    per-``(kind, node)`` dispatch list is cached and invalidated whenever
+    the subscription set changes; ``unsubscribe`` removes the handler
+    from its buckets outright (no tombstones to re-scan).
+    ``_subscriptions`` keeps every live subscription in order (cheap, and
+    it keeps introspection working) but is never scanned on the hot path.
     """
 
     def __init__(self) -> None:
@@ -98,11 +93,19 @@ class LinearEventBus:
         self._seq = 0
         self._pending: deque[Event] = deque()
         self._dispatching = False
+        self._buckets: Dict[_BucketKey, List[Subscription]] = {}
+        self._dispatch_cache: Dict[Tuple[str, int], List[Subscription]] = {}
 
     def _next_order(self) -> int:
         order = self._order
         self._order += 1
         return order
+
+    def _bucket_keys(self, subscription: Subscription) -> List[_BucketKey]:
+        kinds: Iterable[Optional[str]] = (
+            sorted(subscription.kinds) if subscription.kinds is not None else (None,)
+        )
+        return [(kind, subscription.node) for kind in kinds]
 
     def subscribe(
         self,
@@ -119,24 +122,35 @@ class LinearEventBus:
             self._next_order(),
         )
         self._subscriptions.append(subscription)
+        for key in self._bucket_keys(subscription):
+            self._buckets.setdefault(key, []).append(subscription)
+        self._dispatch_cache.clear()
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
         subscription.active = False
-        if subscription in self._subscriptions:
-            self._subscriptions.remove(subscription)
+        if subscription not in self._subscriptions:
+            return
+        self._subscriptions.remove(subscription)
+        for key in self._bucket_keys(subscription):
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                continue
+            if subscription in bucket:
+                bucket.remove(subscription)
+            if not bucket:
+                del self._buckets[key]
+        self._dispatch_cache.clear()
 
     def has_subscribers(self, kind: str, node: int = 0) -> bool:
         """Whether a ``(kind, node)`` event would reach any handler."""
-        for subscription in self._subscriptions:
-            if not subscription.active:
-                continue
-            if subscription.kinds is not None and kind not in subscription.kinds:
-                continue
-            if subscription.node is not None and node != subscription.node:
-                continue
-            return True
-        return False
+        buckets = self._buckets
+        return bool(
+            buckets.get((kind, node))
+            or buckets.get((kind, None))
+            or buckets.get((None, node))
+            or buckets.get((None, None))
+        )
 
     def publish(self, event: Event) -> float:
         """Deliver ``event``; returns the sum of numeric handler returns
@@ -180,88 +194,6 @@ class LinearEventBus:
         data = data_factory() if data_factory is not None else {}
         return self.publish(Event(kind, time, node, data))
 
-    def _dispatch(self, event: Event) -> float:
-        total = 0.0
-        for subscription in list(self._subscriptions):
-            if subscription.matches(event):
-                result = subscription.handler(event)
-                if isinstance(result, (int, float)) and not isinstance(result, bool):
-                    total += result
-        return total
-
-
-_BucketKey = Tuple[Optional[str], Optional[int]]
-
-
-class EventBus(LinearEventBus):
-    """Indexed publish/subscribe: O(matching handlers) per event.
-
-    Subscriptions are bucketed under every ``(kind, node)`` pair they
-    match (``None`` standing for "any"), so a publish touches only the
-    four buckets that can match it instead of the whole list.  The merged
-    per-``(kind, node)`` dispatch list is cached and invalidated whenever
-    the subscription set changes; ``unsubscribe`` removes the handler
-    from its buckets outright (no tombstones to re-scan).
-
-    Subclasses :class:`LinearEventBus` only to inherit the publish /
-    pending-queue machinery; ``_subscriptions`` is still maintained (it
-    is cheap and keeps introspection working) but never scanned on the
-    hot path.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._buckets: Dict[_BucketKey, List[Subscription]] = {}
-        self._dispatch_cache: Dict[Tuple[str, int], List[Subscription]] = {}
-
-    def _bucket_keys(self, subscription: Subscription) -> List[_BucketKey]:
-        kinds: Iterable[Optional[str]] = (
-            sorted(subscription.kinds) if subscription.kinds is not None else (None,)
-        )
-        return [(kind, subscription.node) for kind in kinds]
-
-    def subscribe(
-        self,
-        handler: Handler,
-        kinds: Optional[Iterable[str]] = None,
-        node: Optional[int] = None,
-    ) -> Subscription:
-        subscription = Subscription(
-            handler,
-            frozenset(kinds) if kinds is not None else None,
-            node,
-            self._next_order(),
-        )
-        self._subscriptions.append(subscription)
-        for key in self._bucket_keys(subscription):
-            self._buckets.setdefault(key, []).append(subscription)
-        self._dispatch_cache.clear()
-        return subscription
-
-    def unsubscribe(self, subscription: Subscription) -> None:
-        subscription.active = False
-        if subscription not in self._subscriptions:
-            return
-        self._subscriptions.remove(subscription)
-        for key in self._bucket_keys(subscription):
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                continue
-            if subscription in bucket:
-                bucket.remove(subscription)
-            if not bucket:
-                del self._buckets[key]
-        self._dispatch_cache.clear()
-
-    def has_subscribers(self, kind: str, node: int = 0) -> bool:
-        buckets = self._buckets
-        return bool(
-            buckets.get((kind, node))
-            or buckets.get((kind, None))
-            or buckets.get((None, node))
-            or buckets.get((None, None))
-        )
-
     def _dispatch_list(self, kind: str, node: int) -> List[Subscription]:
         cached = self._dispatch_cache.get((kind, node))
         if cached is None:
@@ -277,7 +209,7 @@ class EventBus(LinearEventBus):
         # The cached list is the snapshot: a handler unsubscribing
         # mid-dispatch clears the cache but leaves this reference intact,
         # and the removed subscription is skipped via ``active`` -- the
-        # same semantics the linear bus gets from copying its list.
+        # same semantics a flat scan gets from copying its list.
         for subscription in self._dispatch_list(event.kind, event.node):
             if subscription.active:
                 result = subscription.handler(event)

@@ -23,11 +23,10 @@ magic, the schema version, that the payload is exactly
 :class:`CheckpointError` (a :class:`~repro.check.invariants.Violation`)
 with a stable invariant name on the first problem, so a corrupt or
 truncated checkpoint fails loudly *before* any pickle byte is executed.
-:func:`load` additionally refuses to restore into a process whose
-``REPRO_FASTPATH`` flag differs from the capturing process's
-(``checkpoint-env``): the fast path changes which bus/aggregate code
-runs, and state captured under one flavor is not meaningful under the
-other.
+:func:`load` additionally refuses a capture an earlier build took with
+its fast paths switched off (``checkpoint-env``): those platforms never
+maintained the incremental aggregates this build relies on, so the
+state would restore and then run silently wrong.
 
 Invariant names
 ---------------
@@ -35,7 +34,7 @@ Invariant names
 ``checkpoint-schema``     schema version this build cannot restore
 ``checkpoint-truncated``  payload shorter than the header promises
 ``checkpoint-digest``     payload bytes do not hash to the header digest
-``checkpoint-env``        capture/restore environment flags disagree
+``checkpoint-env``        captured with fast paths off by an earlier build
 ``checkpoint-payload``    an intact payload names a class or function this
                           build no longer has (it was captured by an older
                           build, so it cannot be rebuilt here)
@@ -64,7 +63,6 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro import fastpath
 from repro.check.invariants import Violation
 
 __all__ = [
@@ -176,11 +174,13 @@ def restore_counters(values: Dict[str, int]) -> None:
 def environment_fingerprint() -> Dict[str, object]:
     """The flags a checkpoint's state is only meaningful under.
 
-    Only ``fastpath`` is gated on restore; other keys (including ones
-    older builds recorded) are informational.
+    ``fastpath`` is constant ``True``: earlier builds gate restores on it
+    (so they keep reading new captures), and :func:`load` refuses any
+    capture where it is not ``True``.  Other keys (including ones older
+    builds recorded) are informational.
     """
     return {
-        "fastpath": fastpath.enabled(),
+        "fastpath": True,
         "check": os.environ.get("REPRO_CHECK", ""),
     }
 
@@ -285,21 +285,23 @@ def check_checkpoint(path: str | Path) -> Dict[str, object]:
 def load(path: str | Path) -> Tuple[Dict[str, object], Any]:
     """Verify, env-check, and unpickle a checkpoint.
 
-    Returns ``(header, state)``.  Restoring under a different
-    ``REPRO_FASTPATH`` flavor than the capture ran with is refused
-    (``checkpoint-env``): the flag selects different bus/aggregate code
-    paths, so the captured state would not mean the same thing.
+    Returns ``(header, state)``.  A header whose ``env.fastpath`` is not
+    ``true`` is refused (``checkpoint-env``): an earlier build captured it
+    under ``REPRO_FASTPATH=0``, whose platforms never maintained the
+    incremental USS aggregates and frozen list, so it would restore and
+    then run silently wrong.
     """
     path = Path(path)
     header = check_checkpoint(path)
-    captured = header.get("env", {})
-    live = environment_fingerprint()
-    if captured.get("fastpath") != live["fastpath"]:
+    captured = header.get("env")
+    flag = captured.get("fastpath") if isinstance(captured, dict) else None
+    if flag is not True:
         _fail(
             "checkpoint-env",
             f"checkpoint {path}",
-            f"captured with REPRO_FASTPATH={'on' if captured.get('fastpath') else 'off'}, "
-            f"restoring with {'on' if live['fastpath'] else 'off'}",
+            f"env.fastpath is {flag!r}, not true: captured under "
+            "REPRO_FASTPATH=0, whose platforms never maintained the "
+            "incremental aggregates, so this build cannot resume it",
         )
     _, payload = _read_raw(path)
     state = _unpickle(payload[: header["payload_bytes"]], f"checkpoint {path}")

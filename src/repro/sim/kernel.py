@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro import fastpath
-from repro.sim.bus import EventBus, LinearEventBus
+from repro.sim.bus import EventBus
 from repro.sim.clock import Clock
 from repro.sim.queue import EventQueue, ScheduledEvent
 from repro.sim.rng import RngStream
@@ -32,9 +31,7 @@ class SimKernel:
         self.seed = seed
         self.clock = Clock()
         self.queue = EventQueue()
-        # Indexed dispatch by default; the linear reference bus when the
-        # fast path is globally off (benchmark baselines, differentials).
-        self.bus = EventBus() if fastpath.enabled() else LinearEventBus()
+        self.bus = EventBus()
         self._rngs: Dict[str, RngStream] = {}
         self._probes: List[Callable[[], None]] = []
         #: Total events dispatched over the kernel's lifetime.

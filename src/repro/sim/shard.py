@@ -169,9 +169,7 @@ def run_window(
     return host.epoch_report(horizons[-1])
 
 
-def _worker_main(
-    conn, host_factory, spec, env: Dict[str, str], compress: bool = False
-) -> None:
+def _worker_main(conn, host_factory, spec, env: Dict[str, str]) -> None:
     """Worker process entry: build the host, then serve window commands.
 
     Every command is answered with exactly one framed reply --
@@ -179,7 +177,8 @@ def _worker_main(
     ``("error", info)`` -- so the coordinator can run a strict
     send/recv lockstep per worker.  ``info`` is a dict carrying the
     worker traceback plus, for a mid-window failure, the failing
-    epoch's index and horizon.
+    epoch's index and horizon.  The bulky replies (reports, snapshots,
+    results) are deflated when that shrinks them.
     """
     from repro import procenv  # local import: keep module picklable footprint small
     from repro.sim import wire
@@ -211,7 +210,7 @@ def _worker_main(
                 if command == "window":
                     _, horizons, payloads, preamble = message
                     report = run_window(host, horizons, payloads, preamble)
-                    wire.send_frame(conn, ("report", report), compress=compress)
+                    wire.send_frame(conn, ("report", report), compress=True)
                 elif command == "mark":
                     host.mark(message[1])
                     wire.send_frame(conn, ("ok", None))
@@ -221,7 +220,7 @@ def _worker_main(
                     wire.send_frame(
                         conn,
                         ("report", checkpoint.snapshot_host(host)),
-                        compress=compress,
+                        compress=True,
                     )
                 elif command == "restore":
                     from repro.sim import checkpoint
@@ -230,9 +229,7 @@ def _worker_main(
                     host = checkpoint.restore_host(blob, fork=fork)
                     wire.send_frame(conn, ("ok", None))
                 elif command == "finish":
-                    wire.send_frame(
-                        conn, ("result", host.finalize()), compress=compress
-                    )
+                    wire.send_frame(conn, ("result", host.finalize()), compress=True)
                     return
                 else:
                     send_error(f"unknown shard command {command!r}")
@@ -268,7 +265,6 @@ class ShardPool:
         specs: Sequence[Any],
         env: Optional[Dict[str, str]] = None,
         start_method: Optional[str] = None,
-        compress: bool = True,
     ) -> None:
         from repro import procenv
 
@@ -279,10 +275,6 @@ class ShardPool:
         context = multiprocessing.get_context(start_method)
         self._connections = []
         self._processes = []
-        #: Deflate large frames both ways (see ``wire.send_frame``).  Off
-        #: for the ``unbatched`` comparison leg, whose pipe-byte totals
-        #: must reflect the PR 5 protocol it models.
-        self.compress = compress
         self.round_trips = 0
         self.pipe_bytes_sent = 0
         self.pipe_bytes_received = 0
@@ -291,7 +283,7 @@ class ShardPool:
                 parent_conn, child_conn = context.Pipe()
                 process = context.Process(
                     target=_worker_main,
-                    args=(child_conn, host_factory, spec, env, compress),
+                    args=(child_conn, host_factory, spec, env),
                     daemon=True,
                 )
                 process.start()
@@ -315,7 +307,7 @@ class ShardPool:
 
         try:
             self.pipe_bytes_sent += wire.send_frame(
-                self._connections[shard], message, compress=self.compress
+                self._connections[shard], message, compress=True
             )
         except (BrokenPipeError, OSError):
             # The worker already died (e.g. its host factory raised and
@@ -373,10 +365,6 @@ class ShardPool:
             )
         self.round_trips += 1
         return [self._receive(shard) for shard in range(len(self._connections))]
-
-    def epoch(self, horizon: Optional[float], payloads: Sequence[Any]) -> List[Dict]:
-        """Single-epoch compatibility shim: a window of one."""
-        return self.window([horizon], [[payload] for payload in payloads])
 
     def mark(self, name: str) -> None:
         """Broadcast a phase-transition mark; barrier."""
@@ -491,10 +479,6 @@ class InlineShardPool:
         self.round_trips += 1
         return reports
 
-    def epoch(self, horizon: Optional[float], payloads: Sequence[Any]) -> List[Dict]:
-        """Single-epoch compatibility shim: a window of one."""
-        return self.window([horizon], [[payload] for payload in payloads])
-
     def mark(self, name: str) -> None:
         for host in self._hosts:
             host.mark(name)
@@ -530,13 +514,10 @@ def make_pool(
     specs: Sequence[Any],
     processes: bool,
     start_method: Optional[str] = None,
-    compress: bool = True,
 ):
     """Build a process pool, or the inline twin running the same protocol."""
     if processes:
-        return ShardPool(
-            host_factory, specs, start_method=start_method, compress=compress
-        )
+        return ShardPool(host_factory, specs, start_method=start_method)
     return InlineShardPool(host_factory, specs)
 
 

@@ -209,14 +209,10 @@ class ClusterReplayConfig:
     #: serial twin, driven through the identical epoch protocol).
     shards: int = 1
     #: Simulated seconds per conservative synchronization epoch (the base
-    #: grid cell of the adaptive horizons under the batched protocol).
+    #: grid cell of the adaptive horizons).
     epoch_seconds: float = 5.0
-    #: Shard wire protocol: ``"batched"`` (multi-epoch window grants,
-    #: adaptive horizons, interned definitions, on-demand load digests)
-    #: or ``"unbatched"`` (the PR 5 one-message-per-epoch comparison leg).
-    protocol: str = "batched"
-    #: Max epochs granted per pipe message under the batched protocol
-    #: (deferred schedulers force an effective window of one).
+    #: Max epochs granted per pipe message (deferred schedulers force an
+    #: effective window of one).
     window_epochs: int = 32
     scale_factor: float = 15.0
     warmup_seconds: float = 60.0
@@ -392,7 +388,6 @@ def cluster_replay(
         shards=config.shards,
         epoch_seconds=config.epoch_seconds,
         processes=config.processes,
-        protocol=config.protocol,
         window_epochs=config.window_epochs,
         archive_dir=str(archive_root) if archive_root is not None else None,
         archive_bucket_seconds=bucket_seconds,

@@ -128,7 +128,7 @@ class FunctionModel:
         # The per-object draws stay untouched (the jitter stream is part of
         # the workload's identity); consecutive same-shaped draws are merely
         # batched into one alloc_cohort call, which the runtime either
-        # unrolls (scalar path) or places as a cohort (fast path).
+        # unrolls (scalar path) or places as a cohort (batched path).
         eph = self._jittered(spec.ephemeral_bytes)
         frame = self._jittered(spec.frame_bytes)
         total = eph + frame

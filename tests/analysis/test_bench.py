@@ -20,18 +20,17 @@ from repro.analysis.bench import (
     run_benchmarks,
     run_vmm_microbench,
     summarize,
-    verify_coordination,
     verify_trace_identity,
     write_results,
 )
 from repro.cli import main as cli_main
 
 
-def _replay_result(label, wall, sha="a" * 64, events=100):
+def _replay_result(label, wall, sha="a" * 64, events=100, seed=42):
     """A synthetic replay run result in the execute_spec shape."""
     return {
         "label": label,
-        "spec": {"kind": "replay"},
+        "spec": {"kind": "replay", "seed": seed},
         "metrics": {"trace_sha256": sha, "trace_events": events},
         "wall_seconds": wall,
         "cpu_seconds": wall,
@@ -139,39 +138,24 @@ class TestBaseline:
 class TestReplayMacro:
     def test_build_replay_macro_shape(self):
         specs = build_replay_macro(sizes=("small", "large"), policies=("vanilla",))
-        assert len(specs) == 4  # 2 sizes x 1 policy x (fast, base)
-        assert all(s.kind == "replay" and s.trace for s in specs)
-        assert sum(1 for s in specs if not s.fastpath) == 2
-        assert len({s.label for s in specs}) == 4
-        assert any(s.label.endswith(":base") for s in specs)
-        fast = next(s for s in specs if s.fastpath)
-        assert fast.scale == REPLAY_SIZES["small"]["scale"]
-
-    def test_fast_only_skips_base_legs(self):
-        specs = build_replay_macro(sizes=("small",), include_base=False)
-        assert all(s.fastpath for s in specs)
+        assert len(specs) == 2  # 2 sizes x 1 policy
+        assert all(s.kind == "replay" and s.trace and s.archive for s in specs)
+        assert len({s.label for s in specs}) == 2
+        assert specs[0].scale == REPLAY_SIZES["small"]["scale"]
 
     def test_unknown_size_raises(self):
         with pytest.raises(ValueError, match="unknown replay size"):
             build_replay_macro(sizes=("enormous",))
 
-    def test_base_leg_label_suffix(self):
-        spec = BenchSpec(kind="replay", policy="vanilla", scale=8.0, fastpath=False)
-        assert spec.label == "replay:vanilla:x8:d20:base"
-
     def test_verify_trace_identity_passes_on_matching_pair(self):
-        results = [
-            _replay_result("replay:vanilla:x8:d30", 1.0, sha="f" * 64),
-            _replay_result("replay:vanilla:x8:d30:base", 2.0, sha="f" * 64),
-        ]
-        assert verify_trace_identity(results) == []
+        result = _replay_result("replay:vanilla:x8:d30", 1.0, sha="f" * 64)
+        result["metrics"]["archive_sha256"] = "f" * 64
+        assert verify_trace_identity([result]) == []
 
     def test_verify_trace_identity_flags_divergence(self):
-        results = [
-            _replay_result("replay:vanilla:x8:d30", 1.0, sha="f" * 64),
-            _replay_result("replay:vanilla:x8:d30:base", 2.0, sha="0" * 64),
-        ]
-        failures = verify_trace_identity(results)
+        result = _replay_result("replay:vanilla:x8:d30", 1.0, sha="f" * 64)
+        result["metrics"]["archive_sha256"] = "0" * 64
+        failures = verify_trace_identity([result])
         assert len(failures) == 1 and "diverged" in failures[0]
 
     def test_verify_trace_identity_skips_unpaired_legs(self):
@@ -180,28 +164,62 @@ class TestReplayMacro:
     def test_replay_speedups_pairs_legs(self):
         speedups = replay_speedups(
             [
-                _replay_result("replay:vanilla:x8:d30", 2.0),
-                _replay_result("replay:vanilla:x8:d30:base", 10.0),
+                # A single-platform leg with no sharded partner: no entry.
+                _replay_result("replay:vanilla:x15:d60", 3.0),
+                _replay_result("replay:vanilla:x8:d30:n8", 10.0),
+                _replay_result("replay:vanilla:x8:d30:n8:s2", 2.0),
             ]
         )
-        entry = speedups["replay:vanilla:x8:d30"]
+        assert list(speedups) == ["replay:vanilla:x8:d30:n8:s2"]
+        entry = speedups["replay:vanilla:x8:d30:n8:s2"]
         assert entry["speedup"] == 5.0
-        assert entry["base_wall_seconds"] == 10.0
+        assert entry["serial_wall_seconds"] == 10.0
 
-    def test_compare_replay_gates_fast_legs_only(self):
+    def test_compare_replay_gates_wall_time(self):
         baseline = [
             _replay_result("replay:vanilla:x8:d30", 1.0),
-            _replay_result("replay:vanilla:x8:d30:base", 5.0),
+            _replay_result("replay:vanilla:x8:d30:n8", 5.0),
         ]
         fine = [
             _replay_result("replay:vanilla:x8:d30", 1.5),
-            # Base leg got slower: informational, never gated.
-            _replay_result("replay:vanilla:x8:d30:base", 50.0),
+            # A label the baseline lacks: informational, never gated.
+            _replay_result("replay:vanilla:x8:d30:n8:s4", 50.0),
         ]
         slow = [_replay_result("replay:vanilla:x8:d30", 3.0)]
         assert compare_replay(fine, baseline, factor=2.0) == []
         failures = compare_replay(slow, baseline, factor=2.0)
         assert len(failures) == 1 and "exceeds" in failures[0]
+
+    def test_compare_replay_flags_changed_trace_digest(self):
+        baseline = [_replay_result("replay:vanilla:x8:d30", 1.0, sha="f" * 64)]
+        same = [_replay_result("replay:vanilla:x8:d30", 1.0, sha="f" * 64)]
+        changed = [_replay_result("replay:vanilla:x8:d30", 1.0, sha="0" * 64)]
+        assert compare_replay(same, baseline) == []
+        failures = compare_replay(changed, baseline)
+        assert len(failures) == 1 and "digest" in failures[0]
+
+    def test_compare_replay_flags_extra_round_trips(self):
+        baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
+        fewer = [_coord_result("replay:vanilla:x8:d30:n8:s2", 4, 12_000)]
+        more = [_coord_result("replay:vanilla:x8:d30:n8:s2", 6, 12_000)]
+        assert compare_replay(fewer, baseline) == []
+        failures = compare_replay(more, baseline)
+        assert len(failures) == 1 and "round trips" in failures[0]
+
+    def test_compare_replay_flags_pipe_byte_growth(self):
+        baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
+        within = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 24_000)]
+        over = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 24_001)]
+        assert compare_replay(within, baseline, factor=2.0) == []
+        failures = compare_replay(over, baseline, factor=2.0)
+        assert len(failures) == 1 and "pipe bytes" in failures[0]
+
+    def test_compare_replay_simulation_gates_need_the_committed_seed(self):
+        baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
+        other = _coord_result("replay:vanilla:x8:d30:n8:s2", 9, 90_000)
+        other["spec"]["seed"] = 7
+        other["metrics"]["trace_sha256"] = "0" * 64
+        assert compare_replay([other], baseline) == []
 
     def test_compare_replay_reports_no_match(self):
         current = [_replay_result("replay:vanilla:x8:d30", 1.0)]
@@ -211,11 +229,12 @@ class TestReplayMacro:
     def test_summarize_includes_speedups_for_paired_runs(self):
         doc = summarize(
             [
-                _replay_result("replay:vanilla:x8:d30", 2.0),
-                _replay_result("replay:vanilla:x8:d30:base", 6.0),
+                _replay_result("replay:vanilla:x8:d30:n8", 6.0),
+                _replay_result("replay:vanilla:x8:d30:n8:s2", 2.0),
             ]
         )
-        assert doc["replay_speedups"]["replay:vanilla:x8:d30"]["speedup"] == 3.0
+        speedup = doc["replay_speedups"]["replay:vanilla:x8:d30:n8:s2"]["speedup"]
+        assert speedup == 3.0
 
 
 class TestProfile:
@@ -304,8 +323,8 @@ class TestClusterLegs:
         labels = [s.label for s in cluster]
         assert labels[0].endswith(":n8")
         assert labels[1].endswith(":n8:s2") and labels[2].endswith(":n8:s4")
-        # Single-platform pair still present for the vs_single pairing.
-        assert sum(1 for s in specs if not s.nodes) == 2
+        # The single-platform leg is still present for the vs_single pairing.
+        assert sum(1 for s in specs if not s.nodes) == 1
 
     def test_verify_trace_identity_gates_sharded_legs(self):
         matching = [
@@ -368,73 +387,14 @@ def _coord_result(label, round_trips, pipe_bytes):
 
 
 class TestProtocolLegs:
-    def test_unbatched_label_suffix(self):
-        spec = BenchSpec(
-            kind="replay",
-            policy="vanilla",
-            scale=8.0,
-            nodes=8,
-            shards=2,
-            protocol="unbatched",
-        )
-        assert spec.label == "replay:vanilla:x8:d20:n8:s2:unbatched"
-
-    def test_serial_twin_label_strips_shards_and_protocol(self):
-        assert (
-            _serial_twin_label("replay:vanilla:x8:d30:n8:s2:unbatched")
-            == "replay:vanilla:x8:d30:n8"
-        )
+    def test_serial_twin_label_strips_shards(self):
         assert (
             _serial_twin_label("replay:vanilla:x8:d30:n8:s2")
             == "replay:vanilla:x8:d30:n8"
         )
-
-    def test_build_replay_macro_adds_unbatched_twins(self):
-        specs = build_replay_macro(
-            sizes=("small",),
-            policies=("vanilla",),
-            nodes=8,
-            shard_counts=(2,),
-            include_unbatched=True,
+        assert _serial_twin_label("replay:vanilla:x8:d30:n8") == (
+            "replay:vanilla:x8:d30:n8"
         )
-        cluster = [s for s in specs if s.nodes]
-        protocols = [(s.shards, s.protocol) for s in cluster]
-        # Serial twin stays batched-only; each sharded leg gets a twin.
-        assert protocols == [(1, "batched"), (2, "batched"), (2, "unbatched")]
-        unbatched = cluster[-1]
-        assert unbatched.label.endswith(":s2:unbatched")
-        # The twin times the bare protocol: no archive on it.
-        assert not unbatched.archive and cluster[1].archive
-
-    def test_verify_coordination_passes_on_big_ratios(self):
-        results = [
-            _coord_result("replay:vanilla:x8:d30:n8:s2", 5, 10_000),
-            _coord_result("replay:vanilla:x8:d30:n8:s2:unbatched", 40, 200_000),
-        ]
-        assert verify_coordination(results) == []
-
-    def test_verify_coordination_flags_weak_batching(self):
-        results = [
-            _coord_result("replay:vanilla:x8:d30:n8:s2", 20, 150_000),
-            _coord_result("replay:vanilla:x8:d30:n8:s2:unbatched", 40, 200_000),
-        ]
-        failures = verify_coordination(results)
-        assert len(failures) == 2
-        assert "round-trips" in failures[0]
-        assert "pipe bytes" in failures[1]
-
-    def test_verify_coordination_skips_unpaired_legs(self):
-        alone = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 10_000)]
-        assert verify_coordination(alone) == []
-
-    def test_verify_coordination_skips_inline_zero_byte_twin(self):
-        # An inline (processes=False) twin records zero pipe bytes; only
-        # the round-trip gate applies then.
-        results = [
-            _coord_result("replay:vanilla:x8:d30:n8:s2", 5, 0),
-            _coord_result("replay:vanilla:x8:d30:n8:s2:unbatched", 40, 0),
-        ]
-        assert verify_coordination(results) == []
 
     def test_summarize_records_cpu_count(self):
         document = summarize([_replay_result("replay:vanilla:x8:d30", 1.0)])

@@ -111,3 +111,28 @@ def test_invocation_counts_accumulate(instance):
         instance.invoke(now=float(i))
     assert instance.invocation_count == 3
     assert instance.last_used_at == 2.0
+
+
+def test_uss_cache_follows_a_remote_sharers_exit():
+    """The runtime's USS cache must notice a change it did not cause: when
+    the last co-sharer of a library page exits, that page turns solo and
+    this instance's USS grows without any operation on its own space."""
+    from repro.faas.libraries import SharedLibraryPool
+    from repro.mem.accounting import measure
+    from repro.mem.physical import PhysicalMemory
+
+    physical = PhysicalMemory()
+    pool = SharedLibraryPool(
+        physical, runtime_classes=(HotSpotRuntime,), warm_host=False
+    )
+    spec = get_definition("file-hash").stages[0]
+    keeper, leaver = (
+        FunctionInstance(spec, physical=physical, shared_files=pool.files)
+        for _ in range(2)
+    )
+    keeper.boot()
+    leaver.boot()
+    shared = keeper.uss()  # cached while the pages are shared
+    leaver.destroy()
+    assert keeper.uss() == measure(keeper.runtime.space).uss > shared
+    keeper.destroy()

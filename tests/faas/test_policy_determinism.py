@@ -1,17 +1,18 @@
-"""Eviction-policy determinism: heap fast path vs the linear scan.
+"""Eviction-policy determinism: the heap path vs the linear scan.
 
 Every policy ranks victims by a ``(key, id)`` tuple, so ties -- equal
 recency, equal greedy-dual priority, equal keep-alive deadline -- resolve
 identically whichever selection path runs and however the candidate list
 happens to be ordered.  These tests craft exact ties and mixed
-populations and require both paths to agree on the victim.
+populations and require both paths to agree on the victim.  The
+candidate container selects the path: the platform's versioned frozen
+list takes the heap, a plain list takes the scan.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import fastpath
 from repro.faas.instance import FunctionInstance
 from repro.faas.keepalive import (
     GreedyDualSizeFrequency,
@@ -42,11 +43,8 @@ def _versioned(instances):
 
 def _choose(policy_factory, instances, now, heap):
     """One victim query on a fresh policy via the requested path."""
-    with fastpath.override(heap):
-        policy = policy_factory()
-        candidates = _versioned(instances) if heap else list(instances)
-        victim = policy.choose_victim(candidates, now)
-    return victim
+    candidates = _versioned(instances) if heap else list(instances)
+    return policy_factory().choose_victim(candidates, now)
 
 
 @pytest.mark.parametrize("policy_factory", POLICIES)
@@ -103,10 +101,8 @@ class TestHybridProactive:
             return policy
 
         try:
-            with fastpath.override(False):
-                linear = build().proactive_victims(list(instances), now=500.0)
-            with fastpath.override(True):
-                heap = build().proactive_victims(_versioned(instances), now=500.0)
+            linear = build().proactive_victims(list(instances), now=500.0)
+            heap = build().proactive_victims(_versioned(instances), now=500.0)
             assert [i.id for i in linear] == [i.id for i in heap]
             assert [i.spec.name for i in linear] == ["time", "time"]
         finally:

@@ -41,7 +41,6 @@ def _run_session(
     processes=False,
     tmp_path=None,
     archive=False,
-    protocol="batched",
     window_epochs=32,
     epoch_seconds=5.0,
     tag="",
@@ -55,7 +54,6 @@ def _run_session(
         shards=shards,
         epoch_seconds=epoch_seconds,
         processes=processes,
-        protocol=protocol,
         window_epochs=window_epochs,
         trace_dir=str(trace_dir),
         telemetry_dir=str(telemetry_dir),
@@ -179,17 +177,8 @@ class TestArchiveIdentity:
 
 
 class TestProtocolEquivalence:
-    """The batched window protocol is a wire optimization only: digests,
-    telemetry, and stats must match the per-epoch 'unbatched' protocol."""
-
-    def test_unbatched_twin_digest_identity(self, tmp_path):
-        batched = _run_session(2, tmp_path=tmp_path, protocol="batched")
-        unbatched = _run_session(
-            2, tmp_path=tmp_path, protocol="unbatched", tag="-ub"
-        )
-        assert batched["events"] == unbatched["events"] > 0
-        assert batched["digest"] == unbatched["digest"]
-        assert batched["telemetry"] == unbatched["telemetry"]
+    """Window batching is a wire optimization only: digests, telemetry,
+    and stats must not depend on how many epochs one grant carries."""
 
     def test_window_epochs_do_not_change_the_digest(self, tmp_path):
         runs = [
@@ -205,11 +194,11 @@ class TestProtocolEquivalence:
         grant absorbs them all.  Pipe bytes need process workers (the
         inline pool never serializes)."""
         kwargs = dict(tmp_path=tmp_path, processes=True, epoch_seconds=1.0)
-        batched = _run_session(2, protocol="batched", tag="-pb", **kwargs)
-        unbatched = _run_session(2, protocol="unbatched", tag="-pu", **kwargs)
-        assert batched["digest"] == unbatched["digest"]
-        assert batched["round_trips"] * 5 <= unbatched["round_trips"]
-        assert batched["pipe_bytes"] * 5 <= unbatched["pipe_bytes"]
+        batched = _run_session(2, window_epochs=32, tag="-w32", **kwargs)
+        single = _run_session(2, window_epochs=1, tag="-w1", **kwargs)
+        assert batched["digest"] == single["digest"]
+        assert batched["round_trips"] * 5 <= single["round_trips"]
+        assert batched["pipe_bytes"] * 2 <= single["pipe_bytes"]
         assert batched["pipe_bytes"] > 0
 
     def test_deferred_scheduler_forces_single_epoch_windows(self, tmp_path):

@@ -1,20 +1,21 @@
-"""Cohort allocation: the batched fast path vs the scalar reference.
+"""Cohort allocation: the batched path vs the scalar reference.
 
 ``alloc_cohort(count, unit)`` must be *semantically identical* to
 ``count`` scalar ``alloc(unit)`` calls -- same GC events (trigger points,
 collected counts and bytes, pause seconds), same fault attribution, same
 heap layout, same USS.  The differential here replays one mixed workload
-through both paths and compares every observable checkpoint.
+through both paths -- the scalar one is the test-only oracle of
+``tests/oracles.py`` -- and compares every observable checkpoint.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from repro import fastpath
 from repro.mem.layout import KIB, MIB, page_ceil, page_floor
 from repro.runtime.base import ManagedRuntime
 from repro.runtime.cpython.runtime import CPythonRuntime
@@ -23,6 +24,16 @@ from repro.runtime.hotspot.runtime import HotSpotRuntime
 from repro.runtime.object_model import CohortObject, HeapObject, ObjectGraph
 from repro.runtime.v8.chunks import CHUNK_PAYLOAD
 from repro.runtime.v8.runtime import V8Config, V8Runtime
+from tests.oracles import scalar_alloc_cohort
+
+
+@contextmanager
+def _scalar_cohorts():
+    """Runtimes allocate every cohort as scalar ``alloc`` calls while
+    this holds (the reference the batched path must reproduce)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ManagedRuntime, "alloc_cohort", scalar_alloc_cohort)
+        yield
 
 
 def _v8_compacting(name):
@@ -197,27 +208,23 @@ def _drive(runtime):
 @RUNTIMES
 class TestDifferential:
     def test_cohort_path_matches_scalar_path(self, factory):
-        with fastpath.override(False):
+        with _scalar_cohorts():
             scalar = _drive(factory("scalar"))
-        with fastpath.override(True):
-            cohort = _drive(factory("cohort"))
+        cohort = _drive(factory("cohort"))
         assert scalar == cohort
 
     def test_member_total_is_exact(self, factory):
-        """The fast path may fuse members into fewer graph nodes, but the
-        mutator-visible object count and byte volume must stay exact."""
-        with fastpath.override(True):
-            runtime = factory("shape")
-            runtime.boot()
-            runtime.begin_invocation()
-            oids = runtime.alloc_cohort(40, 8 * KIB, scope="frame")
-            members = sum(
-                runtime.graph.objects[oid].member_count for oid in set(oids)
-            )
-            assert members == 40
-            volume = sum(runtime.graph.objects[oid].size for oid in set(oids))
-            assert volume == 40 * 8 * KIB
-            runtime.end_invocation()
+        """The batched path may fuse members into fewer graph nodes, but
+        the mutator-visible object count and byte volume must stay exact."""
+        runtime = factory("shape")
+        runtime.boot()
+        runtime.begin_invocation()
+        oids = runtime.alloc_cohort(40, 8 * KIB, scope="frame")
+        members = sum(runtime.graph.objects[oid].member_count for oid in set(oids))
+        assert members == 40
+        volume = sum(runtime.graph.objects[oid].size for oid in set(oids))
+        assert volume == 40 * 8 * KIB
+        runtime.end_invocation()
 
 
 def _observe(runtime):
@@ -243,7 +250,7 @@ def _twin(factory, scenario):
     batched runtime."""
     logs = []
     for fast in (False, True):
-        with fastpath.override(fast):
+        with nullcontext() if fast else _scalar_cohorts():
             runtime = factory("fast" if fast else "scalar")
             runtime.boot()
             logs.append(scenario(runtime))
@@ -444,29 +451,26 @@ def test_random_schedule_matches_scalar(factory, seed, spy):
 
 
 class TestScalarFallbacks:
-    def test_count_one_and_disabled_fastpath_stay_scalar(self):
-        with fastpath.override(False):
-            runtime = CPythonRuntime("fallback")
-            runtime.boot()
-            runtime.begin_invocation()
-            oids = runtime.alloc_cohort(3, 4 * KIB, scope="frame")
-            assert len(oids) == 3
-            for oid in oids:
-                assert not isinstance(runtime.graph.objects[oid], CohortObject)
-            runtime.end_invocation()
+    def test_count_one_stays_scalar(self):
+        runtime = CPythonRuntime("fallback")
+        runtime.boot()
+        runtime.begin_invocation()
+        oids = runtime.alloc_cohort(1, 4 * KIB, scope="frame")
+        assert len(oids) == 1
+        assert not isinstance(runtime.graph.objects[oids[0]], CohortObject)
+        runtime.end_invocation()
 
     def test_large_units_stay_scalar(self):
-        """Units past the large-object threshold take the scalar path even
-        with the fast path on (they never share arena chunks)."""
-        with fastpath.override(True):
-            runtime = CPythonRuntime("large")
-            threshold = runtime.config.large_object_threshold
-            runtime.boot()
-            runtime.begin_invocation()
-            oids = runtime.alloc_cohort(2, threshold, scope="frame")
-            for oid in oids:
-                assert not isinstance(runtime.graph.objects[oid], CohortObject)
-            runtime.end_invocation()
+        """Units past the large-object threshold take the scalar path
+        (they never share arena chunks)."""
+        runtime = CPythonRuntime("large")
+        threshold = runtime.config.large_object_threshold
+        runtime.boot()
+        runtime.begin_invocation()
+        oids = runtime.alloc_cohort(2, threshold, scope="frame")
+        for oid in oids:
+            assert not isinstance(runtime.graph.objects[oid], CohortObject)
+        runtime.end_invocation()
 
     def test_zero_count_returns_empty(self):
         runtime = CPythonRuntime("empty")

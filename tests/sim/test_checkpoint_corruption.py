@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import fastpath
 from repro.check import check_checkpoint
 from repro.check.invariants import Violation
 from repro.sim import checkpoint
@@ -127,20 +126,28 @@ class TestCorruption:
 
 
 class TestEnvironmentGate:
-    def test_fastpath_flavor_mismatch_refused(self, tmp_path):
-        path = tmp_path / "flavored.ckpt"
-        with fastpath.override(True):
-            checkpoint.dump(path, {"x": 1})
+    def test_fastpath_off_capture_refused(self, tmp_path):
+        """A capture an earlier build took under ``REPRO_FASTPATH=0``
+        never maintained the platform's incremental aggregates: it is
+        intact, but load refuses it by name."""
+        path = tmp_path / "reference.ckpt"
+        payload = pickle.dumps({"x": 1}, protocol=checkpoint.PICKLE_PROTOCOL)
+        _write_payload(path, payload, {"fastpath": False, "check": ""})
         # check_checkpoint does not care about the environment...
-        with fastpath.override(False):
-            check_checkpoint(path)
-            # ...but load refuses to restore across flavors.
-            with pytest.raises(Violation) as caught:
-                checkpoint.load(path)
-            assert caught.value.invariant == "checkpoint-env"
-        with fastpath.override(True):
-            _, state = checkpoint.load(path)
-            assert state == {"x": 1}
+        check_checkpoint(path)
+        # ...but load refuses to restore it, and says why.
+        with pytest.raises(Violation) as caught:
+            checkpoint.load(path)
+        assert caught.value.invariant == "checkpoint-env"
+        assert "REPRO_FASTPATH=0" in str(caught.value)
+
+    def test_current_header_restores(self, tmp_path):
+        path = tmp_path / "current.ckpt"
+        header = checkpoint.dump(path, {"x": 1})
+        # Earlier builds gate on this key, so new captures keep writing it.
+        assert header["env"]["fastpath"] is True
+        _, state = checkpoint.load(path)
+        assert state == {"x": 1}
 
 
 def _write_payload(path: Path, payload: bytes, env: dict) -> None:

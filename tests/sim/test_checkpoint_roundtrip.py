@@ -3,9 +3,9 @@
 The contract under test (docs/CHECKPOINTS.md): a checkpoint captured at
 any epoch barrier, restored into a fresh session, and run to the end
 produces a merged canonical event trace whose SHA-256 equals the
-uninterrupted twin's -- for every shard count, under both fast-path
-flavors, and for an unchanged ``fork()``.  A changed-policy fork shares
-the event prefix up to the fork barrier and is free to diverge after.
+uninterrupted twin's -- for every shard count and for an unchanged
+``fork()``.  A changed-policy fork shares the event prefix up to the fork
+barrier and is free to diverge after.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.core import Desiccant, VanillaManager
 from repro.faas.platform import PlatformConfig
 from repro.mem.layout import MIB
@@ -112,36 +111,6 @@ class TestRoundtripProperty:
             assert resumed.trace_events == base.trace_events
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
-
-
-class TestFastpathFlavors:
-    """The identity holds under both REPRO_FASTPATH flavors -- and each
-    flavor's checkpoints restore in that same flavor."""
-
-    @pytest.mark.parametrize("fast", [True, False])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_restore_identity_per_flavor(self, tmp_path, shards, fast):
-        with fastpath.override(fast):
-            base = _run(shards=shards)
-            ckpt_dir = tmp_path / "ckpt"
-            captured = _run(shards=shards, checkpoint_dir=ckpt_dir)
-            assert captured.trace_sha256 == base.trace_sha256
-            resumed = _run(
-                shards=shards,
-                checkpoint_dir=ckpt_dir,
-                resume_from=ckpt_dir / "measure-start.ckpt",
-            )
-            assert resumed.trace_sha256 == base.trace_sha256
-
-    def test_flavors_agree_with_each_other(self, tmp_path):
-        # The two flavors are the same simulation: their from-scratch
-        # traces match, so the per-flavor restores above all equal one
-        # another transitively.
-        with fastpath.override(True):
-            fast = _run(shards=2)
-        with fastpath.override(False):
-            slow = _run(shards=2)
-        assert fast.trace_sha256 == slow.trace_sha256
 
 
 # ------------------------------------------------------------------ forks

@@ -14,14 +14,14 @@ import pickle
 
 import pytest
 
-from repro import fastpath
 from repro.sim import checkpoint
-from repro.sim.bus import EventBus, LinearEventBus
+from repro.sim.bus import EventBus
 from repro.sim.events import Event
 from repro.sim.queue import EventQueue
 from repro.sim.rng import RngStream
 from repro.trace.archive import ArchiveWriter
 from repro.faas.platform import VersionedList
+from tests.oracles import LinearEventBus
 
 
 def _copy(obj):
@@ -266,15 +266,3 @@ class TestArchiveWriterState:
         assert not restored._input_sha_valid
         restored.close(manifest=False)
 
-
-# --------------------------------------------------- environment capture
-
-
-class TestEnvironmentFingerprint:
-    def test_fingerprint_tracks_fastpath(self):
-        with fastpath.override(True):
-            fast = checkpoint.environment_fingerprint()
-        with fastpath.override(False):
-            slow = checkpoint.environment_fingerprint()
-        assert fast["fastpath"] is True
-        assert slow["fastpath"] is False

@@ -1,9 +1,9 @@
 """Indexed dispatch vs the linear reference bus.
 
-The indexed :class:`EventBus` must be observationally identical to
-:class:`LinearEventBus`: same handlers, same order, same summed costs --
-under subscribes, unsubscribes, wildcard subscriptions, and re-entrant
-publishes.  The replay benchmark's fast/base legs lean on exactly this.
+The indexed :class:`EventBus` must be observationally identical to the
+test-only :class:`~tests.oracles.LinearEventBus`: same handlers, same
+order, same summed costs -- under subscribes, unsubscribes, wildcard
+subscriptions, and re-entrant publishes.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from repro.sim.bus import EventBus, LinearEventBus
+from repro.sim.bus import EventBus
 from repro.sim.events import Event
+from tests.oracles import LinearEventBus
 
 KINDS = ("step", "sample", "request-arrival", "gc", "reclaim-done")
 

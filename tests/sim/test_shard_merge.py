@@ -222,7 +222,7 @@ class TestPoolProtocol:
         assert isinstance(pool, ShardPool if processes else InlineShardPool)
         assert len(pool) == 2
         try:
-            reports = pool.epoch(5.0, [["a"], ["b", "c"]])
+            reports = pool.window([5.0], [[["a"]], [["b", "c"]]])
             assert [r["shard"] for r in reports] == [0, 1]
             assert [r["clock"] for r in reports] == [5.0, 5.0]
             assert reports[1]["items"] == ["b", "c"]
@@ -237,7 +237,7 @@ class TestPoolProtocol:
         pool = make_pool(EchoHost, [(0, False)], processes=processes)
         try:
             with pytest.raises(ValueError, match="one payload batch per shard"):
-                pool.epoch(1.0, [[], []])
+                pool.window([1.0], [[[]], [[]]])
         finally:
             pool.close()
 
@@ -311,7 +311,7 @@ class TestWorkerErrors:
         pool = make_pool(EchoHost, [(0, False), (1, True)], processes=processes)
         try:
             with pytest.raises(ShardWorkerError) as caught:
-                pool.epoch(1.0, [[], []])
+                pool.window([1.0], [[[]], [[]]])
             assert caught.value.shard == 1
             assert "shard-host boom" in caught.value.worker_traceback
         finally:
@@ -341,7 +341,7 @@ class TestWorkerErrors:
         pool = ShardPool(EchoHost, [(0, True)])
         try:
             with pytest.raises(ShardWorkerError) as caught:
-                pool.epoch(1.0, [[]])
+                pool.window([1.0], [[[]]])
             # A one-epoch window still pinpoints epoch 0.
             assert caught.value.epoch_index == 0
         finally:
@@ -380,17 +380,17 @@ class TestPipeAccounting:
         finally:
             batched.close()
 
-        unbatched = ShardPool(EchoHost, [(0, False)])
+        singletons = ShardPool(EchoHost, [(0, False)])
         try:
             for horizon, payload in zip(horizons, payloads):
-                unbatched.epoch(horizon, [payload])
-            unbatched_bytes = unbatched.pipe_bytes
-            unbatched_trips = unbatched.round_trips
+                singletons.window([horizon], [[payload]])
+            single_bytes = singletons.pipe_bytes
+            single_trips = singletons.round_trips
         finally:
-            unbatched.close()
+            singletons.close()
 
-        assert batched_trips * 8 == unbatched_trips
-        assert batched_bytes < unbatched_bytes
+        assert batched_trips * 8 == single_trips
+        assert batched_bytes < single_bytes
 
     def test_inline_pool_reports_zero_pipe_bytes(self):
         pool = InlineShardPool(EchoHost, [(0, False)])

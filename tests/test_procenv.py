@@ -6,35 +6,29 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-import pytest
-
-from repro import fastpath, procenv
+from repro import procenv
 
 
 def _probe(_=None):
     """Runs in the worker: report the flags simulation code would see."""
     return {
-        "fastpath": fastpath.enabled(),
         "check": os.environ.get("REPRO_CHECK"),
         "every": os.environ.get("REPRO_CHECK_EVERY"),
     }
 
 
-@pytest.fixture
-def restore_fastpath():
-    original = fastpath.enabled()
-    yield
-    fastpath.set_enabled(original)
+def _probe_in(method, initializer=None, initargs=()):
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=context,
+        initializer=initializer,
+        initargs=initargs,
+    ) as pool:
+        return pool.submit(_probe).result()
 
 
 class TestSnapshot:
-    def test_snapshot_reflects_live_flag_not_environment(
-        self, monkeypatch, restore_fastpath
-    ):
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        fastpath.set_enabled(False)  # programmatic flip wins
-        assert procenv.snapshot()["REPRO_FASTPATH"] == "0"
-
     def test_snapshot_forwards_check_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_CHECK_EVERY", "3")
@@ -45,42 +39,26 @@ class TestSnapshot:
     def test_snapshot_extra_overrides(self):
         assert procenv.snapshot({"REPRO_CHECK": "0"})["REPRO_CHECK"] == "0"
 
-    def test_apply_resets_cached_fastpath_state(self, restore_fastpath):
-        fastpath.set_enabled(True)
-        procenv.apply({"REPRO_FASTPATH": "0"})
-        assert fastpath.enabled() is False
-        assert os.environ["REPRO_FASTPATH"] == "0"
-
 
 class TestSpawnPropagation:
-    """The actual bug class: ``spawn`` children re-import everything, so
-    a parent's programmatic flag flips vanish unless re-applied."""
-
-    def _spawn_probe(self, initializer=None, initargs=()):
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            return pool.submit(_probe).result()
-
-    def test_initializer_ships_flipped_flag_to_spawn_child(
-        self, monkeypatch, restore_fastpath
-    ):
+    def test_initializer_ships_flipped_flag_to_spawn_child(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
         monkeypatch.setenv("REPRO_CHECK_EVERY", "5")
-        fastpath.set_enabled(False)
-        seen = self._spawn_probe(procenv.initializer, (procenv.snapshot(),))
-        assert seen == {"fastpath": False, "check": "1", "every": "5"}
+        seen = _probe_in("spawn", procenv.initializer, (procenv.snapshot(),))
+        assert seen == {"check": "1", "every": "5"}
 
-    def test_without_initializer_the_flip_is_lost(
-        self, monkeypatch, restore_fastpath
-    ):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        fastpath.set_enabled(False)
-        seen = self._spawn_probe()
-        # The child fell back to the environment default: this is the
-        # silent divergence the initializer exists to prevent.
-        assert seen["fastpath"] is True
+
+class TestForkserverPropagation:
+    """The bug class the initializer exists for: a ``forkserver`` child
+    (the Linux default from Python 3.14) inherits the environment the
+    server started with, not the parent's current one."""
+
+    def test_initializer_replaces_stale_environment(self, monkeypatch):
+        # Whatever the server holds (it may already be running), give the
+        # parent a different value afterwards.
+        server = _probe_in("forkserver")["check"]
+        current = f"{server}-parent"
+        monkeypatch.setenv("REPRO_CHECK", current)
+        assert _probe_in("forkserver")["check"] == server
+        seen = _probe_in("forkserver", procenv.initializer, (procenv.snapshot(),))
+        assert seen["check"] == current
