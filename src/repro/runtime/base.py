@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.mem.accounting import measure, measure_mapping
 from repro.mem.layout import (
@@ -33,6 +33,9 @@ from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.vmm import FaultCounts, Mapping, PageState, VirtualAddressSpace
 from repro.runtime import costs
 from repro.runtime.object_model import CohortObject, ObjectGraph
+
+if TYPE_CHECKING:
+    from repro.runtime.hotspot.spaces import ContiguousSpace
 
 
 class OutOfMemory(Exception):
@@ -252,14 +255,7 @@ class ManagedRuntime(abc.ABC):
         """
         self._check_booted()
         oid = self.graph.new_object(size, refs)
-        if scope == "frame":
-            self.graph.root_in_frame(oid)
-        elif scope == "persistent":
-            self.graph.root_persistent(oid)
-        elif scope == "weak":
-            self.graph.root_weak(oid)
-        elif scope != "ephemeral":
-            raise ValueError(f"unknown scope {scope!r}")
+        self._root(oid, scope)
         if scope == "ephemeral":
             # The allocation site references the object until placement
             # finishes, so a collection triggered by this very allocation
@@ -272,6 +268,18 @@ class ManagedRuntime(abc.ABC):
         else:
             self._place(oid)
         return oid
+
+    def _root(self, oid: int, scope: str) -> None:
+        """Root ``oid`` per :meth:`alloc`'s ``scope`` (ephemerals stay
+        unrooted)."""
+        if scope == "frame":
+            self.graph.root_in_frame(oid)
+        elif scope == "persistent":
+            self.graph.root_persistent(oid)
+        elif scope == "weak":
+            self.graph.root_weak(oid)
+        elif scope != "ephemeral":
+            raise ValueError(f"unknown scope {scope!r}")
 
     def alloc_cohort(
         self, count: int, unit: int, scope: str = "frame"
@@ -286,7 +294,9 @@ class ManagedRuntime(abc.ABC):
         while GC trigger points, collected volumes, and the per-member
         fault-cost accumulation order are preserved exactly: the result
         is byte-identical to the scalar loop, which ``tests/oracles.py``
-        keeps as the reference.
+        keeps as the reference.  HotSpot and V8 place the run as a
+        one-run :meth:`alloc_stream`; the arena runtimes (CPython, Go)
+        have their own segment placer.
 
         Returns the allocated object ids (segment ids for batched runs).
         A moving collector may later split a segment where its members
@@ -300,12 +310,133 @@ class ManagedRuntime(abc.ABC):
             return [self.alloc(unit, scope=scope) for _ in range(count)]
         return self._alloc_cohort_fast(count, unit, scope)
 
+    def alloc_stream(self, runs: Sequence[Tuple[str, int, int]]) -> None:
+        """Allocate an invocation's ``(scope, unit, count)`` runs in
+        mutator order.
+
+        Semantically identical to sending every member, in stream order,
+        through :meth:`alloc` (the scalar loop ``tests/oracles.py`` keeps
+        as the reference).  A runtime that bump-allocates into one space
+        (HotSpot eden, V8 from-space; see :meth:`_bump_space`) places the
+        stream in segments:
+
+        * consecutive ``frame`` and ``ephemeral`` runs of one unit share a
+          segment; ``persistent`` and ``weak`` runs are segments of their
+          own, because their members outlive the frame and their order
+          among frame survivors decides which old-space pages a later
+          release can free;
+        * a segment holds the members that still fit (``space.free //
+          unit``) and costs at most two graph nodes -- one cohort of its
+          frame members rooted in the frame, one unrooted cohort of its
+          ephemeral members -- one bump and one page touch over all its
+          members in stream order;
+        * the member that does not fit goes through :meth:`alloc`, so
+          collections and space growth trigger where the scalar loop
+          triggers them.
+
+        The two-node segment is exact: an ephemeral member is dead at
+        every collection that starts after its placement, the frame
+        members all die at :meth:`end_invocation`, and per-member fault
+        billing does not depend on scope.  So every collection sees the
+        scalar loop's survivors in address order.  Other runtimes make
+        one :meth:`alloc_cohort` call per run.
+        """
+        self._check_booted()
+        if self._bump_space() is None:
+            for scope, unit, count in runs:
+                self.alloc_cohort(count, unit, scope=scope)
+        else:
+            self._place_runs(runs)
+
     def _supports_cohorts(self, unit: int) -> bool:
         """Whether this runtime can bulk-place ``unit``-byte cohorts."""
         return False
 
     def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
-        raise NotImplementedError  # pragma: no cover - guarded by the gate
+        """Place one batchable run; bump runtimes take the stream placer."""
+        return self._place_runs(((scope, unit, count),))
+
+    def _bump_space(self) -> Optional[Tuple[ContiguousSpace, int]]:
+        """The space bump placement fills now and its base address, or
+        ``None`` for a runtime that does not bump-allocate."""
+        return None
+
+    def _bumped(self, space: ContiguousSpace, oid: int, size: int) -> None:
+        """Per-node bookkeeping after the placer bumps ``oid`` into ``space``."""
+
+    def _place_runs(self, runs: Iterable[Tuple[str, int, int]]) -> List[int]:
+        """The bump-space placer behind :meth:`alloc_stream` (and, for one
+        run, :meth:`alloc_cohort`); returns the placed node ids.
+
+        The open segment is ``(kind, unit)``, where ``kind`` is
+        ``"frame"`` for frame and ephemeral members alike, and holds
+        ``kept`` rooted and ``eph`` unrooted members with ``room`` more to
+        go.  Nothing touches the heap while a segment is open, so it is
+        bumped only when it closes: at a kind or unit change, when it is
+        full, or at the end of the stream.
+        """
+        oids: List[int] = []
+        segment: Optional[Tuple[str, int]] = None
+        space: Optional[ContiguousSpace] = None
+        base = kept = eph = room = 0
+        for scope, unit, count in runs:
+            kind = "frame" if scope == "ephemeral" else scope
+            while count > 0:
+                if segment is not None and segment != (kind, unit):
+                    self._bump_segment(space, base, segment, kept, eph, oids)
+                    segment = None
+                if segment is None:
+                    if not self._supports_cohorts(unit):
+                        oids.extend(self.alloc(unit, scope=scope) for _ in range(count))
+                        break
+                    space, base = self._bump_space()
+                    room = space.free // unit
+                    if not room:
+                        oids.append(self.alloc(unit, scope=scope))
+                        count -= 1
+                        continue
+                    segment, kept, eph = (kind, unit), 0, 0
+                take = count if count < room else room
+                if scope == "ephemeral":
+                    eph += take
+                else:
+                    kept += take
+                room -= take
+                count -= take
+                if not room:
+                    self._bump_segment(space, base, segment, kept, eph, oids)
+                    segment = None
+        if segment is not None:
+            self._bump_segment(space, base, segment, kept, eph, oids)
+        return oids
+
+    def _bump_segment(
+        self,
+        space: ContiguousSpace,
+        base: int,
+        segment: Tuple[str, int],
+        kept: int,
+        eph: int,
+        oids: List[int],
+    ) -> None:
+        """Bump one closed segment: its rooted members, then its ephemeral
+        ones, then one page touch over all of them from ``touched``."""
+        kind, unit = segment
+        graph = self.graph
+        addr = base + space.top
+        if kept:
+            oid = graph.new_cohort(kept, unit)
+            self._root(oid, kind)
+            space.bump(oid, kept * unit)
+            self._bumped(space, oid, kept * unit)
+            oids.append(oid)
+        if eph:
+            oid = graph.new_cohort(eph, unit)
+            space.bump(oid, eph * unit)
+            self._bumped(space, oid, eph * unit)
+            oids.append(oid)
+        self._touch_cohort_segment(addr, unit, kept + eph, base + space.touched)
+        space.touched = max(space.touched, page_ceil(space.top))
 
     def _place_cohort_segment(self, oid: int, scope: str, place) -> None:
         """Root one segment cohort per ``scope`` and run its placement.
@@ -314,14 +445,7 @@ class ManagedRuntime(abc.ABC):
         rooting for ephemerals (the site references the run until its
         placement finishes).
         """
-        if scope == "frame":
-            self.graph.root_in_frame(oid)
-        elif scope == "persistent":
-            self.graph.root_persistent(oid)
-        elif scope == "weak":
-            self.graph.root_weak(oid)
-        elif scope != "ephemeral":
-            raise ValueError(f"unknown scope {scope!r}")
+        self._root(oid, scope)
         if scope == "ephemeral":
             self.graph.root_persistent(oid)
             try:

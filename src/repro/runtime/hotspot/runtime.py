@@ -21,7 +21,7 @@ The §3.2.1 behaviours the characterization depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.mem.layout import MIB, Protection, page_ceil
 from repro.mem.vmm import Mapping
@@ -156,38 +156,11 @@ class HotSpotRuntime(ManagedRuntime):
     def _supports_cohorts(self, unit: int) -> bool:
         return unit <= self._eden.reserved
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
-        """Bump whole runs into eden, one segment per run that fits.
+    def _bump_space(self) -> Tuple[ContiguousSpace, int]:
+        return self._eden, self._heap.start + self._eden.offset
 
-        Each segment is the longest run that fits ``eden.free``: one
-        cohort node, one bump, one page touch from eden's ``touched``
-        watermark.  The member that does not fit goes through
-        :meth:`~ManagedRuntime.alloc` unbatched, so the scavenge (and any
-        eden growth) it triggers sees exactly the scalar path's graph.
-        """
-        eden = self._eden
-        base = self._heap.start + eden.offset
-        oids: List[int] = []
-        placed = 0
-        while placed < count:
-            members = min(count - placed, eden.free // unit)
-            if not members:
-                oids.append(self.alloc(unit, scope=scope))
-                placed += 1
-                continue
-            oid = self.graph.new_cohort(members, unit)
-
-            def place(oid: int = oid, members: int = members) -> None:
-                addr = base + eden.top
-                eden.bump(oid, members * unit)
-                self._where[oid] = eden
-                self._touch_cohort_segment(addr, unit, members, base + eden.touched)
-                eden.touched = max(eden.touched, page_ceil(eden.top))
-
-            self._place_cohort_segment(oid, scope, place)
-            oids.append(oid)
-            placed += members
-        return oids
+    def _bumped(self, space: ContiguousSpace, oid: int, size: int) -> None:
+        self._where[oid] = space
 
     def _place_old_direct(self, oid: int, size: int) -> None:
         if not self._old.fits(size):

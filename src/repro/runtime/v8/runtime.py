@@ -16,7 +16,7 @@ deoptimize (§4.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mem.layout import KIB, MIB, PAGE_SIZE, Protection, page_ceil
 from repro.mem.vmm import Mapping
@@ -152,35 +152,12 @@ class V8Runtime(ManagedRuntime):
         cfg: V8Config = self.config  # type: ignore[assignment]
         return unit < cfg.large_object_threshold
 
-    def _alloc_cohort_fast(self, count: int, unit: int, scope: str) -> List[int]:
-        """Bump whole runs into from-space; see the HotSpot twin for the
-        scheme.  The member that does not fit goes through
-        :meth:`~ManagedRuntime.alloc`, which scavenges, expands the
-        semispaces, or places it in old space exactly as the scalar path
-        does."""
-        oids: List[int] = []
-        placed = 0
-        while placed < count:
-            semi = self._from
-            members = min(count - placed, semi.free // unit)
-            if not members:
-                oids.append(self.alloc(unit, scope=scope))
-                placed += 1
-                continue
-            oid = self.graph.new_cohort(members, unit)
+    def _bump_space(self) -> Tuple[ContiguousSpace, int]:
+        # Every scavenge swaps the semispaces: read ``_from`` afresh.
+        return self._from, self._semi_base(self._from)
 
-            def place(oid: int = oid, members: int = members) -> None:
-                base = self._semi_base(semi)
-                addr = base + semi.top
-                semi.bump(oid, members * unit)
-                self._touch_cohort_segment(addr, unit, members, base + semi.touched)
-                semi.touched = max(semi.touched, page_ceil(semi.top))
-                self._young_alloc_since_full_gc += members * unit
-
-            self._place_cohort_segment(oid, scope, place)
-            oids.append(oid)
-            placed += members
-        return oids
+    def _bumped(self, space: ContiguousSpace, oid: int, size: int) -> None:
+        self._young_alloc_since_full_gc += size
 
     def _place_old(
         self, oid: int, size: int, live: Optional[Set[int]] = None

@@ -126,34 +126,38 @@ class FunctionModel:
         # Interleave short-lived garbage with invocation-scoped data, the
         # way real request handling mixes temporaries and working set.
         # The per-object draws stay untouched (the jitter stream is part of
-        # the workload's identity); consecutive same-shaped draws are merely
-        # batched into one alloc_cohort call, which the runtime either
-        # unrolls (scalar path) or places as a cohort (batched path).
+        # the workload's identity); consecutive same-shaped draws merely
+        # collapse into ``(scope, unit, count)`` runs, and the runtime
+        # places the whole stream in one ``alloc_stream`` call.  The
+        # chosen scope always has bytes left: its probability is exactly
+        # 0.0 when ``eph`` is spent and exactly 1.0 when ``frame`` is.
         eph = self._jittered(spec.ephemeral_bytes)
         frame = self._jittered(spec.frame_bytes)
         total = eph + frame
+        object_size = spec.object_size
+        draw = self._rng.random
+        runs = []
         run_scope = ""
-        run_size = 0
-        run_count = 0
+        run_size = run_count = 0
         while total > 0:
-            scope = "ephemeral" if self._rng.random() < eph / max(1, eph + frame) else "frame"
-            size = min(spec.object_size, eph if scope == "ephemeral" else frame)
-            if size <= 0:
-                scope = "ephemeral" if eph > 0 else "frame"
-                size = min(spec.object_size, max(eph, frame))
+            if draw() < eph / total:
+                scope = "ephemeral"
+                size = eph if eph < object_size else object_size
+                eph -= size
+            else:
+                scope = "frame"
+                size = frame if frame < object_size else object_size
+                frame -= size
+            total -= size
             if scope == run_scope and size == run_size:
                 run_count += 1
             else:
                 if run_count:
-                    runtime.alloc_cohort(run_count, run_size, scope=run_scope)
+                    runs.append((run_scope, run_size, run_count))
                 run_scope, run_size, run_count = scope, size, 1
-            if scope == "ephemeral":
-                eph -= size
-            else:
-                frame -= size
-            total = eph + frame
         if run_count:
-            runtime.alloc_cohort(run_count, run_size, scope=run_scope)
+            runs.append((run_scope, run_size, run_count))
+        runtime.alloc_stream(runs)
         handoff = None
         if spec.handoff_bytes:
             # Intermediate data stays persistently rooted until the consumer

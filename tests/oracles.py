@@ -2,12 +2,15 @@
 
 Production runs one implementation of each hot structure: the indexed
 event bus, the platform's incremental USS aggregates and versioned
-frozen list, the runtimes' measurement caches, and cohort allocation.
-The obviously correct versions they replaced live here, where the
-tests that pin the fast structures to them can reach them:
+frozen list, the runtimes' measurement caches, and cohort and stream
+allocation.  The obviously correct versions they replaced live here,
+where the tests that pin the fast structures to them can reach them:
 
 * :class:`LinearEventBus` -- every publish scans the one flat
   subscription list;
+* :func:`scalar_alloc_cohort` and :func:`scalar_alloc_stream` -- every
+  member of a run, or of an invocation's whole allocation stream, goes
+  through the scalar ``alloc`` in stream order;
 * :func:`reference_paths` -- installs the summing, uncached and scalar
   paths on the platform and the runtimes, plus the linear bus on every
   kernel built afterwards.  With it installed ``frozen_instances``
@@ -21,7 +24,7 @@ byte for byte, as the same run in production form
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 import repro.sim.kernel
 from repro.faas.instance import FunctionInstance, InstanceState
@@ -129,6 +132,17 @@ def scalar_alloc_cohort(
     return [self.alloc(unit, scope=scope) for _ in range(count)]
 
 
+def scalar_alloc_stream(
+    self: ManagedRuntime, runs: Sequence[Tuple[str, int, int]]
+) -> None:
+    """:meth:`ManagedRuntime.alloc_stream` as one scalar alloc per member,
+    in stream order."""
+    self._check_booted()
+    for scope, unit, count in runs:
+        for _ in range(count):
+            self.alloc(unit, scope=scope)
+
+
 def reference_paths(monkeypatch) -> None:
     """Install every reference path through ``monkeypatch``.
 
@@ -153,5 +167,6 @@ def reference_paths(monkeypatch) -> None:
         ("uss", _uncached_uss),
         ("heap_resident_bytes", _uncached_heap_resident_bytes),
         ("alloc_cohort", scalar_alloc_cohort),
+        ("alloc_stream", scalar_alloc_stream),
     ):
         monkeypatch.setattr(ManagedRuntime, name, reference)

@@ -1,11 +1,13 @@
-"""Cohort allocation: the batched path vs the scalar reference.
+"""Cohort and stream allocation: the batched paths vs the scalar reference.
 
 ``alloc_cohort(count, unit)`` must be *semantically identical* to
-``count`` scalar ``alloc(unit)`` calls -- same GC events (trigger points,
-collected counts and bytes, pause seconds), same fault attribution, same
-heap layout, same USS.  The differential here replays one mixed workload
-through both paths -- the scalar one is the test-only oracle of
-``tests/oracles.py`` -- and compares every observable checkpoint.
+``count`` scalar ``alloc(unit)`` calls, and ``alloc_stream(runs)`` to one
+scalar ``alloc`` per member in stream order -- same GC events (trigger
+points, collected counts and bytes, pause seconds), same fault
+attribution, same heap layout, same USS.  The differentials here replay
+one workload through both paths -- the scalar one is the test-only
+oracle of ``tests/oracles.py`` -- and compare every observable
+checkpoint.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from repro.mem.layout import KIB, MIB, page_ceil, page_floor
+from repro.mem.layout import KIB, MIB, PAGE_SIZE, page_ceil, page_floor
 from repro.runtime.base import ManagedRuntime
 from repro.runtime.cpython.runtime import CPythonRuntime
 from repro.runtime.golang.runtime import GoRuntime
@@ -24,15 +26,19 @@ from repro.runtime.hotspot.runtime import HotSpotRuntime
 from repro.runtime.object_model import CohortObject, HeapObject, ObjectGraph
 from repro.runtime.v8.chunks import CHUNK_PAYLOAD
 from repro.runtime.v8.runtime import V8Config, V8Runtime
-from tests.oracles import scalar_alloc_cohort
+from repro.workloads.model import FunctionModel
+from repro.workloads.registry import get_stage
+from tests.oracles import scalar_alloc_cohort, scalar_alloc_stream
 
 
 @contextmanager
 def _scalar_cohorts():
-    """Runtimes allocate every cohort as scalar ``alloc`` calls while
-    this holds (the reference the batched path must reproduce)."""
+    """Runtimes allocate every cohort and every stream member as scalar
+    ``alloc`` calls while this holds (the reference the batched paths
+    must reproduce)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ManagedRuntime, "alloc_cohort", scalar_alloc_cohort)
+        patch.setattr(ManagedRuntime, "alloc_stream", scalar_alloc_stream)
         yield
 
 
@@ -260,11 +266,13 @@ def _twin(factory, scenario):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Counts ``split_cohort`` calls and records every cohort touch as
-    ``(addr, floor, mappings the touched range spans)``."""
-    record = {"splits": 0, "touches": []}
+    """Counts ``split_cohort`` calls, records every cohort touch as
+    ``(addr, floor, mappings the touched range spans)`` and every bump
+    segment as ``(kind, unit, kept, eph)``."""
+    record = {"splits": 0, "touches": [], "segments": []}
     split = ObjectGraph.split_cohort
     touch = ManagedRuntime._touch_cohort_segment
+    bump = ManagedRuntime._bump_segment
 
     def counting_split(self, oid, head):
         record["splits"] += 1
@@ -276,8 +284,13 @@ def spy(monkeypatch):
         record["touches"].append((addr, floor, spanned))
         return touch(self, addr, unit, members, floor)
 
+    def recording_bump(self, space, base, segment, kept, eph, oids):
+        record["segments"].append((*segment, kept, eph))
+        return bump(self, space, base, segment, kept, eph, oids)
+
     monkeypatch.setattr(ObjectGraph, "split_cohort", counting_split)
     monkeypatch.setattr(ManagedRuntime, "_touch_cohort_segment", recording_touch)
+    monkeypatch.setattr(ManagedRuntime, "_bump_segment", recording_bump)
     return record
 
 
@@ -450,6 +463,333 @@ def test_random_schedule_matches_scalar(factory, seed, spy):
         assert spy["splits"]  # the moving collectors cut runs
 
 
+def _interleaved(rng, eph, frame, unit):
+    """``(scope, unit, count)`` runs drawn the way ``FunctionModel.invoke``
+    draws them: each object's scope weighted by the bytes left, each
+    scope ending in a tail unit."""
+    runs = []
+    while eph + frame:
+        if rng.random() < eph / (eph + frame):
+            scope, size = "ephemeral", min(unit, eph)
+            eph -= size
+        else:
+            scope, size = "frame", min(unit, frame)
+            frame -= size
+        if runs and runs[-1][:2] == (scope, size):
+            runs[-1] = (scope, size, runs[-1][2] + 1)
+        else:
+            runs.append((scope, size, 1))
+    return runs
+
+
+def _mixed(segments):
+    return [seg for seg in segments if seg[0] == "frame" and seg[2] and seg[3]]
+
+
+def _random_stream_schedule(runtime, seed):
+    """Seeded interleaved streams between scavenges, reclaims and
+    swap-outs; returns the observables after every step."""
+    rng = random.Random(seed)
+    log = []
+    for step in range(30):
+        runtime.begin_invocation()
+        runtime.touch_live_data()
+        unit = rng.choice((4 * KIB, 5000, 16 * KIB, 24 * KIB, 64 * KIB))
+        eph = rng.randint(0, 3 * MIB)
+        frame = rng.randint(0, 768 * KIB)
+        runtime.alloc_stream(_interleaved(rng, eph, frame, unit))
+        log.append((step, "stream", _observe(runtime)))
+        runtime.end_invocation()
+        roll = rng.random()
+        if roll < 0.15:
+            log.append(("reclaim", runtime.reclaim(aggressive=rng.random() < 0.3)))
+        elif roll < 0.25:
+            for mapping in runtime._heap_mappings():
+                if rng.random() < 0.5:
+                    runtime.space.swap_out_range(mapping.start, mapping.length)
+        elif roll < 0.35:
+            runtime.collect(full=rng.random() < 0.5)
+        log.append((step, _observe(runtime)))
+    return log
+
+
+BUMP_RUNTIMES = pytest.mark.parametrize(
+    "factory",
+    (HotSpotRuntime, V8Runtime, _v8_compacting),
+    ids=("hotspot", "v8", "v8-compact"),
+)
+
+
+@BUMP_RUNTIMES
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_random_stream_matches_scalar(factory, seed, spy):
+    scalar, fast, _runtime = _twin(factory, lambda rt: _random_stream_schedule(rt, seed))
+    assert scalar == fast
+    assert _mixed(spy["segments"])  # frame and ephemeral members shared segments
+    assert spy["splits"]
+
+
+class TestStreamTraps:
+    """One scenario per place the stream placer could silently diverge
+    from one scalar ``alloc`` per member; each also asserts the placer
+    really fired, so the comparison cannot pass on two scalar legs."""
+
+    @pytest.mark.parametrize("factory", (HotSpotRuntime, V8Runtime), ids=("hotspot", "v8"))
+    def test_exact_fill_then_ephemeral_overflow_scavenges(self, factory, spy):
+        unit = PAGE_SIZE
+
+        def scenario(rt):
+            rt.begin_invocation()
+            space, _base = rt._bump_space()
+            assert space.free % unit == 0
+            members = space.free // unit
+            frame = members // 3
+            rt.alloc_stream(
+                [
+                    ("frame", unit, frame),
+                    ("ephemeral", unit, members - 2 * frame),
+                    ("frame", unit, frame),
+                    ("ephemeral", unit, 1),  # does not fit: its placement scavenges
+                    ("frame", unit, 5),
+                ]
+            )
+            log = [(members, frame), rt.gc_events[:], _observe(rt)]
+            rt.end_invocation()
+            rt.collect(full=False)
+            log.append(_observe(rt))
+            return log
+
+        scalar, fast, _runtime = _twin(factory, scenario)
+        assert scalar == fast
+        (members, frame), events = fast[0], fast[1]
+        # The segment filled the space exactly, frame and ephemeral
+        # members together; the overflow member scavenged with itself
+        # still live (the placement guard) and its segment's ephemerals dead.
+        assert spy["segments"][0] == ("frame", unit, 2 * frame, members - 2 * frame)
+        assert [(e.kind, e.collected_bytes, e.live_bytes) for e in events] == [
+            ("young", (members - 2 * frame) * unit, (2 * frame + 1) * unit)
+        ]
+
+    def test_mixed_frame_survivors_overflow_to(self, spy):
+        def scenario(rt):
+            rt.begin_invocation()
+            to_free = rt._to.free
+            rt.alloc_stream(_interleaved(random.Random(7), 1 * MIB, 800 * KIB, 16 * KIB))
+            log = [to_free, rt.gc_events[:]]
+            rt.collect(full=False)  # frame survivors fill `to`, the rest promote
+            log.append(_observe(rt))
+            rt.end_invocation()
+            rt.collect(full=False)
+            log.append(_observe(rt))
+            return log
+
+        scalar, fast, _runtime = _twin(HotSpotRuntime, scenario)
+        assert scalar == fast
+        to_free, events = fast[0], fast[1]
+        assert not events and 800 * KIB > to_free  # all in eden; `to` overflows
+        assert spy["splits"] >= 1
+        assert _mixed(spy["segments"])
+
+    def test_v8_mixed_frame_survivors_overflow_skewed_to(self, spy):
+        def scenario(rt):
+            rt.begin_invocation()
+            rt.alloc_stream(_interleaved(random.Random(3), 300 * KIB, 500 * KIB, 10 * KIB))
+            rt._set_semi_committed(rt._to, 256 * KIB)
+            rt.collect(full=False)
+            log = [_observe(rt)]
+            rt.end_invocation()
+            return log
+
+        scalar, fast, _runtime = _twin(V8Runtime, scenario)
+        assert scalar == fast
+        assert spy["splits"] >= 1
+        assert _mixed(spy["segments"])
+
+    @pytest.mark.parametrize("factory", (V8Runtime, _v8_compacting), ids=("v8", "v8-compact"))
+    def test_v8_frame_survivors_promote_on_second_scavenge(self, factory, spy):
+        """Frame members of mixed segments survive two scavenges inside
+        one invocation and promote into old chunks, straddling them."""
+        unit = 10 * KIB
+
+        def scenario(rt):
+            log = []
+            rt.begin_invocation()
+            rt.alloc_stream(_interleaved(random.Random(5), 400 * KIB, 400 * KIB, unit))
+            rt.collect(full=False)
+            log.append(_observe(rt))
+            rt.alloc_stream(_interleaved(random.Random(6), 300 * KIB, 100 * KIB, unit))
+            rt.collect(full=False)  # the first stream's frame members tenure
+            log.append(_observe(rt))
+            frame = rt.graph._frames[-1]
+            log.append(sum(any(oid in frame for oid, _ in c.objects) for c in rt._old.chunks))
+            rt.end_invocation()
+            rt.reclaim()
+            log.append(_observe(rt))
+            return log
+
+        scalar, fast, _runtime = _twin(factory, scenario)
+        assert scalar == fast
+        assert fast[2] >= 2  # promoted frame survivors straddle old chunks
+        assert spy["splits"] >= 1
+        assert _mixed(spy["segments"])
+
+    def test_hotspot_promotion_failure_turns_scavenge_into_full_gc(self, spy):
+        def scenario(rt):
+            rt.begin_invocation()
+            # Garbage that fills the old generation to 512 KiB below its
+            # reserve: the next scavenge cannot promise room for its
+            # survivors, so it runs a full collection instead.
+            big = rt._old.reserved - rt._old.top - 512 * KIB
+            assert big > rt._eden.reserved
+            rt.free_persistent(rt.alloc(big, scope="persistent"))
+            full_before = rt.full_gc_count
+            rt.alloc_stream(_interleaved(random.Random(11), 4 * MIB, 2 * MIB, 32 * KIB))
+            log = [rt.full_gc_count - full_before, _observe(rt)]
+            rt.end_invocation()
+            rt.collect(full=False)
+            log.append(_observe(rt))
+            return log
+
+        scalar, fast, _runtime = _twin(HotSpotRuntime, scenario)
+        assert scalar == fast
+        assert fast[0] >= 1
+        assert _mixed(spy["segments"])
+
+    @pytest.mark.parametrize("factory", (HotSpotRuntime, V8Runtime), ids=("hotspot", "v8"))
+    def test_swapped_pages_below_touched_stay_swapped(self, factory, spy):
+        def scenario(rt):
+            rt.begin_invocation()
+            rt.alloc_cohort(12, 64 * KIB, scope="ephemeral")
+            rt.collect(full=False)
+            rt.collect(full=False)  # V8: back to the touched semispace
+            swapped = sum(
+                rt.space.swap_out_range(m.start, m.length).swapped
+                for m in rt._heap_mappings()
+            )
+            assert swapped > 0
+            majors = rt.space.faults.major
+            rt.alloc_stream(_interleaved(random.Random(2), 400 * KIB, 200 * KIB, 24 * KIB))
+            log = [rt.space.faults.major - majors, _observe(rt)]
+            rt.end_invocation()
+            return log
+
+        scalar, fast, _runtime = _twin(factory, scenario)
+        assert scalar == fast
+        assert fast[0] == 0  # scalar _materialize never re-touches them
+        assert any(floor > addr for addr, floor, _spanned in spy["touches"])
+        assert _mixed(spy["segments"])
+
+    @pytest.mark.parametrize(
+        "factory", (HotSpotRuntime, V8Runtime, _v8_compacting), ids=("hotspot", "v8", "v8-compact")
+    )
+    def test_persistent_and_weak_runs_interleave_with_frame_runs(self, factory, spy):
+        unit = 12 * KIB
+        runs = [
+            ("frame", unit, 7),
+            ("ephemeral", unit, 3),
+            ("persistent", unit, 4),
+            ("frame", unit, 2),
+            ("weak", unit, 3),
+            ("ephemeral", unit, 5),
+            ("frame", unit, 6),
+            ("persistent", unit, 2),
+            ("frame", unit, 9),
+            ("ephemeral", unit, 11),
+        ]
+
+        def scenario(rt):
+            log = []
+            for step in range(3):
+                rt.begin_invocation()
+                rt.alloc_stream(runs * 4)
+                rt.collect(full=False)
+                log.append(_observe(rt))
+                rt.alloc_stream(runs)
+                rt.collect(full=False)  # V8: frame, persistent, weak promote together
+                log.append(_observe(rt))
+                rt.end_invocation()
+                log.append(("reclaim", rt.reclaim(aggressive=step == 1)))
+                log.append(_observe(rt))
+            return log
+
+        scalar, fast, _runtime = _twin(factory, scenario)
+        assert scalar == fast
+        kinds = {seg[0] for seg in spy["segments"]}
+        assert kinds == {"frame", "persistent", "weak"}
+        assert all(not eph for kind, _u, _k, eph in spy["segments"] if kind != "frame")
+        assert _mixed(spy["segments"])
+
+
+class TestStreamSegmentCount:
+    """A fallback to one segment per run would be exact too, so digests
+    cannot see it: count the segments instead.
+
+    A stream places one segment per unit stretch (a maximal span of
+    runs sharing a unit), plus one more after each member that did not
+    fit and went through scalar ``alloc``.  The model's streams have at
+    most four stretches (object-sized members around each scope's tail
+    unit), so per-run placement -- dozens of runs -- cannot hide under
+    the bound.
+    """
+
+    @pytest.mark.parametrize(
+        "factory, function",
+        (
+            (HotSpotRuntime, "sort"),
+            (HotSpotRuntime, "file-hash"),
+            (V8Runtime, "dynamic-html"),
+            (V8Runtime, "fft"),
+        ),
+    )
+    def test_each_invocation_places_few_segments(self, factory, function, monkeypatch):
+        calls = []  # one [runs, segments, overflow members] per stream
+        inside = {"stream": False, "alloc": 0}
+        touch = ManagedRuntime._touch_cohort_segment
+        alloc = ManagedRuntime.alloc
+        stream = ManagedRuntime.alloc_stream
+
+        def spying_stream(self, runs):
+            calls.append([list(runs), 0, 0])
+            inside["stream"] = True
+            try:
+                return stream(self, runs)
+            finally:
+                inside["stream"] = False
+
+        def spying_alloc(self, size, refs=(), scope="frame"):
+            if inside["stream"] and not inside["alloc"]:
+                calls[-1][2] += 1  # a member that did not fit
+            inside["alloc"] += 1
+            try:
+                return alloc(self, size, refs, scope)
+            finally:
+                inside["alloc"] -= 1
+
+        def spying_touch(self, addr, unit, members, floor=0):
+            if inside["stream"] and not inside["alloc"]:
+                calls[-1][1] += 1  # a segment, not a promotion inside a GC
+            return touch(self, addr, unit, members, floor)
+
+        monkeypatch.setattr(ManagedRuntime, "alloc_stream", spying_stream)
+        monkeypatch.setattr(ManagedRuntime, "alloc", spying_alloc)
+        monkeypatch.setattr(ManagedRuntime, "_touch_cohort_segment", spying_touch)
+        runtime = factory("segments")
+        runtime.boot()
+        model = FunctionModel(get_stage(function), seed=3)
+        for _ in range(8):
+            model.invoke(runtime)
+
+        assert len(calls) == 8
+        caught = 0  # streams where one segment per run would break the bound
+        for runs, segments, overflows in calls:
+            stretches = 1 + sum(a[1] != b[1] for a, b in zip(runs, runs[1:]))
+            assert stretches <= 4
+            assert 1 <= segments <= stretches + overflows
+            caught += len(runs) - overflows > stretches + overflows
+        assert any(overflows for _runs, _segments, overflows in calls)
+        assert caught == len(calls)
+
+
 class TestScalarFallbacks:
     def test_count_one_stays_scalar(self):
         runtime = CPythonRuntime("fallback")
@@ -476,3 +816,13 @@ class TestScalarFallbacks:
         runtime = CPythonRuntime("empty")
         runtime.boot()
         assert runtime.alloc_cohort(0, 4 * KIB) == []
+
+    @pytest.mark.parametrize(
+        "factory", (CPythonRuntime, HotSpotRuntime, V8Runtime), ids=("cpython", "hotspot", "v8")
+    )
+    def test_stream_rejects_unknown_scope(self, factory):
+        runtime = factory("scope")
+        runtime.boot()
+        runtime.begin_invocation()
+        with pytest.raises(ValueError, match="unknown scope"):
+            runtime.alloc_stream([("frame", 4 * KIB, 3), ("global", 4 * KIB, 2)])
