@@ -13,8 +13,8 @@ make racing reclamation and eviction harmless (§4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.core.activation import ActivationController
 from repro.core.profiles import ProfileStore
@@ -55,13 +55,6 @@ class Desiccant:
         self.reports: List[ReclaimReport] = []
         self.total_released_bytes = 0
         self.total_cpu_seconds = 0.0
-        #: ``(fingerprint, ranked, next_eligible_at)``: the ranking is a
-        #: pure function of the frozen set, the instances' memory state,
-        #: and the profile store -- all carried in the fingerprint -- plus
-        #: the clock, whose only effect is the freeze-timeout filter.  The
-        #: cache therefore also expires at the instant the next too-young
-        #: instance would become eligible.
-        self._ranked_cache: Optional[Tuple[tuple, list, float]] = None
 
     # ---------------------------------------------------- platform hooks
 
@@ -84,42 +77,21 @@ class Desiccant:
             return 0.0
         target = self.activation.target_bytes(capacity)
         share = max(0.05, min(1.0, platform.idle_cpu_share()))
+        timeout = self.config.freeze_timeout_seconds
         cpu = 0.0
         for _ in range(self.config.max_reclaims_per_step):
             if platform.frozen_bytes() <= target:
                 break
-            ranked = self._ranked(platform, now)
+            # One uncached pass per victim: each reclaim records a profile
+            # and dirties its instance, which would stale any cached ranking.
+            ranked = rank_candidates(
+                platform.frozen_instances(), self.profiles, now, freeze_timeout=timeout
+            )
             if not ranked:
                 break
             _throughput, instance = ranked[0]
             cpu += self.reclaim(instance, cpu_share=share)
         return cpu
-
-    def _ranked(self, platform, now: float) -> list:
-        """Throughput-ranked candidates, cached between sweeps.
-
-        Each reclaim records a profile (bumping the store's version) and
-        dirties the instance's memory, so mid-burst the ranking rebuilds
-        per reclaim exactly like the direct computation; between bursts
-        the fingerprint holds and the activation check costs O(1)."""
-        frozen = platform.frozen_instances()
-        timeout = self.config.freeze_timeout_seconds
-        if not hasattr(frozen, "version"):
-            return rank_candidates(frozen, self.profiles, now, freeze_timeout=timeout)
-        fingerprint = (frozen.version, frozen.state_version, self.profiles.version)
-        cached = self._ranked_cache
-        if cached is not None and cached[0] == fingerprint and now < cached[2]:
-            return cached[1]
-        ranked = rank_candidates(frozen, self.profiles, now, freeze_timeout=timeout)
-        next_eligible_at = float("inf")
-        for instance in frozen:
-            if instance.frozen_since is None:
-                continue
-            eligible_at = instance.frozen_since + timeout
-            if eligible_at > now and eligible_at < next_eligible_at:
-                next_eligible_at = eligible_at
-        self._ranked_cache = (fingerprint, ranked, next_eligible_at)
-        return ranked
 
     @staticmethod
     def _frozen_capacity(platform) -> int:

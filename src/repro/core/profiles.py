@@ -43,9 +43,6 @@ class ProfileStore:
         self._by_instance: Dict[int, Deque[ReclaimProfile]] = {}
         self._instance_function: Dict[int, str] = {}
         self._by_function: Dict[str, list] = defaultdict(list)
-        #: Bumped on every mutation; estimates are pure functions of the
-        #: store's state, so consumers may cache rankings keyed on this.
-        self.version = 0
 
     def record(self, instance_id: int, function: str, profile: ReclaimProfile) -> None:
         """Store one profile for an instance."""
@@ -55,15 +52,12 @@ class ProfileStore:
         self._by_function[function].append(profile)
         if len(self._by_function[function]) > 8 * MAX_SAMPLES:
             self._by_function[function] = self._by_function[function][-4 * MAX_SAMPLES:]
-        self.version += 1
 
     def drop_instance(self, instance_id: int) -> None:
         """Forget a destroyed instance's history (bounds overhead, §4.5.2).
 
         Function-level aggregates survive so future same-function instances
         keep a warm prior."""
-        if instance_id in self._by_instance or instance_id in self._instance_function:
-            self.version += 1
         self._by_instance.pop(instance_id, None)
         self._instance_function.pop(instance_id, None)
 

@@ -40,16 +40,18 @@ def rank_candidates(
 ) -> List[Tuple[float, FunctionInstance]]:
     """Rank frozen instances by estimated throughput, best first.
 
-    Filters: must be frozen past the timeout, and not already reclaimed
-    during this freeze (a second pass would release nothing).
+    Filters: not already reclaimed during this freeze (a second pass would
+    release nothing), and frozen past the timeout.  They are pure and
+    conjunctive, so their order cannot change the result; the cheapest
+    and most selective goes first.
     """
     ranked: List[Tuple[float, FunctionInstance]] = []
     for instance in instances:
+        if instance.reclaimed_this_freeze:
+            continue
         if instance.state is not InstanceState.FROZEN:
             continue
         if instance.frozen_for(now) < freeze_timeout:
-            continue
-        if getattr(instance, "reclaimed_this_freeze", False):
             continue
         live, cpu = profiles.estimate(instance.id, instance.spec.name)
         throughput = estimated_throughput(

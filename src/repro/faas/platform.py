@@ -349,9 +349,6 @@ class FaasPlatform:
         self._frozen_ids: Dict[int, None] = {}
         self._frozen_list = VersionedList()
         self._dirty: Dict[int, FunctionInstance] = {}
-        #: Monotone counter over every bookkeeping change; cached consumers
-        #: (Desiccant's ranked candidate index) fold it into fingerprints.
-        self.change_epoch = 0
         #: Bus plumbing: the eviction policy's request bookkeeping and the
         #: memory manager's hooks both attach as subscribers -- nothing
         #: calls them directly.
@@ -397,7 +394,6 @@ class FaasPlatform:
         instance.runtime.space.change_listener = None
         # The next flush sees the id untracked and drops its cached USS.
         self._dirty[instance.id] = instance
-        self.change_epoch += 1
 
     def _space_dirtier(self, instance: FunctionInstance) -> "_SpaceDirtier":
         return _SpaceDirtier(self, instance)
@@ -408,7 +404,6 @@ class FaasPlatform:
             # A frozen member's USS moved: size-keyed eviction priorities
             # are stale even though membership is unchanged.
             self._frozen_list.state_version += 1
-        self.change_epoch += 1
 
     def _on_instance_state(
         self,
@@ -429,7 +424,6 @@ class FaasPlatform:
             self._frozen_list.adds += 1
             self._frozen_uss_total += cached
         self._dirty[instance.id] = instance
-        self.change_epoch += 1
 
     def _flush_dirty(self) -> None:
         """Fold dirty instances into the totals: subtract each one's USS

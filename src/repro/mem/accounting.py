@@ -15,7 +15,9 @@ Accounting is O(1) per mapping: the VMM maintains residency counters on
 every page-state transition, and :class:`~repro.mem.physical.MappedFile`
 maintains each mapping's solo-page count and proportional share
 incrementally -- so measuring a whole address space every simulation event
-stays cheap and always exact.
+stays cheap and always exact.  The hot reads (an instance's USS, its heap
+RSS) go through :func:`uss_bytes` and :func:`resident_bytes`, which read
+those counters without building a :class:`MemoryReport`.
 """
 
 from __future__ import annotations
@@ -75,6 +77,31 @@ def measure_mapping(mapping: Mapping) -> MemoryReport:
         report.shared_clean = (mapping.n_file - solo) * PAGE_SIZE
         report.pss += mapping.file.pss_pages(mapping.id) * PAGE_SIZE
     return report
+
+
+def uss_bytes(space: VirtualAddressSpace) -> int:
+    """``measure(space).uss`` straight from the page counters.
+
+    A mapping's unique pages are its anonymous pages plus the file pages
+    no other mapping holds: the same integers :func:`measure_mapping`
+    reports as ``private_dirty`` and ``private_clean``, without building
+    a report (and its PSS float) per mapping.
+    """
+    pages = 0
+    for mapping in space.mappings():
+        pages += mapping.n_anon
+        if mapping.n_file:
+            pages += min(mapping.n_file, mapping.file.solo_pages(mapping.id))
+    return pages * PAGE_SIZE
+
+
+def resident_bytes(mappings: Iterable[Mapping]) -> int:
+    """The summed ``measure_mapping(m).rss`` of ``mappings``, from the
+    page counters: every resident page, shared or not."""
+    pages = 0
+    for mapping in mappings:
+        pages += mapping.n_anon + mapping.n_file
+    return pages * PAGE_SIZE
 
 
 def measure(space: VirtualAddressSpace) -> MemoryReport:

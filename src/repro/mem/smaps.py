@@ -40,21 +40,20 @@ class MappingReport:
         )
 
 
+def _entry(mapping: Mapping) -> MappingReport:
+    return MappingReport(
+        start=mapping.start,
+        end=mapping.end,
+        name=mapping.name,
+        path=mapping.file.path if mapping.file else None,
+        shared=mapping.shared,
+        report=measure_mapping(mapping),
+    )
+
+
 def smaps_report(space: VirtualAddressSpace) -> List[MappingReport]:
     """Produce smaps-style entries for every mapping in the space."""
-    entries = []
-    for mapping in space.mappings():
-        entries.append(
-            MappingReport(
-                start=mapping.start,
-                end=mapping.end,
-                name=mapping.name,
-                path=mapping.file.path if mapping.file else None,
-                shared=mapping.shared,
-                report=measure_mapping(mapping),
-            )
-        )
-    return entries
+    return [_entry(mapping) for mapping in space.mappings()]
 
 
 def find_unmappable_library_ranges(
@@ -64,12 +63,15 @@ def find_unmappable_library_ranges(
 
     Only ranges whose file pages are mapped *solely* by this process qualify
     (their pages count toward USS); a range whose pages are shared with other
-    instances costs nothing and unmapping it would hurt the sharers.
+    instances costs nothing and unmapping it would hurt the sharers.  A
+    mapping the predicate rejects on its counters alone -- no file, shared,
+    or holding dirty (anonymous) pages -- is skipped before it is measured.
     """
     eligible = []
-    for entry in smaps_report(space):
-        if not entry.is_private_unmodified_file():
+    for mapping in space.mappings():
+        if mapping.file is None or mapping.shared or mapping.n_anon:
             continue
+        entry = _entry(mapping)
         # Skip ranges that currently cost nothing (fully shared or empty).
         if entry.report.private_clean == 0:
             continue

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.mem.accounting import measure, measure_mapping
+from repro.mem.accounting import resident_bytes, uss_bytes
 from repro.mem.layout import (
     MIB,
     PAGE_SHIFT,
+    PAGE_SIZE,
     PROT_RX,
     Protection,
     page_ceil,
@@ -459,14 +463,15 @@ class ManagedRuntime(abc.ABC):
         self, addr: int, unit: int, members: int, floor: int = 0
     ) -> FaultCounts:
         """One bulk touch for ``members`` contiguous ``unit``-byte objects
-        at ``addr``, charged per member; returns the run's fault counts.
+        at ``addr``, billed per member; returns the run's fault counts.
 
-        Fault *costs* accumulate in float arithmetic, so the charging
-        order must match the scalar path: each faulting page is billed to
+        Fault *costs* accumulate in float arithmetic, so the billing must
+        match the scalar path add for add: each faulting page is billed to
         the first member whose page-aligned span covers it (exactly which
         member would have faulted it in the one-touch-per-object flow),
-        and :meth:`_charge_faults` runs in member order.  Members that
-        fault nothing are skipped, which adds the same ``0.0``.
+        and each faulting member adds one fault cost, in member order
+        (:func:`_bill_fault_runs`).  Members that fault nothing are
+        skipped, which adds the same ``0.0``.
 
         Pages below the absolute address ``floor`` are neither touched nor
         billed: a bump space passes its ``touched`` watermark, because the
@@ -495,33 +500,10 @@ class ManagedRuntime(abc.ABC):
                     faults.append((base + s, base + e, state is PageState.SWAPPED))
             pos = end
         counts = self.space.touch(lo, hi - lo)
-        # Member j covers pages [done, page_ceil(end of member j)).
-        done = lo >> PAGE_SHIFT
-        i, n = 0, len(faults)
-        end = addr
-        for _ in range(members):
-            if i == n:
-                break  # every faulting page is billed
-            end += unit
-            m_hi = page_ceil(end) >> PAGE_SHIFT
-            if m_hi <= done:
-                continue
-            minor = major = 0
-            while i < n:
-                s, e, swapped = faults[i]
-                if s >= m_hi:
-                    break
-                pages = min(e, m_hi) - max(s, done)
-                if swapped:
-                    major += pages
-                else:
-                    minor += pages
-                if e > m_hi:
-                    break
-                i += 1
-            done = m_hi
-            if minor or major:
-                self._charge_faults(minor, major)
+        if faults:
+            self.invocation_fault_seconds = _bill_fault_runs(
+                self.invocation_fault_seconds, faults, addr, unit
+            )
         return counts
 
     def _split_cohort_to_fit(
@@ -585,7 +567,7 @@ class ManagedRuntime(abc.ABC):
         cached = self._uss_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        value = measure(self.space).uss
+        value = uss_bytes(self.space)
         self._uss_cache = (key, value)
         return value
 
@@ -600,9 +582,7 @@ class ManagedRuntime(abc.ABC):
         cached = self._hrb_cache
         if cached is not None and cached[0] == self.space.version:
             return cached[1]
-        total = 0
-        for mapping in self._heap_mappings():
-            total += measure_mapping(mapping).rss
+        total = resident_bytes(self._heap_mappings())
         self._hrb_cache = (self.space.version, total)
         return total
 
@@ -708,3 +688,68 @@ class ManagedRuntime(abc.ABC):
     def _check_booted(self) -> None:
         if not self.booted:
             raise RuntimeError(f"{self.name}: not booted")
+
+
+def _bill_fault_runs(
+    seconds: float, faults: Sequence[Tuple[int, int, bool]], addr: int, unit: int
+) -> float:
+    """``seconds`` plus the per-member fault bills of one cohort touch.
+
+    ``faults`` holds the touch's faulting pages as ascending ``(first,
+    end, swapped)`` runs of absolute page numbers, for members of ``unit``
+    bytes from ``addr``.  Page ``p`` is billed to member ``max(0, (p *
+    PAGE_SIZE - addr) // unit)``: the first member whose page-aligned span
+    reaches it.  So a run's pages go to consecutive members.  Its first
+    and last member may take only part of their pages from it, and a
+    member whose pages lie in two runs (split by dirty pages, a mapping
+    boundary, or fresh pages meeting swapped ones) still gets one bill
+    for both; every member in between takes its whole span.
+    Each faulting member adds one ``costs.fault_cost(minor, major)``, in
+    member order, exactly as the scalar path would.
+
+    When ``unit`` is a page multiple, the members between a run's ends
+    all add the same cost, and ``functools.reduce`` makes those additions
+    in C: the same IEEE sums in the same order.  Neither ``seconds + m *
+    cost`` nor ``sum`` may stand in for it: both round differently
+    (``sum`` of floats is compensated from CPython 3.12 on).
+    """
+    fault_cost = costs.fault_cost
+    page_span = unit >> PAGE_SHIFT if not unit & (PAGE_SIZE - 1) else 0
+    member = -1  # the member owing the open bill of ``minor``/``major`` pages
+    minor = major = 0
+    for first, end, swapped in faults:
+        offset = (first << PAGE_SHIFT) - addr
+        j = offset // unit if offset > 0 else 0
+        if j != member:
+            if minor or major:
+                seconds += fault_cost(minor, major)
+            member, minor, major = j, 0, 0
+        # Member k's pages end below page_ceil(addr + (k + 1) * unit).
+        cut = (addr + (j + 1) * unit + PAGE_SIZE - 1) >> PAGE_SHIFT
+        if end > cut:
+            if swapped:
+                major += cut - first
+            else:
+                minor += cut - first
+            seconds += fault_cost(minor, major)
+            last = (((end - 1) << PAGE_SHIFT) - addr) // unit
+            if page_span:
+                if last - j > 1:
+                    cost = fault_cost(0, page_span) if swapped else fault_cost(page_span, 0)
+                    seconds = reduce(add, repeat(cost, last - j - 1), seconds)
+            else:
+                for k in range(j + 1, last):
+                    upper = (addr + (k + 1) * unit + PAGE_SIZE - 1) >> PAGE_SHIFT
+                    if upper > cut:
+                        pages = upper - cut
+                        seconds += fault_cost(0, pages) if swapped else fault_cost(pages, 0)
+                        cut = upper
+            first = (addr + last * unit + PAGE_SIZE - 1) >> PAGE_SHIFT
+            member, minor, major = last, 0, 0
+        if swapped:
+            major += end - first
+        else:
+            minor += end - first
+    if minor or major:
+        seconds += fault_cost(minor, major)
+    return seconds

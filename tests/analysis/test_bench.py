@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.bench import (
     REPLAY_SIZES,
     BenchSpec,
+    _run_replay,
     _serial_twin_label,
     build_grid,
     build_replay_macro,
@@ -24,6 +26,9 @@ from repro.analysis.bench import (
     write_results,
 )
 from repro.cli import main as cli_main
+
+#: The repository root, where the committed baselines live.
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _replay_result(label, wall, sha="a" * 64, events=100, seed=42):
@@ -235,6 +240,25 @@ class TestReplayMacro:
         )
         speedup = doc["replay_speedups"]["replay:vanilla:x8:d30:n8:s2"]["speedup"]
         assert speedup == 3.0
+
+    def test_small_legs_reproduce_the_committed_digests(self):
+        """The replay smoke's single-platform legs, built and run through
+        the ``repro bench`` spec path, stream the committed trace bytes.
+        Digests only, no wall gate: this pins the float-order contract of
+        the simulation on every interpreter that runs the suite.  The legs
+        run through ``_run_replay``, which ``execute_spec`` wraps only with
+        timing and tracemalloc (a 5x slowdown)."""
+        committed = {
+            run["label"]: run["metrics"]["trace_sha256"]
+            for run in load_baseline(ROOT / "BENCH_replay.json")["runs"]
+        }
+        specs = build_replay_macro(sizes=("small",), policies=("vanilla", "desiccant"))
+        assert [spec.label for spec in specs] == [
+            "replay:vanilla:x8:d30",
+            "replay:desiccant:x8:d30",
+        ]
+        for spec in specs:
+            assert _run_replay(spec)["trace_sha256"] == committed[spec.label], spec.label
 
 
 class TestProfile:

@@ -10,6 +10,8 @@ from repro.core import (
     SwapManager,
     VanillaManager,
 )
+from repro.core.profiles import ReclaimProfile
+from repro.core.selection import estimated_throughput
 from repro.faas.instance import FunctionInstance, InstanceState
 from repro.mem.layout import GIB, MIB
 from repro.workloads.registry import get_definition
@@ -33,13 +35,13 @@ class FakePlatform:
         return self._idle
 
 
-def frozen_instance(name="sort", invocations=3):
+def frozen_instance(name="sort", invocations=3, frozen_at=0.0):
     spec = get_definition(name).stages[0]
     inst = FunctionInstance(spec)
     inst.boot()
     for _ in range(invocations):
         inst.invoke(0.0)
-    inst.freeze(0.0)
+    inst.freeze(frozen_at)
     return inst
 
 
@@ -100,6 +102,78 @@ class TestDesiccantStep:
         platform = FakePlatform(instances, capacity_bytes=64 * MIB)
         desiccant.step(now=100.0, platform=platform)
         assert len(desiccant.reports) <= 2
+        for inst in instances:
+            inst.destroy()
+
+
+class TestVictimSelection:
+    def test_victims_follow_a_fresh_ranking_of_every_eligible_instance(self):
+        """Each victim is the head of ``sorted(eligible, key=(-throughput,
+        id))`` taken afresh over every eligible instance, while most of the
+        frozen set is already reclaimed or too young."""
+        desiccant = Desiccant(
+            config=DesiccantConfig(max_reclaims_per_step=16),
+            activation=ActivationController(floor=0.01, ceiling=0.01, hysteresis=0.0),
+        )
+        timeout = desiccant.config.freeze_timeout_seconds
+        reclaimed = [frozen_instance(name, 2) for name in ("sort", "file-hash", "time") * 3]
+        for inst in reclaimed:
+            inst.reclaimed_this_freeze = True
+        # An earlier file-hash reclaim: its function keeps its own estimate.
+        desiccant.profiles.record(reclaimed[1].id, "file-hash", ReclaimProfile(2 * MIB, 0.01))
+        young = [frozen_instance(name, 2, frozen_at=99.8) for name in ("sort", "file-hash")]
+        # Same function, same history: the two tie on throughput.
+        tied = [frozen_instance("sort", 3) for _ in range(2)]
+        others = [frozen_instance("file-hash", 2), frozen_instance("time", 1)]
+        instances = reclaimed + young + tied + others
+        platform = FakePlatform(instances, capacity_bytes=64 * MIB)
+
+        def fresh_ranking(now):
+            eligible = [
+                i
+                for i in platform.frozen_instances()
+                if i.frozen_for(now) >= timeout and not i.reclaimed_this_freeze
+            ]
+            scored = [
+                (
+                    estimated_throughput(
+                        i.heap_resident_bytes(), *desiccant.profiles.estimate(i.id, i.spec.name)
+                    ),
+                    i.id,
+                )
+                for i in eligible
+            ]
+            return sorted(scored, key=lambda pair: (-pair[0], pair[1]))
+
+        victims, expected, rankings = [], [], []
+        reclaim = desiccant.reclaim
+        clock = {}
+
+        def spying_reclaim(instance, cpu_share=1.0):
+            ranking = fresh_ranking(clock["now"])
+            rankings.append(ranking)
+            expected.append(ranking[0][1])
+            victims.append(instance.id)
+            cpu = reclaim(instance, cpu_share=cpu_share)
+            # A costly profile for the victim's function: its rivals of the
+            # same function fall in the very next ranking, which a ranking
+            # taken before this reclaim would miss.
+            desiccant.profiles.record(instance.id, instance.spec.name, ReclaimProfile(0, 1.0))
+            return cpu
+
+        desiccant.reclaim = spying_reclaim
+        for now in (100.0, 101.0):  # the young pair comes of age in between
+            clock["now"] = now
+            desiccant.step(now=now, platform=platform)
+
+        assert victims == expected
+        assert sorted(victims) == sorted(i.id for i in tied + others + young)
+        first, second = rankings[0][:2]
+        assert first[0] == second[0] and {first[1], second[1]} == {i.id for i in tied}
+        assert victims[0] == min(i.id for i in tied)
+        # The first ranking, kept for the whole step, picks other victims.
+        assert victims[:4] != [iid for _, iid in rankings[0]]
+        assert set(victims[-2:]) == {i.id for i in young}
         for inst in instances:
             inst.destroy()
 

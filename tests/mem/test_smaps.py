@@ -63,3 +63,49 @@ def test_untouched_library_not_listed(phys):
     space = VirtualAddressSpace("p", phys)
     space.mmap(PAGE_SIZE * 2, prot=Protection.READ, file=lib)
     assert find_unmappable_library_ranges(space) == []
+
+
+def _smaps_filter(space):
+    """The §4.6 selection as a filter over the full smaps report."""
+    return [
+        entry
+        for entry in smaps_report(space)
+        if entry.is_private_unmodified_file() and entry.report.private_clean
+    ]
+
+
+def test_unmappable_ranges_match_the_smaps_filter(phys):
+    """Counter pre-checks skip mappings, never change the answer."""
+    shared_lib = MappedFile("/lib/shared.so", PAGE_SIZE * 8)
+    solo_lib = MappedFile("/lib/solo.so", PAGE_SIZE * 8)
+    data = MappedFile("/lib/data", PAGE_SIZE * 8)
+    other = VirtualAddressSpace("other", phys)
+    m = other.mmap(PAGE_SIZE * 8, prot=Protection.READ, file=shared_lib)
+    other.touch(m.start, PAGE_SIZE * 5, write=False)
+    space = VirtualAddressSpace("p", phys)
+    # Shared with the other space on its first five pages, solo after.
+    m = space.mmap(PAGE_SIZE * 8, prot=Protection.READ, file=shared_lib)
+    space.touch(m.start, PAGE_SIZE * 8, write=False)
+    # Private clean: eligible.
+    m = space.mmap(PAGE_SIZE * 8, prot=Protection.READ, file=solo_lib)
+    space.touch(m.start + PAGE_SIZE, PAGE_SIZE * 4, write=False)
+    # Privately dirtied (copy-on-write) next to clean pages: not eligible.
+    m = space.mmap(PAGE_SIZE * 8, file=data)
+    space.touch(m.start, PAGE_SIZE * 6, write=False)
+    space.touch(m.start + PAGE_SIZE * 2, PAGE_SIZE, write=True)
+    # MAP_SHARED file pages: never eligible.
+    m = space.mmap(PAGE_SIZE * 4, file=data, shared=True)
+    space.touch(m.start, PAGE_SIZE * 4, write=False)
+    # Anonymous memory, and an untouched library: not eligible.
+    m = space.mmap(PAGE_SIZE * 4)
+    space.touch(m.start, PAGE_SIZE * 4)
+    space.mmap(PAGE_SIZE * 2, prot=Protection.READ, file=MappedFile("/lib/cold", PAGE_SIZE * 2))
+
+    eligible = find_unmappable_library_ranges(space)
+    assert eligible == _smaps_filter(space)
+    assert [e.path for e in eligible] == ["/lib/shared.so", "/lib/solo.so"]
+    other.munmap(other.mappings()[0].start, PAGE_SIZE * 8)
+    assert find_unmappable_library_ranges(space) == _smaps_filter(space)
+    for entry in eligible:
+        space.discard(entry.start, entry.size)
+    assert find_unmappable_library_ranges(space) == _smaps_filter(space) == []

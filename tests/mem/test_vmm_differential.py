@@ -6,7 +6,8 @@ randomized mmap/touch/discard/swap/mprotect/munmap sequences -- two
 parallel universes with their own physical memory and mapped files -- and
 asserts identical observable state after every single step: return values,
 ``MemoryReport``s, per-page states, fault counters, version/release_epoch
-cadence, physical/swap counters, and smaps output.
+cadence, physical/swap counters, and smaps output -- and that the counter
+reads (``uss_bytes``, ``resident_bytes``) equal the reports' integers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.mem.accounting import measure, measure_mapping
+from repro.mem.accounting import measure, measure_mapping, resident_bytes, uss_bytes
 from repro.mem.layout import PAGE_SIZE, PROT_RW, Protection
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.reference import ReferenceAddressSpace
@@ -210,7 +211,12 @@ class DualSpace:
             assert _report_tuple(measure_mapping(mn)) == _report_tuple(
                 measure_mapping(mr)
             )
+            # The counter reads production takes are the report's integers.
+            assert resident_bytes([mn]) == measure_mapping(mn).rss
+            assert resident_bytes([mr]) == measure_mapping(mr).rss
         assert _report_tuple(measure(new)) == _report_tuple(measure(ref))
+        assert uss_bytes(new) == measure(new).uss == uss_bytes(ref)
+        assert resident_bytes(maps_new) == measure(new).rss
         smaps_new, smaps_ref = smaps_report(new), smaps_report(ref)
         assert len(smaps_new) == len(smaps_ref)
         for en, er in zip(smaps_new, smaps_ref):

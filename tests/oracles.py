@@ -11,11 +11,14 @@ where the tests that pin the fast structures to them can reach them:
 * :func:`scalar_alloc_cohort` and :func:`scalar_alloc_stream` -- every
   member of a run, or of an invocation's whole allocation stream, goes
   through the scalar ``alloc`` in stream order;
+* :func:`reference_touch_cohort_segment` -- a cohort touch billed by
+  walking the members one by one, one ``_charge_faults`` call per
+  faulting member (production walks the fault runs instead);
 * :func:`reference_paths` -- installs the summing, uncached and scalar
   paths on the platform and the runtimes, plus the linear bus on every
   kernel built afterwards.  With it installed ``frozen_instances``
-  returns a plain list, which by itself sends the eviction policies and
-  Desiccant's ranking down their linear, uncached paths.
+  returns a plain list, which by itself sends the eviction policies
+  down their linear paths.
 
 A run under :func:`reference_paths` must stream the same event trace,
 byte for byte, as the same run in production form
@@ -30,6 +33,8 @@ import repro.sim.kernel
 from repro.faas.instance import FunctionInstance, InstanceState
 from repro.faas.platform import FaasPlatform
 from repro.mem.accounting import measure, measure_mapping
+from repro.mem.layout import PAGE_SHIFT, page_ceil, page_floor
+from repro.mem.vmm import FaultCounts, PageState
 from repro.runtime.base import ManagedRuntime
 from repro.sim.bus import EventBus, Subscription
 from repro.sim.events import Event
@@ -141,6 +146,63 @@ def scalar_alloc_stream(
     for scope, unit, count in runs:
         for _ in range(count):
             self.alloc(unit, scope=scope)
+
+
+def reference_touch_cohort_segment(
+    self: ManagedRuntime, addr: int, unit: int, members: int, floor: int = 0
+) -> FaultCounts:
+    """:meth:`ManagedRuntime._touch_cohort_segment` billed member by
+    member: each faulting page goes to the first member whose page-aligned
+    span covers it, and each faulting member makes one ``_charge_faults``
+    call, in member order."""
+    lo = max(page_floor(addr), floor)
+    hi = page_ceil(addr + members * unit)
+    if hi <= lo:
+        return FaultCounts()
+    # Runs of pages the touch will fault, as absolute page numbers.
+    faults: List[Tuple[int, int, bool]] = []
+    pos = lo
+    while pos < hi:
+        mapping = self.space.find_mapping(pos)
+        if mapping is None:
+            break  # the touch below raises SegmentationFault
+        end = min(hi, mapping.end)
+        base = mapping.start >> PAGE_SHIFT
+        first = (pos - mapping.start) >> PAGE_SHIFT
+        last = (end - mapping.start) >> PAGE_SHIFT
+        for s, e, state in mapping.segments(first, last):
+            if state is not PageState.ANON_DIRTY:
+                faults.append((base + s, base + e, state is PageState.SWAPPED))
+        pos = end
+    counts = self.space.touch(lo, hi - lo)
+    # Member j covers pages [done, page_ceil(end of member j)).
+    done = lo >> PAGE_SHIFT
+    i, n = 0, len(faults)
+    end = addr
+    for _ in range(members):
+        if i == n:
+            break  # every faulting page is billed
+        end += unit
+        m_hi = page_ceil(end) >> PAGE_SHIFT
+        if m_hi <= done:
+            continue
+        minor = major = 0
+        while i < n:
+            s, e, swapped = faults[i]
+            if s >= m_hi:
+                break
+            pages = min(e, m_hi) - max(s, done)
+            if swapped:
+                major += pages
+            else:
+                minor += pages
+            if e > m_hi:
+                break
+            i += 1
+        done = m_hi
+        if minor or major:
+            self._charge_faults(minor, major)
+    return counts
 
 
 def reference_paths(monkeypatch) -> None:

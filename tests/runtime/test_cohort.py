@@ -7,7 +7,9 @@ points, collected counts and bytes, pause seconds), same fault
 attribution, same heap layout, same USS.  The differentials here replay
 one workload through both paths -- the scalar one is the test-only
 oracle of ``tests/oracles.py`` -- and compare every observable
-checkpoint.
+checkpoint.  ``TestFaultRunBilling`` pins the fault bill of one cohort
+touch, which walks the fault runs, to the member-by-member oracle bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from contextlib import contextmanager, nullcontext
 import pytest
 
 from repro.mem.layout import KIB, MIB, PAGE_SIZE, page_ceil, page_floor
+from repro.mem.physical import PhysicalMemory
+from repro.mem.vmm import VirtualAddressSpace
 from repro.runtime.base import ManagedRuntime
 from repro.runtime.cpython.runtime import CPythonRuntime
 from repro.runtime.golang.runtime import GoRuntime
@@ -28,7 +32,11 @@ from repro.runtime.v8.chunks import CHUNK_PAYLOAD
 from repro.runtime.v8.runtime import V8Config, V8Runtime
 from repro.workloads.model import FunctionModel
 from repro.workloads.registry import get_stage
-from tests.oracles import scalar_alloc_cohort, scalar_alloc_stream
+from tests.oracles import (
+    reference_touch_cohort_segment,
+    scalar_alloc_cohort,
+    scalar_alloc_stream,
+)
 
 
 @contextmanager
@@ -826,3 +834,133 @@ class TestScalarFallbacks:
         runtime.begin_invocation()
         with pytest.raises(ValueError, match="unknown scope"):
             runtime.alloc_stream([("frame", 4 * KIB, 3), ("global", 4 * KIB, 2)])
+
+
+class _Meter:
+    """The part of a runtime a cohort touch reads and writes: the address
+    space and the invocation's fault meter."""
+
+    _charge_faults = ManagedRuntime._charge_faults
+
+    def __init__(self, space, seconds):
+        self.space = space
+        self.invocation_fault_seconds = seconds
+
+
+#: Meter readings the bills start from.  Whether a bill split in two
+#: rounds differently from the whole bill depends on the meter's binade,
+#: so the differential runs from several: 0.0, plus binades where one
+#: 3-page bill differs from 1 + 2 pages (2**-10, 2**7), 2 pages from
+#: 1 + 1 and a minor-plus-major bill from its parts (2**-9, 2**-1, 2**0).
+METER_STARTS = (0.0, 1.37 * 2**-10, 1.37 * 2**-9, 0.685, 1.37, 175.36)
+
+
+def _page_multiple_unaligned(space):
+    m = space.mmap(256 * PAGE_SIZE)
+    return m.start + 100, 2 * PAGE_SIZE, 120, 0
+
+
+def _non_multiple_units(space):
+    m = space.mmap(256 * PAGE_SIZE)
+    return m.start + 700, 3 * PAGE_SIZE + 808, 60, 0
+
+
+def _sub_page_units(space):
+    m = space.mmap(256 * PAGE_SIZE)
+    return m.start + 300, 1000, 400, 0
+
+
+def _floor_inside(space):
+    m = space.mmap(256 * PAGE_SIZE)
+    return m.start + 100, 2 * PAGE_SIZE, 120, m.start + 37 * PAGE_SIZE
+
+
+def _dirty_pages_split_runs(space):
+    # Members of 4 pages from an unaligned start: member k >= 1 spans
+    # pages [4k + 1, 4k + 5), so a dirty page 4k + 2 or 4k + 3 sits
+    # inside member k, which then straddles the fault runs on either side.
+    m = space.mmap(256 * PAGE_SIZE)
+    for k in range(1, 60, 3):
+        space.touch(m.start + (4 * k + 2 + k % 2) * PAGE_SIZE, PAGE_SIZE)
+    return m.start + 1000, 4 * PAGE_SIZE, 60, 0
+
+
+def _swapped_run_in_fold_group(space):
+    # Members of 2 pages span [2k + 1, 2k + 3): pages 40 and 120 sit
+    # inside members 19 and 59, which each owe minor and major pages.
+    m = space.mmap(256 * PAGE_SIZE)
+    space.touch(m.start + 40 * PAGE_SIZE, 80 * PAGE_SIZE)
+    assert space.swap_out_range(m.start + 40 * PAGE_SIZE, 80 * PAGE_SIZE).swapped == 80
+    return m.start + 100, 2 * PAGE_SIZE, 120, 0
+
+
+def _mprotect_split(space):
+    # Members of 2 pages span [2k + 1, 2k + 3), so each commit below
+    # splits the reservation inside a member (like a heap growing by
+    # commits), and the run of fresh pages breaks at every split.
+    m = space.mmap(256 * PAGE_SIZE)
+    for page in range(8, 240, 14):
+        space.commit(m.start + page * PAGE_SIZE, 14 * PAGE_SIZE)
+    assert len(space.mappings()) == 19
+    return m.start + 100, 2 * PAGE_SIZE, 120, 0
+
+
+def _random_case(seed):
+    """Random dirty, swapped and split pages under a random segment."""
+
+    def build(space):
+        rng = random.Random(seed)
+        m = space.mmap(128 * PAGE_SIZE)
+        end = m.end  # the commits below cut ``m`` short
+        for _ in range(rng.randint(0, 3)):
+            space.commit(m.start + rng.randint(1, 127) * PAGE_SIZE, PAGE_SIZE)
+        for _ in range(rng.randint(0, 6)):
+            first = rng.randint(0, 120)
+            space.touch(m.start + first * PAGE_SIZE, rng.randint(1, 8) * PAGE_SIZE)
+        for _ in range(rng.randint(0, 2)):
+            first = rng.randint(0, 120)
+            space.swap_out_range(m.start + first * PAGE_SIZE, rng.randint(1, 8) * PAGE_SIZE)
+        unit = rng.choice((PAGE_SIZE, 2 * PAGE_SIZE, 3 * PAGE_SIZE, 1000, 5000, 6 * KIB))
+        addr = m.start + rng.randint(0, 8 * PAGE_SIZE)
+        members = rng.randint(1, (end - addr) // unit)
+        floor = rng.choice((0, m.start + rng.randint(0, 40) * PAGE_SIZE))
+        return addr, unit, members, floor
+
+    return build
+
+
+BILLING_CASES = {
+    "page-multiple-unaligned": _page_multiple_unaligned,
+    "non-multiple-units": _non_multiple_units,
+    "sub-page-units": _sub_page_units,
+    "floor-inside": _floor_inside,
+    "dirty-pages-split-runs": _dirty_pages_split_runs,
+    "swapped-run-in-fold-group": _swapped_run_in_fold_group,
+    "mprotect-split": _mprotect_split,
+    **{f"random-{seed}": _random_case(seed) for seed in range(24)},
+}
+
+
+class TestFaultRunBilling:
+    """The run-walking bill vs the member-by-member oracle: the same
+    float additions in the same order, so the meters agree bit for bit."""
+
+    @pytest.mark.parametrize("case", BILLING_CASES)
+    def test_matches_per_member_oracle(self, case):
+        for start in METER_STARTS:
+            results = []
+            for touch in (ManagedRuntime._touch_cohort_segment, reference_touch_cohort_segment):
+                space = VirtualAddressSpace(case, PhysicalMemory())
+                args = BILLING_CASES[case](space)
+                meter = _Meter(space, start)
+                counts = touch(meter, *args)
+                results.append(
+                    (
+                        float.hex(meter.invocation_fault_seconds),
+                        (counts.minor, counts.major),
+                        [list(m.runs()) for m in space.mappings()],
+                    )
+                )
+            assert results[0] == results[1], start
+            if not case.startswith("random"):
+                assert results[0][0] != float.hex(start)  # something was billed
