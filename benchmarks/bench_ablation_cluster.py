@@ -4,13 +4,6 @@ Extends the single-node §5.3 result to a 4-node cluster: warm-affinity
 routing concentrates each function's warm instances, and Desiccant shrinks
 them wherever they land -- the two compose, with the best cold-boot rate
 when both are on.
-
-``least-loaded-live`` is the scheduler the shared event kernel makes
-possible: it routes each request at its arrival time against *live*
-cluster state (which nodes hold a warm instance, current cache pressure).
-It matches warm-affinity's cold-boot rate under Desiccant while spreading
-load noticeably more evenly -- affinity's static hash cannot react to a
-hot function saturating its home node.
 """
 
 from conftest import RESULTS_DIR
@@ -22,7 +15,7 @@ from repro.faas.platform import PlatformConfig
 from repro.mem.layout import MIB
 from repro.trace.generator import TraceGenerator
 
-SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity", "least-loaded-live")
+SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity")
 
 
 def _run(scheduler, with_desiccant):
@@ -36,9 +29,7 @@ def _run(scheduler, with_desiccant):
     )
     arrivals = TraceGenerator(seed=42).arrivals(60.0, scale_factor=15.0)
     cluster.submit(arrivals)
-    stats = cluster.run()
-    cluster.destroy()
-    return stats
+    return cluster.run()
 
 
 def _collect():
@@ -90,21 +81,6 @@ def test_ablation_cluster_routing(benchmark, results_dir):
         results[("warm-affinity", False)].cold_boot_rate
         < results[("round-robin", False)].cold_boot_rate
     )
-    # ...and the best configuration pairs a warm-aware scheduler with
-    # Desiccant (static affinity and live routing tie on this trace).
+    # ...and the best configuration pairs it with Desiccant.
     best = min(results.values(), key=lambda s: s.cold_boot_rate)
-    warm_aware_best = min(
-        results[("warm-affinity", True)].cold_boot_rate,
-        results[("least-loaded-live", True)].cold_boot_rate,
-    )
-    assert best.cold_boot_rate == warm_aware_best
-    # Live routing keeps cold boots near warm-affinity's while balancing
-    # load better: it reacts to cache pressure instead of a static hash.
-    assert (
-        results[("least-loaded-live", False)].cold_boot_rate
-        < results[("round-robin", False)].cold_boot_rate
-    )
-    assert (
-        results[("least-loaded-live", True)].imbalance
-        <= results[("warm-affinity", True)].imbalance + 1e-9
-    )
+    assert best.cold_boot_rate == results[("warm-affinity", True)].cold_boot_rate

@@ -28,20 +28,13 @@ def run(scheduler: str, with_desiccant: bool):
     )
     arrivals = TraceGenerator(seed=42).arrivals(45.0, scale_factor=12.0)
     cluster.submit(arrivals)
-    stats = cluster.run()
-    cluster.destroy()
-    return stats
+    return cluster.run()
 
 
 def main() -> None:
     print("4-node cluster, 512 MiB cache per node, SF 12 trace...\n")
     rows = []
-    for scheduler in (
-        "round-robin",
-        "least-assigned",
-        "warm-affinity",
-        "least-loaded-live",
-    ):
+    for scheduler in ("round-robin", "least-assigned", "warm-affinity"):
         for desiccant in (False, True):
             stats = run(scheduler, desiccant)
             rows.append(
@@ -64,9 +57,7 @@ def main() -> None:
     print(
         "\nWarm-affinity concentrates each function's warm instances on its"
         "\nhome node (fewer cold boots, worse balance); Desiccant then packs"
-        "\nevery node's cache denser. least-loaded-live routes against live"
-        "\ncluster state -- only possible because all nodes share one event"
-        "\nkernel -- matching affinity's cold rate with better balance."
+        "\nevery node's cache denser."
     )
 
 

@@ -583,8 +583,8 @@ def build_replay_macro(
                             nodes=nodes,
                             shards=shards,
                             scheduler=scheduler,
-                            # Fine base grid: adaptive horizons make it
-                            # nearly free.
+                            # Fine grid: window batching grants many
+                            # epochs per pipe message.
                             epoch=2.0,
                         )
                     )

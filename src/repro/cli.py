@@ -21,6 +21,7 @@ from repro.analysis.characterize import (
     run_single,
 )
 from repro.analysis.report import render_table
+from repro.faas.cluster import SCHEDULERS
 from repro.mem.layout import MIB, fmt_bytes
 from repro.workloads import all_definitions, get_definition, table1_rows
 
@@ -223,11 +224,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 platform=PlatformConfig(capacity_bytes=args.capacity_mib * MIB),
                 event_trace_path=trace_path,
                 archive_dir=archive_dir,
-                archive_bucket_seconds=(
-                    args.bucket_seconds
-                    if args.bucket_seconds is not None
-                    else 60.0
-                ),
+                archive_bucket_seconds=args.bucket_seconds,
                 digest_only=args.digest_only,
             )
             result = replay(factories[policy], config, generator)
@@ -517,19 +514,6 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bucket_seconds_arg(value: str):
-    """Parse ``--bucket-seconds``: a float, or ``adaptive`` for density-based
-    sizing (cluster replay only)."""
-    if value.strip().lower() == "adaptive":
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of seconds or 'adaptive', got {value!r}"
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -586,11 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--bucket-seconds",
-        type=_bucket_seconds_arg,
-        default=None,
-        help="simulated seconds per archive time bucket, or 'adaptive' to "
-        "size buckets from the submission log's arrival density (cluster "
-        "replay defaults to adaptive; single-platform defaults to 60)",
+        type=float,
+        default=60.0,
+        help="simulated seconds per archive time bucket",
     )
     p.add_argument(
         "--nodes",
@@ -610,8 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scheduler",
-        choices=("round-robin", "least-assigned", "warm-affinity",
-                 "least-loaded-live"),
+        choices=SCHEDULERS,
         default="warm-affinity",
         help="cluster front-end scheduler (--nodes only)",
     )
@@ -619,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--epoch",
         type=float,
         default=5.0,
-        help="simulated seconds per synchronization epoch (--shards only; "
-        "the base grid for adaptive horizons)",
+        help="simulated seconds per cell of the fixed synchronization "
+        "epoch grid (--nodes only)",
     )
     p.add_argument(
         "--window-epochs",

@@ -11,7 +11,7 @@
 * ``keepalive`` -- §6.1 keep-alive/eviction policies (LRU, FaasCache-style
   greedy-dual, Shahrad-style hybrid histogram).
 * ``cluster``   -- a multi-node front-end router over invoker nodes,
-  time-interleaved over one shared :mod:`repro.sim` kernel.
+  sharded across :mod:`repro.sim` kernels in conservative epochs.
 * ``probe``     -- the §2.1 heartbeat experiment detecting idle semantics.
 * ``telemetry`` -- time-series recording of cache pressure and reclaims.
 

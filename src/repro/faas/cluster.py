@@ -6,49 +6,37 @@ front-end assigns requests to nodes.  Warm starts only happen on a node
 that already caches the function, so the routing policy interacts directly
 with the frozen-garbage economics:
 
-* ``round-robin``       -- spreads every function across all nodes: maximum
+* ``round-robin``    -- spreads every function across all nodes: maximum
   balance, minimum warm locality;
-* ``least-assigned``    -- balances by assigned request count;
-* ``warm-affinity``     -- hashes each function to a home node (consistent
-  assignment), concentrating its warm instances;
-* ``least-loaded-live`` -- routes on *live* state at arrival time: prefer
-  a node already caching the function warm, break ties (and the cold
-  case) by current cache pressure.  Only possible because the cluster is
-  a true time-interleaved simulation.
+* ``least-assigned`` -- balances by assigned request count;
+* ``warm-affinity``  -- hashes each function to a home node (consistent
+  assignment), concentrating its warm instances.
 
-Serially, all nodes share one :class:`~repro.sim.kernel.SimKernel`, so
-:meth:`Cluster.run` drives a single globally time-ordered event timeline
-across the whole cluster and collects outcomes in completion order from
-the bus.  The static schedulers route at submit time (their decisions
-depend only on the arrival sequence); ``least-loaded-live`` defers each
-routing decision into the simulation so it observes current node state.
+Every scheduler is static: its decisions are a pure function of the
+arrival sequence, so the coordinator routes each arrival before any node
+simulates it.
 
-Sharded execution
------------------
-``Cluster.run(shards=N)`` (and :func:`repro.trace.replay.cluster_replay`)
-instead partitions the nodes across ``N`` worker processes via
-:mod:`repro.sim.shard`.  Each shard is a :class:`ClusterShardHost`: its
-nodes share one private kernel, and the only cross-node interaction --
-front-end routing -- stays in the coordinator
-(:class:`ShardedClusterSession`), which feeds routed arrivals to shards
-in conservative time epochs.  Node simulations are state-independent
-(each node owns its physical memory, library pool, and instances), so
-partitioning changes nothing observable: per-node canonical event traces
-are byte-identical to the serial run's and merge back into the same
-global order.  ``least-loaded-live`` is the exception -- sharded, it
-routes from epoch-boundary load digests rather than live arrival-time
-state, which is deterministic and shard-count-invariant but *not* the
-serial policy; the digest gate therefore runs on static schedulers.
+Execution
+---------
+:class:`ShardedClusterSession` is the one cluster engine.  It partitions
+the nodes across shards via :mod:`repro.sim.shard` -- in-process at one
+shard, one worker process per shard above that.  Each shard is a
+:class:`ClusterShardHost`: its nodes share one private kernel, and the
+only cross-node interaction -- front-end routing -- stays in the
+coordinator, which feeds routed arrivals to shards in conservative time
+epochs.  Node simulations are state-independent (each node owns its
+physical memory, library pool, and instances), so partitioning changes
+nothing observable: per-node canonical event traces are byte-identical
+for every shard count and merge back into one global order.
 
-The session speaks one wire protocol, the batched window protocol:
-epoch horizons are computed adaptively from the submission log's
-arrival density (:func:`repro.sim.shard.adaptive_horizons`), multiple
-epochs are granted per framed pipe message, function definitions are
+The session speaks one wire protocol, the batched window protocol: the
+phase's epoch horizons are the fixed grid
+(:func:`repro.sim.shard.epoch_horizons`), up to ``window_epochs`` of
+them are granted per framed pipe message, and function definitions are
 interned per shard (names travel per arrival, each definition's body
-ships once), and load digests are shipped only when a deferred
-scheduler actually consumes them -- reduced worker-side to fixed-size
-summaries (``used_bytes`` plus sorted crc32s of the warm function
-names).
+ships once).  :class:`Cluster` is the batch front door over one session;
+:func:`repro.trace.replay.cluster_replay` drives a session through the
+paper's warmup-plus-measurement protocol.
 """
 
 from __future__ import annotations
@@ -62,29 +50,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import procenv
-from repro.faas.instance import InstanceState
-from repro.faas.platform import FaasPlatform, PlatformConfig, Request, RequestOutcome
-from repro.sim import Event, EventTraceSink, REQUEST_DONE, SimKernel
-from repro.sim.shard import adaptive_horizons, make_pool
+from repro.faas.platform import FaasPlatform, PlatformConfig, Request
+from repro.sim import EventTraceSink, SimKernel
+from repro.sim.shard import epoch_horizons, make_pool
 from repro.workloads.model import FunctionDefinition
 
-SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity", "least-loaded-live")
-
-#: Schedulers whose decisions read live simulation state, so routing must
-#: happen *inside* the timeline (at each request's arrival time).
-DEFERRED_SCHEDULERS = ("least-loaded-live",)
-
-
-def warm_name_digest(name: str) -> int:
-    """The fixed-size stand-in for a warm function name in load digests.
-
-    ``zlib.crc32`` of the utf-8 name: stable across processes (unlike
-    builtin ``hash``), 4 bytes on the wire instead of an arbitrary
-    string.  Routing compares digests for membership only, so a crc
-    collision could at worst mark one extra node warm -- deterministic
-    and identical at every shard count either way.
-    """
-    return zlib.crc32(name.encode("utf-8"))
+SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity")
 
 
 @dataclass
@@ -126,13 +97,11 @@ class ClusterStats:
 
 
 class FrontEndRouter:
-    """Arrival-order routing state, shared by serial and sharded front-ends.
+    """Arrival-order routing state of the cluster front-end.
 
-    The static schedulers' decisions are a pure function of the arrival
-    sequence and this object's counters, which is exactly why a sharded
-    coordinator can replay them without any live node state.  For
-    ``least-loaded-live`` the router offers :meth:`route_from_loads`, the
-    digest-fed variant used at epoch boundaries.
+    Every scheduler's decision is a pure function of the arrival sequence
+    and this object's counters, which is why a sharded coordinator can
+    route without any live node state.
     """
 
     def __init__(self, nodes: int, scheduler: str) -> None:
@@ -146,56 +115,16 @@ class FrontEndRouter:
         self.assigned: List[int] = [0] * nodes
         self._rr_next = 0
 
-    def note(self, node: int) -> None:
-        """Record an assignment decided elsewhere (live routing)."""
-        self.assigned[node] += 1
-
-    def route_static(self, definition: FunctionDefinition) -> int:
-        """One static routing decision; advances the router's state."""
+    def route(self, definition: FunctionDefinition) -> int:
+        """One routing decision; advances the router's state."""
         scheduler = self.scheduler
         if scheduler == "round-robin":
             node = self._rr_next
             self._rr_next = (self._rr_next + 1) % self.node_count
         elif scheduler == "least-assigned":
             node = min(range(self.node_count), key=lambda i: self.assigned[i])
-        elif scheduler == "warm-affinity":
+        else:  # warm-affinity
             node = zlib.crc32(definition.name.encode()) % self.node_count
-        else:
-            raise ValueError(
-                f"{scheduler!r} routes on live state; use route_from_loads "
-                "(sharded) or Cluster.route (serial)"
-            )
-        self.assigned[node] += 1
-        return node
-
-    def route_from_loads(
-        self, definition: FunctionDefinition, loads: Optional[Dict[int, dict]]
-    ) -> int:
-        """``least-loaded-live`` against epoch-boundary load digests.
-
-        ``loads`` maps node id to the last epoch report's digest:
-        ``used_bytes`` plus ``warm``, the sorted ``zlib.crc32`` values of
-        the node's warm function names (:func:`warm_name_digest`) -- a
-        fixed-size summary reduced worker-side instead of a per-node
-        name dump.  The decision depends only on the digests and the
-        router's own counters -- the same for every shard count -- but
-        it observes node state one epoch stale, so it is a deliberate
-        approximation of the serial policy, not a replica of it.
-        """
-        stages = {warm_name_digest(stage.name) for stage in definition.stages}
-        if loads:
-            warm = [
-                index
-                for index in range(self.node_count)
-                if stages.intersection(loads[index]["warm"])
-            ]
-            candidates = warm or range(self.node_count)
-            node = min(
-                candidates,
-                key=lambda i: (loads[i]["used_bytes"], self.assigned[i], i),
-            )
-        else:
-            node = min(range(self.node_count), key=lambda i: (self.assigned[i], i))
         self.assigned[node] += 1
         return node
 
@@ -203,229 +132,47 @@ class FrontEndRouter:
 class Cluster:
     """A set of invoker nodes behind a routing front-end.
 
-    Every node is constructed over the cluster's shared kernel with a
-    *deep copy* of the node config, so stateful knobs (a keep-alive
-    policy's histograms, the provisioned map) never leak between nodes.
+    Collects ``(time, definition)`` arrivals; :meth:`run` routes and
+    replays them through one :class:`ShardedClusterSession`.
     """
 
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
         manager_factory: Optional[Callable[[], object]] = None,
-        kernel: Optional[SimKernel] = None,
     ) -> None:
         from repro.core.baselines import VanillaManager  # avoids module cycle
 
         self.config = config or ClusterConfig()
-        self.kernel = kernel if kernel is not None else SimKernel(
-            seed=self.config.node_config.seed
-        )
         self._manager_factory = manager_factory or VanillaManager
-        self.nodes: List[FaasPlatform] = []
-        for index in range(self.config.nodes):
-            node_config = copy.deepcopy(self.config.node_config)
-            node_config.seed = self.config.node_config.seed + index
-            self.nodes.append(
-                FaasPlatform(
-                    config=node_config,
-                    manager=self._manager_factory(),
-                    kernel=self.kernel,
-                    node_id=index,
-                )
-            )
-        self._router = FrontEndRouter(self.config.nodes, self.config.scheduler)
-        #: Submission log: ``(time, definition, node, request_id)`` per
-        #: arrival, in submit order (node/id are None for deferred
-        #: scheduling).  A sharded run replays exactly these decisions.
-        self._submitted: List[
-            Tuple[float, FunctionDefinition, Optional[int], Optional[int]]
-        ] = []
-        #: Request outcomes across all nodes in global completion order.
-        self.outcomes: List[RequestOutcome] = []
-        self._done_subscription = self.kernel.bus.subscribe(
-            self._on_request_done, kinds=(REQUEST_DONE,)
-        )
-
-    @property
-    def _assigned(self) -> List[int]:
-        return self._router.assigned
-
-    def _on_request_done(self, event: Event) -> None:
-        self.outcomes.append(event.data["outcome"])
-
-    # -------------------------------------------------------------- routing
-
-    def route(self, definition: FunctionDefinition) -> int:
-        """Pick the node index for one request."""
-        if self.config.scheduler == "least-loaded-live":
-            node = self._route_least_loaded_live(definition)
-            self._router.note(node)
-            return node
-        return self._router.route_static(definition)
-
-    def _route_least_loaded_live(self, definition: FunctionDefinition) -> int:
-        """Load-aware warm routing against *current* simulation state."""
-        stages = {stage.name for stage in definition.stages}
-        warm = [
-            index
-            for index, node in enumerate(self.nodes)
-            if any(
-                instance.spec.name in stages
-                and (
-                    instance.state is InstanceState.FROZEN
-                    or (
-                        instance.state is InstanceState.IDLE
-                        and instance.invocation_count > 0
-                    )
-                )
-                for instance in node.all_instances()
-            )
-        ]
-        candidates = warm or range(len(self.nodes))
-        return min(
-            candidates,
-            key=lambda i: (self.nodes[i].used_bytes(), self._assigned[i], i),
-        )
-
-    # -------------------------------------------------------------- running
+        #: Submission log: ``(time, definition)`` per arrival, in submit
+        #: order.
+        self._submitted: List[Tuple[float, FunctionDefinition]] = []
 
     def submit(self, arrivals: Sequence[Tuple[float, FunctionDefinition]]) -> None:
-        """Queue a batch of (time, definition) arrivals.
+        """Queue a batch of ``(time, definition)`` arrivals.
 
-        Static schedulers route immediately; live schedulers schedule a
-        front-end routing event at each arrival time so the decision sees
-        the cluster as it is *then*.
+        Times must not decrease across the whole submission log, batch
+        boundaries included: :meth:`run` refuses a log that goes back in
+        time.
         """
-        if self.config.scheduler in DEFERRED_SCHEDULERS:
-            for time, definition in arrivals:
-                self.kernel.schedule(time, self._route_and_dispatch, (time, definition))
-                self._submitted.append((time, definition, None, None))
-            return
-        for time, definition in arrivals:
-            node = self.route(definition)
-            request = Request(arrival=time, definition=definition)
-            self.nodes[node].submit([request])
-            self._submitted.append((time, definition, node, request.id))
+        self._submitted.extend((time, definition) for time, definition in arrivals)
 
-    def _route_and_dispatch(self, payload: Tuple[float, FunctionDefinition]) -> None:
-        time, definition = payload
-        node = self.route(definition)
-        self.nodes[node].submit([Request(arrival=time, definition=definition)])
+    def run(self, shards: int = 1) -> ClusterStats:
+        """Route and replay every submitted arrival, then aggregate.
 
-    def run(
-        self,
-        shards: int = 1,
-        epoch_seconds: float = 5.0,
-        start_method: Optional[str] = None,
-        window_epochs: int = 32,
-        checkpoint_dir: Optional[str | Path] = None,
-        checkpoint_every: Optional[int] = None,
-        resume_from: Optional[str | Path] = None,
-        fork: Optional[Dict[str, object]] = None,
-    ) -> ClusterStats:
-        """Drive the cluster to completion and aggregate.
-
-        With ``shards=1`` (the default) this runs the shared kernel
-        serially: events from all nodes interleave in global ``(time,
-        seq)`` order, and ``self.outcomes`` accumulates request
-        completions in that same order.  With ``shards=N`` the submitted
-        arrivals are replayed through :class:`ShardedClusterSession` --
-        node partitions run in worker processes, synchronized in
-        conservative epochs of ``epoch_seconds`` of simulated time -- and
-        the same statistics are aggregated from the workers' results
-        (``self.outcomes`` stays empty; the local node objects never ran).
-
-        Checkpointing (session path; forces the session even with
-        ``shards=1``, running it on the in-process pool):
-
-        * ``checkpoint_dir`` -- capture ``barrier-<pos>.ckpt`` at every
-          window barrier (every ``checkpoint_every`` epochs when given).
-        * ``resume_from`` -- restore a captured barrier and run only the
-          remaining suffix; the submitted arrival log must be the one
-          the capture recorded (``checkpoint-arrivals``).
-        * ``fork`` -- with ``resume_from``: change
-          ``manager_factory``/``scheduler``/``reseed`` at the barrier
-          (see :meth:`ShardedClusterSession.restore`).
+        One shard runs every node in this process; ``shards=N``
+        partitions the nodes across ``N`` worker processes.  The node
+        partition changes nothing observable, so the statistics are the
+        same at every shard count.
         """
         from repro.trace.stats import percentile  # avoids module cycle
 
-        use_session = (
-            shards > 1
-            or checkpoint_dir is not None
-            or checkpoint_every is not None
-            or resume_from is not None
-        )
-        if fork and resume_from is None:
-            raise ValueError("fork requires resume_from")
-        if not use_session:
-            self.kernel.run()
-            outcomes = self.outcomes
-            latencies = [o.latency for o in outcomes] or [0.0]
-            cold = sum(o.cold_boots for o in outcomes)
-            return ClusterStats(
-                completed=len(outcomes),
-                cold_boots=cold,
-                cold_boot_rate=cold / len(outcomes) if outcomes else 0.0,
-                evictions=sum(node.evictions for node in self.nodes),
-                p50_latency=percentile(latencies, 50),
-                p99_latency=percentile(latencies, 99),
-                per_node_requests=list(self._assigned),
-            )
-
-        from repro.sim import checkpoint
-
         session = ShardedClusterSession(
-            self.config,
-            self._manager_factory,
-            shards=shards,
-            epoch_seconds=epoch_seconds,
-            start_method=start_method,
-            window_epochs=window_epochs,
+            self.config, self._manager_factory, shards=shards
         )
-        deferred = self.config.scheduler in DEFERRED_SCHEDULERS
-        if deferred:
-            arrivals: Sequence[Tuple] = [
-                (time, definition) for time, definition, _, _ in self._submitted
-            ]
-        else:
-            arrivals = self._submitted
-        digest = checkpoint.arrivals_digest(arrivals)
-        on_barrier = None
-        if checkpoint_dir is not None:
-            directory = Path(checkpoint_dir)
-
-            def on_barrier(s: "ShardedClusterSession", index: int, pos: int) -> None:
-                s.capture(
-                    directory / f"barrier-{pos:06d}.ckpt",
-                    index,
-                    pos,
-                    meta={"arrivals_sha256": digest},
-                )
-
-        start_index = start_pos = 0
         try:
-            if resume_from is not None:
-                cursor = session.restore(resume_from, fork=fork)
-                recorded = cursor["meta"].get("arrivals_sha256")
-                if recorded is not None and recorded != digest:
-                    raise checkpoint.CheckpointError(
-                        "checkpoint-arrivals",
-                        f"checkpoint {resume_from}",
-                        "the submitted arrival log is not the one the "
-                        "capture recorded",
-                    )
-                start_index, start_pos = cursor["index"], cursor["pos"]
-            session.run_phase(
-                arrivals,
-                routed=not deferred,
-                start_index=start_index,
-                start_pos=start_pos,
-                checkpoint_every=checkpoint_every,
-                on_barrier=on_barrier,
-            )
-            assigned = (
-                list(session.router.assigned) if deferred else list(self._assigned)
-            )
+            session.run_phase(self._submitted)
             nodes = session.finish()
         finally:
             session.close()
@@ -439,13 +186,8 @@ class Cluster:
             evictions=sum(info["evictions"] for info in nodes.values()),
             p50_latency=percentile(latencies, 50),
             p99_latency=percentile(latencies, 99),
-            per_node_requests=assigned,
+            per_node_requests=list(session.router.assigned),
         )
-
-    def destroy(self) -> None:
-        for node in self.nodes:
-            for instance in node.all_instances():
-                instance.destroy()
 
 
 # ------------------------------------------------------------------ shards
@@ -487,20 +229,16 @@ class ClusterShardSpec:
     telemetry_max_samples: Optional[int] = 512
     #: Dump a cProfile of this worker here (None = no profiling).
     profile_path: Optional[str] = None
-    #: Include per-node load digests in every epoch report.  Only the
-    #: deferred schedulers pay for them; static-scheduler sessions ship
-    #: none at all.
-    need_loads: bool = False
 
 
 class ClusterShardHost:
     """Worker-side shard: a partition of cluster nodes on one kernel.
 
     Implements the :mod:`repro.sim.shard` host protocol.  The shard's
-    nodes share a private kernel seeded exactly like the serial
-    cluster's, and each node's platform config carries the same
-    node-offset seed -- so every node computes the same event timeline it
-    would have computed serially, just interleaved with fewer peers.
+    nodes share a private kernel seeded with the cluster-wide base seed,
+    and each node's platform config carries its node-offset seed -- so
+    every node computes the same event timeline at every shard count,
+    just interleaved with a different set of peers.
     """
 
     def __init__(self, spec: ClusterShardSpec) -> None:
@@ -594,8 +332,8 @@ class ClusterShardHost:
                 platform.oracle.check_now()
 
     def epoch_report(self, horizon: Optional[float]) -> Dict[str, object]:
-        """Snapshot the shard at the window barrier: clock, conservation,
-        and -- only when the spec asks for them -- per-node load digests."""
+        """Snapshot the shard at the window barrier: clock, event count,
+        and the swap-conservation sums the coordinator re-checks."""
         conservation = {
             "frames_used_bytes": 0,
             "swap_pages": 0,
@@ -603,33 +341,17 @@ class ClusterShardHost:
             "swap_ins": 0,
             "swap_discards": 0,
         }
-        loads: Dict[int, dict] = {}
-        for node_id, platform in self.platforms.items():
+        for platform in self.platforms.values():
             physical = platform.physical
             conservation["frames_used_bytes"] += physical.used_bytes
             conservation["swap_pages"] += physical.swap.pages
             conservation["swap_outs"] += physical.swap.total_swap_outs
             conservation["swap_ins"] += physical.swap.total_swap_ins
             conservation["swap_discards"] += physical.swap.total_discards
-            if self.spec.need_loads:
-                warm_names = {
-                    instance.spec.name
-                    for instance in platform.all_instances()
-                    if instance.state is InstanceState.FROZEN
-                    or (
-                        instance.state is InstanceState.IDLE
-                        and instance.invocation_count > 0
-                    )
-                }
-                loads[node_id] = {
-                    "used_bytes": platform.used_bytes(),
-                    "warm": sorted(warm_name_digest(name) for name in warm_names),
-                }
         return {
             "shard": self.spec.shard,
             "clock": self.kernel.now,
             "events": self.kernel.events_processed,
-            "loads": loads,
             "conservation": conservation,
         }
 
@@ -822,10 +544,6 @@ def _session_fingerprint(
         ),
         "shards": shards,
         "epoch_seconds": epoch_seconds,
-        # The protocol is no longer a choice, but it stays in the hashed
-        # description: without it, every checkpoint captured by an
-        # earlier build would fail ``checkpoint-config`` on resume.
-        "protocol": "batched",
         "window_epochs": window_epochs,
     }
     return hashlib.sha256(
@@ -838,23 +556,20 @@ class ShardedClusterSession:
 
     Owns the shard pool, the front-end router, and the conservative epoch
     loop.  All scheduling decisions are made here -- deterministically,
-    from the arrival sequence plus previous-epoch load digests -- so the
-    workers never interact with each other and the epoch horizon is a
-    safe lower bound on cross-shard event times.
+    from the arrival sequence alone -- so the workers never interact with
+    each other and the epoch horizon is a safe lower bound on cross-shard
+    event times.
 
     With ``shards=1`` (or ``processes=False``) the identical protocol
     drives in-process hosts: that *serial twin* is the reference leg of
     the digest gate, reducing the serial/sharded comparison to exactly
     one variable -- how nodes were partitioned across kernels.
 
-    The session grants up to ``window_epochs`` epochs per pipe message,
-    computes adaptive horizons from the submission log, interns
-    definitions per shard, and ships load digests only when routing
-    consumes them.  Deferred schedulers force an effective window of one
-    epoch regardless of ``window_epochs``: their routing feeds on
-    previous-epoch load digests, so granting epoch *k+1* before
-    absorbing epoch *k*'s report would break conservative-horizon
-    safety.
+    Every node gets a *deep copy* of the node config with its seed offset
+    by node id, so stateful knobs (a keep-alive policy's histograms, the
+    provisioned map) never leak between nodes.  The session grants up to
+    ``window_epochs`` epochs of the fixed grid per pipe message and
+    interns definitions per shard.
     """
 
     def __init__(
@@ -883,10 +598,8 @@ class ShardedClusterSession:
         factory = manager_factory or VanillaManager
         self.config = config
         self.epoch_seconds = float(epoch_seconds)
-        need_loads = config.scheduler in DEFERRED_SCHEDULERS
-        #: Epochs granted per pipe message.  Deferred schedulers run a
-        #: window of one (see class docstring).
-        self.window_epochs = 1 if need_loads else window_epochs
+        #: Epochs granted per pipe message.
+        self.window_epochs = window_epochs
         partitions = partition_nodes(config.nodes, shards)
         self.shards = len(partitions)
         self.router = FrontEndRouter(config.nodes, config.scheduler)
@@ -917,7 +630,6 @@ class ShardedClusterSession:
                         if profile_dir is not None
                         else None
                     ),
-                    need_loads=need_loads,
                 )
             )
         if processes is None:
@@ -935,7 +647,6 @@ class ShardedClusterSession:
             config, factory, self.shards, self.epoch_seconds, self.window_epochs
         )
         self._request_ids = 0
-        self._loads: Optional[Dict[int, dict]] = None
         #: Function names already interned on each shard: a definition's
         #: body ships (via window preamble) only on its shard's first
         #: arrival; every arrival after that carries the name alone.
@@ -962,38 +673,13 @@ class ShardedClusterSession:
         """Exact framed bytes moved through the worker pipes (both ways)."""
         return self.pool.pipe_bytes
 
-    # ------------------------------------------------------------- routing
-
-    def route(self, definition: FunctionDefinition) -> int:
-        if self.config.scheduler in DEFERRED_SCHEDULERS:
-            return self.router.route_from_loads(definition, self._loads)
-        return self.router.route_static(definition)
-
     # ------------------------------------------------------------- driving
-
-    def phase_horizons(
-        self, times: Sequence[float], start: float, end: float
-    ) -> List[Optional[float]]:
-        """The phase's epoch horizons, drain epoch included.
-
-        Density-adaptive (:func:`repro.sim.shard.adaptive_horizons`),
-        with every arrival time strictly below the last finite horizon.
-        The trailing ``None`` is the drain-to-quiescence epoch every
-        phase ends with.  A pure function of the submission log, so any
-        shard count derives the identical epoch structure.
-        """
-        horizons: List[Optional[float]] = list(
-            adaptive_horizons(times, start, end, self.epoch_seconds)
-        )
-        horizons.append(None)
-        return horizons
 
     def run_phase(
         self,
-        arrivals: Sequence[Tuple],
+        arrivals: Sequence[Tuple[float, FunctionDefinition]],
         start: float = 0.0,
         end: Optional[float] = None,
-        routed: bool = False,
         start_index: int = 0,
         start_pos: int = 0,
         checkpoint_every: Optional[int] = None,
@@ -1001,16 +687,18 @@ class ShardedClusterSession:
     ) -> None:
         """Feed one arrival batch through conservative epochs, then drain.
 
-        ``arrivals`` must be in submit order with nondecreasing times
-        (what :class:`~repro.trace.generator.TraceGenerator` produces):
-        items are ``(time, definition)`` -- routed here -- or, with
-        ``routed=True``, pre-decided ``(time, definition, node,
-        request_id)`` tuples from a :class:`Cluster` submission log.
-        The phase's horizons come from :meth:`phase_horizons`; windows of
-        up to ``window_epochs`` of them are granted per pipe message,
-        each epoch's arrivals routed coordinator-side into per-shard
-        payloads.  The final (``None``) horizon drains every shard to
-        quiescence so in-flight requests complete before the phase
+        ``arrivals`` are ``(time, definition)`` items in submit order,
+        routed here; their times must not decrease (what
+        :class:`~repro.trace.generator.TraceGenerator` produces), and a
+        log that goes back in time raises ``ValueError``.
+        The phase's horizons are the fixed grid
+        (:func:`repro.sim.shard.epoch_horizons`) over ``(start, end]``
+        and every arrival time -- a pure function of the submission log,
+        so any shard count derives the identical epoch structure.
+        Windows of up to ``window_epochs`` of them are granted per pipe
+        message, each epoch's arrivals routed coordinator-side into
+        per-shard payloads.  A final ``None`` horizon drains every shard
+        to quiescence so in-flight requests complete before the phase
         returns -- it rides in the last window, costing no extra barrier.
 
         Checkpointing: ``on_barrier(session, index, pos)`` fires after
@@ -1027,11 +715,22 @@ class ShardedClusterSession:
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         arrivals = list(arrivals)
+        for position in range(1, len(arrivals)):
+            if arrivals[position][0] < arrivals[position - 1][0]:
+                raise ValueError(
+                    f"arrival {position} (t={arrivals[position][0]!r}) is "
+                    f"earlier than arrival {position - 1} "
+                    f"(t={arrivals[position - 1][0]!r}): arrival times must "
+                    "not decrease"
+                )
         if end is None:
             end = arrivals[-1][0] if arrivals else start
-        horizons = self.phase_horizons(
-            [item[0] for item in arrivals], start, end
-        )
+        horizons: List[Optional[float]] = [
+            *epoch_horizons(
+                start, end, self.epoch_seconds, (time for time, _ in arrivals)
+            ),
+            None,
+        ]
         index = start_index
         pos = start_pos
         while pos < len(horizons):
@@ -1051,21 +750,16 @@ class ShardedClusterSession:
                 if horizon is None:
                     continue  # the drain epoch carries no arrivals
                 while index < len(arrivals) and arrivals[index][0] < horizon:
-                    item = arrivals[index]
+                    time, definition = arrivals[index]
                     index += 1
-                    if routed:
-                        time, definition, node, request_id = item
-                    else:
-                        time, definition = item
-                        node = self.route(definition)
-                        self._request_ids += 1
-                        request_id = self._request_ids
+                    node = self.router.route(definition)
+                    self._request_ids += 1
                     shard = self._shard_of[node]
                     name = definition.name
                     if name not in self._shipped[shard]:
                         self._shipped[shard].add(name)
                         preambles[shard][name] = definition
-                    payloads[shard][j].append((node, time, name, request_id))
+                    payloads[shard][j].append((node, time, name, self._request_ids))
             self._absorb(
                 self.pool.window(
                     window_horizons,
@@ -1092,10 +786,6 @@ class ShardedClusterSession:
         self.epochs += epochs
         self.clock = max(report["clock"] for report in reports)
         self.events = sum(report["events"] for report in reports)
-        loads: Dict[int, dict] = {}
-        for report in reports:
-            loads.update(report["loads"])
-        self._loads = loads
 
     def mark(self, name: str) -> None:
         self.pool.mark(name)
@@ -1125,7 +815,6 @@ class ShardedClusterSession:
             "coordinator": {
                 "router": self.router,
                 "request_ids": self._request_ids,
-                "loads": self._loads,
                 "shipped": [sorted(names) for names in self._shipped],
                 "clock": self.clock,
                 "epochs": self.epochs,
@@ -1156,8 +845,8 @@ class ShardedClusterSession:
         ``start_index``/``start_pos``.
 
         ``fork`` turns the restore into a what-if fork: ``scheduler``
-        (coordinator-side; must stay on the same side of the
-        static/deferred divide) plus ``manager_factory``/``reseed``
+        (coordinator-side; any of :data:`SCHEDULERS`) plus
+        ``manager_factory``/``reseed``
         (worker-side, see :meth:`ClusterShardHost.apply_fork`).  An
         empty/None fork replays the captured run bit for bit.
         """
@@ -1179,17 +868,9 @@ class ShardedClusterSession:
                 raise ValueError(
                     f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}"
                 )
-            if (scheduler in DEFERRED_SCHEDULERS) != (
-                self.config.scheduler in DEFERRED_SCHEDULERS
-            ):
-                raise ValueError(
-                    "a fork cannot cross the static/deferred scheduler "
-                    "boundary: the wire protocol differs"
-                )
         coordinator = state["coordinator"]
         self.router = coordinator["router"]
         self._request_ids = coordinator["request_ids"]
-        self._loads = coordinator["loads"]
         self._shipped = [set(names) for names in coordinator["shipped"]]
         self.clock = coordinator["clock"]
         self.epochs = coordinator["epochs"]

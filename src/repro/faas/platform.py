@@ -296,9 +296,9 @@ class FaasPlatform:
     """Event-driven FaaS platform with a pluggable memory manager.
 
     When ``kernel`` is omitted the platform creates a private
-    :class:`SimKernel`; a cluster passes one shared kernel (and a
-    distinct ``node_id``) to every node so all node timelines merge into
-    a single globally ordered execution.
+    :class:`SimKernel`; a cluster shard passes its one kernel (and a
+    distinct ``node_id``) to every node it hosts, so their timelines
+    merge into a single globally ordered execution.
     """
 
     def __init__(
@@ -545,7 +545,7 @@ class FaasPlatform:
         """Drive the kernel until its queue drains (or ``until`` passes).
 
         With a shared kernel this advances *every* attached component --
-        a cluster calls it once, not once per node.
+        a cluster shard calls it once, not once per node.
         """
         self.kernel.run(until)
         return self.outcomes

@@ -6,14 +6,14 @@ host's complete object graph (kernel clock, event queue, RNG stream
 states, VMM mappings and physical frames, runtime heaps, platform and
 cgroup state, keep-alive policies, telemetry/trace stream positions)
 plus the coordinator's position (router counters, request-id cursor,
-load digests, interned-definition sets, phase cursors) and the handful
-of module-global id counters the object graph draws from.
+interned-definition sets, phase cursors) and the handful of
+module-global id counters the object graph draws from.
 
 File format
 -----------
 One UTF-8 JSON header line followed by the raw pickle payload::
 
-    {"magic": "repro-checkpoint", "schema": 1, "meta": {...},
+    {"magic": "repro-checkpoint", "schema": 2, "meta": {...},
      "env": {...}, "payload_sha256": "...", "payload_bytes": N}\n
     <payload_bytes of pickle protocol 4>
 
@@ -23,10 +23,13 @@ magic, the schema version, that the payload is exactly
 :class:`CheckpointError` (a :class:`~repro.check.invariants.Violation`)
 with a stable invariant name on the first problem, so a corrupt or
 truncated checkpoint fails loudly *before* any pickle byte is executed.
-:func:`load` additionally refuses a capture an earlier build took with
-its fast paths switched off (``checkpoint-env``): those platforms never
-maintained the incremental aggregates this build relies on, so the
-state would restore and then run silently wrong.
+The ``env`` block records the flags the capture ran under; it is
+informational and gates nothing.
+
+A capture's ``pos`` cursor indexes its phase's horizon list, so the
+schema changes whenever the epoch grid does: schema 2 is the fixed
+grid's, and a capture of another schema fails as ``checkpoint-schema``
+rather than resume at the wrong epoch.
 
 Invariant names
 ---------------
@@ -34,7 +37,6 @@ Invariant names
 ``checkpoint-schema``     schema version this build cannot restore
 ``checkpoint-truncated``  payload shorter than the header promises
 ``checkpoint-digest``     payload bytes do not hash to the header digest
-``checkpoint-env``        captured with fast paths off by an earlier build
 ``checkpoint-payload``    an intact payload names a class or function this
                           build no longer has (it was captured by an older
                           build, so it cannot be rebuilt here)
@@ -86,11 +88,11 @@ __all__ = [
 
 CHECKPOINT_MAGIC = "repro-checkpoint"
 
-#: Bump on any change to the payload's logical layout.  A restore across
-#: schema versions is refused outright (``checkpoint-schema``): silently
-#: reinterpreting old state would break the byte-identity contract in
-#: ways no digest can catch.
-SCHEMA_VERSION = 1
+#: Bump on any change to the payload's logical layout or to what its
+#: cursors index.  A restore across schema versions is refused outright
+#: (``checkpoint-schema``): silently reinterpreting old state would break
+#: the byte-identity contract in ways no digest can catch.
+SCHEMA_VERSION = 2
 
 #: Pinned pickle protocol: part of the format, not a knob, so the same
 #: checkpoint bytes restore on every supported interpreter.
@@ -172,17 +174,11 @@ def restore_counters(values: Dict[str, int]) -> None:
 
 
 def environment_fingerprint() -> Dict[str, object]:
-    """The flags a checkpoint's state is only meaningful under.
+    """The flags a capture ran under, recorded in its header.
 
-    ``fastpath`` is constant ``True``: earlier builds gate restores on it
-    (so they keep reading new captures), and :func:`load` refuses any
-    capture where it is not ``True``.  Other keys (including ones older
-    builds recorded) are informational.
+    Informational only: no key gates a restore.
     """
-    return {
-        "fastpath": True,
-        "check": os.environ.get("REPRO_CHECK", ""),
-    }
+    return {"check": os.environ.get("REPRO_CHECK", "")}
 
 
 def dump(
@@ -283,26 +279,9 @@ def check_checkpoint(path: str | Path) -> Dict[str, object]:
 
 
 def load(path: str | Path) -> Tuple[Dict[str, object], Any]:
-    """Verify, env-check, and unpickle a checkpoint.
-
-    Returns ``(header, state)``.  A header whose ``env.fastpath`` is not
-    ``true`` is refused (``checkpoint-env``): an earlier build captured it
-    under ``REPRO_FASTPATH=0``, whose platforms never maintained the
-    incremental USS aggregates and frozen list, so it would restore and
-    then run silently wrong.
-    """
+    """Verify and unpickle a checkpoint; return ``(header, state)``."""
     path = Path(path)
     header = check_checkpoint(path)
-    captured = header.get("env")
-    flag = captured.get("fastpath") if isinstance(captured, dict) else None
-    if flag is not True:
-        _fail(
-            "checkpoint-env",
-            f"checkpoint {path}",
-            f"env.fastpath is {flag!r}, not true: captured under "
-            "REPRO_FASTPATH=0, whose platforms never maintained the "
-            "incremental aggregates, so this build cannot resume it",
-        )
     _, payload = _read_raw(path)
     state = _unpickle(payload[: header["payload_bytes"]], f"checkpoint {path}")
     return header, state
@@ -374,21 +353,12 @@ def arrivals_digest(arrivals: Iterable[Sequence]) -> str:
     A resume regenerates the arrival sequence from the run's parameters
     instead of storing it in the checkpoint; this digest (recorded in
     the checkpoint meta) proves the regenerated log is the one the
-    captured run was actually fed.  Items are ``(time, definition[,
-    node, request_id])`` tuples; time, definition name, and routed node
-    enter the hash.  Request ids deliberately do not: they come from a
-    process-global counter (so back-to-back runs in one process draw
-    different ranges) and every consumer -- trace sinks, outcome
-    aggregation -- is invariant to their absolute values.
+    captured run was actually fed.  Items are ``(time, definition)``
+    pairs; the time and the definition name enter the hash.
     """
     digest = hashlib.sha256()
-    for item in arrivals:
-        time = item[0]
-        definition = item[1]
+    for time, definition in arrivals:
         name = getattr(definition, "name", str(definition))
-        node = item[2] if len(item) > 2 else None
-        digest.update(
-            json.dumps([round(float(time), 9), name, node]).encode("utf-8")
-        )
+        digest.update(json.dumps([round(float(time), 9), name]).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()

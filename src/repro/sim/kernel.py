@@ -4,10 +4,10 @@ A :class:`SimKernel` is the shared spine of every simulation in this
 repo.  Components (platform nodes, routers, recorders) *schedule*
 callbacks on the kernel's :class:`~repro.sim.queue.EventQueue` and
 *observe* each other through its :class:`~repro.sim.bus.EventBus`;
-nobody owns a private loop.  A multi-node cluster hands the same kernel
-to every node, which merges all node timelines into one globally
-time-ordered execution -- the property cross-node policies (load-aware
-routing, global pressure) depend on.
+nobody owns a private loop.  A cluster shard hands the same kernel to
+every node it hosts, which merges their timelines into one globally
+time-ordered execution; across shards, the coordinator keeps kernels in
+step with conservative epochs (:mod:`repro.sim.shard`).
 
 Per-component randomness comes from :meth:`rng`, which hands out named
 :class:`~repro.sim.rng.RngStream` instances derived from the kernel

@@ -1,11 +1,10 @@
 """Sharded simulation: partition a cluster across worker processes.
 
-A serial cluster run drives every node on one shared
-:class:`~repro.sim.kernel.SimKernel`.  That is convenient but caps
-replay throughput at one core and keeps every node's state in one
-process.  This module supplies the generic machinery for the sharded
-alternative: node shards run in separate worker processes, each with its
-own kernel, synchronized by a coordinator in *conservative time epochs*.
+Node shards run in separate worker processes (or, for the in-process
+twin, side by side in the caller), each with its own
+:class:`~repro.sim.kernel.SimKernel`, synchronized by a coordinator in
+*conservative time epochs*.  This module supplies the generic machinery;
+:class:`repro.faas.cluster.ShardedClusterSession` is its one user.
 
 Protocol
 --------
@@ -18,7 +17,7 @@ canonical implementation)::
     begin_epoch(payload)    # accept one epoch's inputs (routed arrivals)
     advance(until)          # run the local kernel to the epoch horizon
     epoch_end(horizon)      # optional: per-epoch bounded-memory flush
-    epoch_report(horizon)   # -> picklable dict (clock, conservation, loads)
+    epoch_report(horizon)   # -> picklable dict (clock, events, conservation)
     mark(name)              # phase transition (reset metrics, start trace)
     finalize()              # -> picklable dict (stats, manifests); shuts down
 
@@ -33,25 +32,17 @@ collapses the per-epoch pipe round-trip constant that made PR 5's
 process parallelism protocol-bound.
 
 Batching is safe because all cross-shard interaction (request routing)
-flows coordinator -> worker at epoch boundaries and the static
-schedulers' routing is a pure function of the arrival sequence: every
-epoch of a window can be routed before the window is granted.  Only
-routing that feeds on previous-epoch load digests (``least-loaded-live``)
-needs fresh reports each epoch; such sessions simply cap the window at
-one epoch, recovering the PR 5 cadence exactly where -- and only where
--- conservative-horizon safety demands it.
+flows coordinator -> worker at epoch boundaries and routing is a pure
+function of the arrival sequence: every epoch of a window can be routed
+before the window is granted.
 
 Epoch horizons
 --------------
-:func:`epoch_horizons` is the fixed conservative grid.
-:func:`adaptive_horizons` replaces it with horizons computed from
-submission-log arrival density (:func:`arrival_density`): dense cells
-are subdivided, runs of idle cells collapse into one long epoch -- so a
-bursty, heavy-tailed log ("Serverless in the Wild") no longer pays
-thousands of empty synchronization barriers during its idle stretches.
-Both are *index-computed* pure functions of ``(times, start, end,
-epoch_seconds)``: every caller -- coordinator or worker, any shard count
--- derives bit-identical horizons, which keeps the merged timeline
+:func:`epoch_horizons` is the one conservative grid: fixed cells of
+``epoch_seconds``, extended by whole cells past the last arrival.  It is
+an *index-computed* pure function of ``(start, end, epoch_seconds,
+times)``: every caller -- coordinator or worker, any shard count --
+derives bit-identical horizons, which keeps the merged timeline
 shard-count-invariant.
 
 Determinism
@@ -60,9 +51,9 @@ Shard workers produce *node-canonical* event traces
 (:class:`~repro.sim.trace.EventTraceSink` with ``normalize_seq=True``):
 per-node records do not depend on which process or kernel hosted the
 node.  :func:`merge_trace_files` merges the per-node JSONL streams into
-one stream ordered by ``(t, node, seq)`` -- the same total order a
-shared serial kernel produces -- so the merged trace's SHA-256 is
-byte-identical to the serial run's for any shard count.
+one stream ordered by ``(t, node, seq)`` -- the same total order one
+kernel shared by every node produces -- so the merged trace's SHA-256 is
+byte-identical to the serial twin's for any shard count.
 
 :class:`InlineShardPool` runs the identical window protocol with
 in-process hosts (no forking, no codec); the serial twin of a sharded
@@ -86,8 +77,6 @@ __all__ = [
     "make_pool",
     "run_window",
     "epoch_horizons",
-    "adaptive_horizons",
-    "arrival_density",
     "merge_trace_lines",
     "merge_trace_files",
     "sha256_lines",
@@ -524,114 +513,31 @@ def make_pool(
 # ------------------------------------------------------------------ epochs
 
 
-def epoch_horizons(start: float, end: float, epoch_seconds: float) -> List[float]:
-    """The fixed conservative epoch grid covering ``(start, end]``.
+def epoch_horizons(
+    start: float, end: float, epoch_seconds: float, times: Iterable[float] = ()
+) -> List[float]:
+    """The fixed conservative epoch grid covering ``(start, end]`` and ``times``.
 
-    Horizons land at ``start + k * epoch_seconds`` and the last one is
-    the first grid point ``>= end``, so every input time is covered by
-    exactly one epoch.  Computed by *index* (not by accumulating floats)
-    so every caller derives bit-identical horizons.
+    Horizons land at ``start + k * epoch_seconds``.  The grid runs to the
+    first grid point ``>= end``, then on by whole cells until its last
+    horizon is strictly greater than every time in ``times`` -- so an
+    arrival exactly at the phase end still lands inside an epoch.
+    Computed by *index* (not by accumulating floats), and ``times``
+    enters only through its maximum, so every caller derives
+    bit-identical horizons whatever the input order.
     """
     if epoch_seconds <= 0:
         raise ValueError("epoch_seconds must be positive")
     if end <= start:
-        return [start + epoch_seconds]
-    count = int((end - start) / epoch_seconds)
-    horizons = [start + (k + 1) * epoch_seconds for k in range(count)]
-    if not horizons or horizons[-1] < end:
-        horizons.append(start + (count + 1) * epoch_seconds)
-    return horizons
-
-
-def arrival_density(
-    times: Sequence[float], start: float, end: float, cell_seconds: float
-) -> List[int]:
-    """Arrival counts per fixed grid cell -- the shared density index.
-
-    Cell *k* covers ``[start + k*c, start + (k+1)*c)``; the cell count
-    matches :func:`epoch_horizons`'s grid for the same window.  A pure,
-    order-insensitive function of the full submission log, so the
-    coordinator and every worker -- at any shard count -- derive the
-    identical index (property-tested in
-    ``tests/sim/test_adaptive_horizons.py``).  Both the adaptive epoch
-    horizons and the archive's adaptive bucket sizing
-    (:func:`repro.trace.archive.adaptive_bucket_seconds`) feed on it.
-    """
-    if cell_seconds <= 0:
-        raise ValueError("cell_seconds must be positive")
-    cells = len(epoch_horizons(start, end, cell_seconds))
-    counts = [0] * cells
-    span = cells * cell_seconds
-    for t in times:
-        if start <= t < start + span:
-            counts[int((t - start) / cell_seconds)] += 1
-    return counts
-
-
-def adaptive_horizons(
-    times: Sequence[float],
-    start: float,
-    end: float,
-    epoch_seconds: float,
-    dense_events: int = 64,
-    max_merge: int = 16,
-    max_split: int = 4,
-) -> List[float]:
-    """Density-adaptive conservative horizons covering ``(start, end]``.
-
-    Replaces the fixed grid with horizons shaped by the submission log's
-    arrival density (:func:`arrival_density` over the base grid):
-
-    * a run of **empty** cells collapses into one long epoch (bounded by
-      ``max_merge`` cells), so idle tails stop paying per-cell barriers;
-    * a **dense** cell (``>= dense_events`` arrivals) is subdivided into
-      up to ``max_split`` equal sub-epochs, index-computed, keeping
-      ``least-loaded-live`` load digests fresh through bursts;
-    * every other cell keeps its grid horizon.
-
-    Guarantees: horizons are strictly increasing, the last horizon is
-    ``>= end`` **and** strictly greater than every arrival time (an
-    arrival exactly at the phase end still lands inside an epoch), and
-    the result is a pure function of the inputs -- bit-identical on the
-    coordinator and every worker at any shard count, because each
-    horizon is computed by grid *index*, never by accumulating floats.
-    """
-    if epoch_seconds <= 0:
-        raise ValueError("epoch_seconds must be positive")
-    if dense_events < 1 or max_merge < 1 or max_split < 1:
-        raise ValueError("dense_events, max_merge and max_split must be >= 1")
-    counts = arrival_density(times, start, end, epoch_seconds)
-    horizons: List[float] = []
-    k = 0
-    while k < len(counts):
-        if counts[k] == 0:
-            # Collapse this idle run (bounded) into one long epoch.
-            j = k
-            while (
-                j + 1 < len(counts)
-                and counts[j + 1] == 0
-                and (j + 1 - k) < max_merge
-            ):
-                j += 1
-            horizons.append(start + (j + 1) * epoch_seconds)
-            k = j + 1
-        elif counts[k] >= dense_events:
-            splits = min(max_split, counts[k] // dense_events + 1)
-            for i in range(1, splits + 1):
-                horizons.append(
-                    start + k * epoch_seconds + (i * epoch_seconds) / splits
-                )
-            k += 1
-        else:
-            horizons.append(start + (k + 1) * epoch_seconds)
-            k += 1
-    # Cover stragglers at or past the last horizon (an arrival time equal
-    # to the phase end would otherwise never satisfy ``t < horizon``).
+        horizons = [start + epoch_seconds]
+    else:
+        count = int((end - start) / epoch_seconds)
+        horizons = [start + (k + 1) * epoch_seconds for k in range(count)]
+        if not horizons or horizons[-1] < end:
+            horizons.append(start + (count + 1) * epoch_seconds)
     last = max(times, default=start)
-    cells = len(counts)
     while horizons[-1] <= last:
-        cells += 1
-        horizons.append(start + cells * epoch_seconds)
+        horizons.append(start + (len(horizons) + 1) * epoch_seconds)
     return horizons
 
 

@@ -13,8 +13,9 @@ traces *byte-identical* across runs with the same seed:
 With ``normalize_seq=True`` the recorded ``seq`` is additionally
 rewritten to the sink's own dense record index instead of the bus-wide
 publication counter.  A node-filtered sink then emits *node-canonical*
-records -- identical whether the node ran on a shared kernel (serial
-cluster) or alone in a shard worker, where the bus counter would differ.
+records -- identical whether the node shared its kernel with every
+other node (the one-shard serial twin) or with a few peers in a shard
+worker, where the bus counter would differ.
 The sharded-replay digest gate (:mod:`repro.sim.shard`) is built on
 exactly this: per-node canonical traces merge into one stream ordered by
 ``(t, node, seq)`` whose bytes do not depend on the shard count.

@@ -86,7 +86,6 @@ __all__ = [
     "gzip_member",
     "pack",
     "finalize_archive",
-    "adaptive_bucket_seconds",
 ]
 
 #: Schema tag stamped into every footer and manifest.
@@ -934,46 +933,3 @@ def finalize_archive(
         sha256=sha,
     )
     return events, sha
-
-
-def adaptive_bucket_seconds(
-    times: Sequence[float],
-    base_seconds: float = DEFAULT_BUCKET_SECONDS,
-    target_events: int = 256,
-    max_scale: int = 64,
-) -> float:
-    """A deterministic bucket width sized to the trace's arrival density.
-
-    Very sparse workloads -- the idle tails that dominate "Serverless in
-    the Wild" style logs -- would shred into thousands of near-empty
-    segments at the fixed default width, paying per-segment gzip and
-    footer overhead for a handful of events each.  This reuses the
-    sharding layer's arrival-density index
-    (:func:`repro.sim.shard.arrival_density` over the ``base_seconds``
-    grid) to widen buckets until the *occupied* cells average at least
-    ``target_events`` arrivals: the width is ``base_seconds`` times the
-    smallest power of two that reaches the target, capped at
-    ``max_scale``.  Dense traces keep the base width (windowed reads
-    stay sharp); only sparsity widens.  A pure, order-insensitive
-    function of the submission log, so -- like the adaptive epoch
-    horizons -- every shard count derives the identical bucket grid,
-    preserving archive byte-identity.
-    """
-    from repro.sim.shard import arrival_density
-
-    if base_seconds <= 0:
-        raise ValueError("base_seconds must be positive")
-    if target_events < 1 or max_scale < 1:
-        raise ValueError("target_events and max_scale must be >= 1")
-    times = list(times)
-    if not times:
-        return base_seconds
-    counts = arrival_density(times, 0.0, max(times), base_seconds)
-    occupied = [count for count in counts if count > 0]
-    if not occupied:
-        return base_seconds
-    mean = sum(occupied) / len(occupied)
-    scale = 1
-    while mean * scale < target_events and scale < max_scale:
-        scale *= 2
-    return base_seconds * scale

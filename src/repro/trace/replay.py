@@ -7,10 +7,10 @@ utilization, and tail latency.
 
 :func:`replay` runs the protocol on a single platform.
 :func:`cluster_replay` runs it on a multi-node cluster through
-:class:`~repro.faas.cluster.ShardedClusterSession` -- optionally across
-worker processes (``shards > 1``) -- and reports the same statistics plus
-the merged canonical event trace and its SHA-256, which is byte-identical
-for every shard count.
+:class:`~repro.faas.cluster.ShardedClusterSession`, the one cluster
+engine -- in-process at one shard, across worker processes above that --
+and reports the same statistics plus the merged canonical event trace
+and its SHA-256, which is byte-identical for every shard count.
 """
 
 from __future__ import annotations
@@ -208,11 +208,9 @@ class ClusterReplayConfig:
     #: Worker processes to partition the nodes across (1 = the in-process
     #: serial twin, driven through the identical epoch protocol).
     shards: int = 1
-    #: Simulated seconds per conservative synchronization epoch (the base
-    #: grid cell of the adaptive horizons).
+    #: Simulated seconds per cell of the fixed conservative epoch grid.
     epoch_seconds: float = 5.0
-    #: Max epochs granted per pipe message (deferred schedulers force an
-    #: effective window of one).
+    #: Max epochs granted per pipe message.
     window_epochs: int = 32
     scale_factor: float = 15.0
     warmup_seconds: float = 60.0
@@ -234,11 +232,7 @@ class ClusterReplayConfig:
     #: worker writes its own nodes' segments and the coordinator
     #: finalizes from the shipped footers (docs/TRACE_ARCHIVE.md).
     archive_dir: Optional[str | Path] = None
-    #: Simulated seconds per archive time bucket.  ``None`` sizes the
-    #: buckets adaptively from the measurement window's arrival density
-    #: (:func:`repro.trace.archive.adaptive_bucket_seconds`): sparse
-    #: tails widen, dense traces keep the default width.
-    archive_bucket_seconds: Optional[float] = None
+    archive_bucket_seconds: float = 60.0
     #: Range-read this slice back from the archive after the run
     #: (requires ``archive_dir``).
     window: Optional[TraceWindow] = None
@@ -316,13 +310,11 @@ def cluster_replay(
     shard count, so the only variable between a ``shards=1`` and a
     ``shards=N`` run is how nodes were partitioned across kernels -- and
     the merged canonical trace digest is byte-identical across all of
-    them (for the static schedulers; ``least-loaded-live`` routes from
-    epoch-boundary digests and is its own deterministic policy).
+    them.
     """
     from repro import procenv
     from repro.faas.cluster import ClusterConfig, ShardedClusterSession
     from repro.sim import checkpoint
-    from repro.trace.archive import adaptive_bucket_seconds
 
     config = config or ClusterReplayConfig()
     generator = generator or TraceGenerator(seed=config.trace_seed)
@@ -343,18 +335,12 @@ def cluster_replay(
     resume_meta: Optional[Dict[str, object]] = None
     if config.resume_from is not None:
         resume_meta = checkpoint.read_header(config.resume_from)["meta"]
-    # Both phases' arrivals are drawn up front (same generator call order
-    # as always) so the archive bucket width can be sized from the
-    # measurement window's density before any worker starts -- a pure
-    # function of the submission log, hence shard-count-invariant.
+    # Both phases' arrivals are drawn up front, warmup first: a resume
+    # into the measured phase still needs the measured draw to follow
+    # the warmup draw.
     warm = generator.arrivals(config.warmup_seconds, config.warmup_scale_factor)
     measured_offsets = generator.arrivals(
         config.duration_seconds, config.scale_factor
-    )
-    bucket_seconds = (
-        config.archive_bucket_seconds
-        if config.archive_bucket_seconds is not None
-        else adaptive_bucket_seconds([t for t, _ in measured_offsets])
     )
     # Out-of-pipe traces: every traced run routes through a segmented
     # archive root shared by all workers (a temporary root when only the
@@ -390,7 +376,7 @@ def cluster_replay(
         processes=config.processes,
         window_epochs=config.window_epochs,
         archive_dir=str(archive_root) if archive_root is not None else None,
-        archive_bucket_seconds=bucket_seconds,
+        archive_bucket_seconds=config.archive_bucket_seconds,
         telemetry_dir=(
             str(config.telemetry_dir) if config.telemetry_dir is not None else None
         ),

@@ -242,20 +242,25 @@ class TestReplayMacro:
         assert speedup == 3.0
 
     def test_small_legs_reproduce_the_committed_digests(self):
-        """The replay smoke's single-platform legs, built and run through
-        the ``repro bench`` spec path, stream the committed trace bytes.
-        Digests only, no wall gate: this pins the float-order contract of
-        the simulation on every interpreter that runs the suite.  The legs
-        run through ``_run_replay``, which ``execute_spec`` wraps only with
-        timing and tracemalloc (a 5x slowdown)."""
+        """The replay smoke's single-platform and in-process 8-node legs,
+        built and run through the ``repro bench`` spec path, stream the
+        committed trace bytes.  Digests only, no wall gate: this pins the
+        float-order contract of the simulation and the cluster engine on
+        every interpreter that runs the suite.  The legs run through
+        ``_run_replay``, which ``execute_spec`` wraps only with timing and
+        tracemalloc (a 5x slowdown)."""
         committed = {
             run["label"]: run["metrics"]["trace_sha256"]
             for run in load_baseline(ROOT / "BENCH_replay.json")["runs"]
         }
-        specs = build_replay_macro(sizes=("small",), policies=("vanilla", "desiccant"))
+        specs = build_replay_macro(
+            sizes=("small",), policies=("vanilla", "desiccant"), nodes=8
+        )
         assert [spec.label for spec in specs] == [
             "replay:vanilla:x8:d30",
+            "replay:vanilla:x8:d30:n8",
             "replay:desiccant:x8:d30",
+            "replay:desiccant:x8:d30:n8",
         ]
         for spec in specs:
             assert _run_replay(spec)["trace_sha256"] == committed[spec.label], spec.label

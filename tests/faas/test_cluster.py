@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core import Desiccant
-from repro.faas.cluster import Cluster, ClusterConfig
+from repro.faas.cluster import (
+    Cluster,
+    ClusterConfig,
+    FrontEndRouter,
+    ShardedClusterSession,
+)
 from repro.faas.keepalive import HybridHistogramKeepAlive
-from repro.faas.platform import PlatformConfig, Request
-from repro.mem.layout import GIB, MIB
+from repro.faas.platform import PlatformConfig
+from repro.mem.layout import MIB
 from repro.trace.generator import TraceGenerator
 from repro.workloads.registry import all_definitions, get_definition
 
@@ -23,120 +28,69 @@ class TestConfig:
 
 class TestRouting:
     def test_round_robin_cycles(self):
-        cluster = Cluster(ClusterConfig(nodes=3, scheduler="round-robin"))
+        router = FrontEndRouter(3, "round-robin")
         d = get_definition("clock")
-        assert [cluster.route(d) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+        assert [router.route(d) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_least_assigned_balances(self):
-        cluster = Cluster(ClusterConfig(nodes=2, scheduler="least-assigned"))
+        router = FrontEndRouter(2, "least-assigned")
         d = get_definition("clock")
         for _ in range(10):
-            cluster.route(d)
-        assert cluster._assigned == [5, 5]
+            router.route(d)
+        assert router.assigned == [5, 5]
 
     def test_warm_affinity_is_sticky(self):
-        cluster = Cluster(ClusterConfig(nodes=4, scheduler="warm-affinity"))
+        router = FrontEndRouter(4, "warm-affinity")
         for definition in all_definitions():
-            nodes = {cluster.route(definition) for _ in range(5)}
+            nodes = {router.route(definition) for _ in range(5)}
             assert len(nodes) == 1  # same function -> same node, always
 
     def test_warm_affinity_spreads_functions(self):
-        cluster = Cluster(ClusterConfig(nodes=4, scheduler="warm-affinity"))
-        homes = {d.name: cluster.route(d) for d in all_definitions()}
+        router = FrontEndRouter(4, "warm-affinity")
+        homes = {d.name: router.route(d) for d in all_definitions()}
         assert len(set(homes.values())) >= 3  # uses most of the cluster
 
 
+def _node_platforms(config):
+    """The platforms an inline one-shard session builds, in node order."""
+    session = ShardedClusterSession(config)
+    (host,) = session.pool._hosts
+    return [host.platforms[node] for node in sorted(host.platforms)]
+
+
 class TestNodeConfigIsolation:
-    """The cluster deep-copies the node config per node: stateful knobs
+    """The session deep-copies the node config per node: stateful knobs
     (keep-alive policy histograms, the provisioned map) must never be
     shared between nodes."""
 
     def test_eviction_policies_are_distinct_objects(self):
         template = PlatformConfig(eviction_policy=HybridHistogramKeepAlive())
-        cluster = Cluster(ClusterConfig(nodes=3, node_config=template))
-        policies = [node.eviction_policy for node in cluster.nodes]
+        nodes = _node_platforms(ClusterConfig(nodes=3, node_config=template))
+        policies = [node.eviction_policy for node in nodes]
         assert len({id(p) for p in policies}) == 3
         assert all(p is not template.eviction_policy for p in policies)
 
     def test_policy_state_does_not_leak_between_nodes(self):
         template = PlatformConfig(eviction_policy=HybridHistogramKeepAlive())
-        cluster = Cluster(
+        nodes = _node_platforms(
             ClusterConfig(nodes=2, scheduler="round-robin", node_config=template)
         )
-        cluster.nodes[0].eviction_policy.on_request("clock", 0.0)
-        cluster.nodes[0].eviction_policy.on_request("clock", 5.0)
-        assert "clock" not in cluster.nodes[1].eviction_policy._last_arrival
+        nodes[0].eviction_policy.on_request("clock", 0.0)
+        nodes[0].eviction_policy.on_request("clock", 5.0)
+        assert "clock" not in nodes[1].eviction_policy._last_arrival
         assert "clock" not in template.eviction_policy._last_arrival
 
     def test_provisioned_map_is_not_shared(self):
         template = PlatformConfig(provisioned={"clock": 1})
-        cluster = Cluster(ClusterConfig(nodes=2, node_config=template))
-        cluster.nodes[0].config.provisioned["sort"] = 2
-        assert "sort" not in cluster.nodes[1].config.provisioned
+        nodes = _node_platforms(ClusterConfig(nodes=2, node_config=template))
+        nodes[0].config.provisioned["sort"] = 2
+        assert "sort" not in nodes[1].config.provisioned
         assert "sort" not in template.provisioned
-        cluster.destroy()
 
     def test_node_seeds_are_offset(self):
-        cluster = Cluster(ClusterConfig(nodes=3))
-        seeds = [node.config.seed for node in cluster.nodes]
+        nodes = _node_platforms(ClusterConfig(nodes=3))
+        seeds = [node.config.seed for node in nodes]
         assert seeds == [0, 1, 2]
-
-
-class TestLeastLoadedLive:
-    def test_prefers_node_with_warm_instance(self):
-        cluster = Cluster(ClusterConfig(nodes=3, scheduler="least-loaded-live"))
-        definition = get_definition("clock")
-        # Warm the function on node 2 only.
-        cluster.nodes[2].submit([Request(arrival=0.0, definition=definition)])
-        cluster.kernel.run()
-        assert cluster.route(definition) == 2
-        cluster.destroy()
-
-    def test_cold_case_picks_least_used_node(self):
-        cluster = Cluster(ClusterConfig(nodes=3, scheduler="least-loaded-live"))
-        definition = get_definition("clock")
-        # No node is warm; all empty -> lowest index wins the tie on
-        # (used_bytes, assigned, index), then assignment counts rotate it.
-        assert cluster.route(definition) == 0
-        assert cluster.route(definition) == 1
-
-    def test_end_to_end_beats_round_robin_on_cold_boots(self):
-        def run(scheduler):
-            cluster = Cluster(
-                ClusterConfig(
-                    nodes=4,
-                    scheduler=scheduler,
-                    node_config=PlatformConfig(capacity_bytes=512 * MIB),
-                )
-            )
-            arrivals = TraceGenerator(seed=9).arrivals(40.0, scale_factor=10.0)
-            cluster.submit(arrivals)
-            stats = cluster.run()
-            cluster.destroy()
-            return stats
-
-        rr = run("round-robin")
-        live = run("least-loaded-live")
-        assert live.completed == rr.completed
-        assert live.cold_boot_rate < rr.cold_boot_rate
-
-
-class TestGlobalTimeline:
-    def test_outcomes_arrive_in_completion_order(self):
-        cluster = Cluster(
-            ClusterConfig(
-                nodes=4,
-                scheduler="round-robin",
-                node_config=PlatformConfig(capacity_bytes=512 * MIB),
-            )
-        )
-        arrivals = TraceGenerator(seed=3).arrivals(30.0, scale_factor=8.0)
-        cluster.submit(arrivals)
-        stats = cluster.run()
-        finished = [o.finished for o in cluster.outcomes]
-        assert len(finished) == stats.completed > 0
-        assert finished == sorted(finished)
-        cluster.destroy()
 
 
 class TestEndToEnd:
@@ -151,9 +105,7 @@ class TestEndToEnd:
         )
         arrivals = TraceGenerator(seed=9).arrivals(40.0, scale_factor=10.0)
         cluster.submit(arrivals)
-        stats = cluster.run()
-        cluster.destroy()
-        return stats
+        return cluster.run()
 
     def test_cluster_completes_all_requests(self):
         stats = self._run("round-robin")
@@ -179,11 +131,13 @@ class TestEndToEnd:
             assert desiccant.cold_boot_rate <= vanilla.cold_boot_rate, scheduler
 
     def test_nodes_have_independent_caches(self):
-        cluster = Cluster(ClusterConfig(nodes=2, scheduler="round-robin"))
+        session = ShardedClusterSession(ClusterConfig(nodes=2, scheduler="round-robin"))
         arrivals = [(0.0, get_definition("clock")), (1.0, get_definition("clock"))]
-        cluster.submit(arrivals)
-        cluster.run()
+        try:
+            session.run_phase(arrivals)
+            nodes = session.finish()
+        finally:
+            session.close()
         # One request per node, each a cold boot on its own cache.
-        assert cluster.nodes[0].cold_boots == 1
-        assert cluster.nodes[1].cold_boots == 1
-        cluster.destroy()
+        assert nodes[0]["cold_boots"] == 1
+        assert nodes[1]["cold_boots"] == 1

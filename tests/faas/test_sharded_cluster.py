@@ -23,6 +23,7 @@ from repro.sim.shard import ShardWorkerError, merge_trace_files
 from repro.trace.archive import ArchiveReader, finalize_archive
 from repro.trace.generator import TraceGenerator
 from repro.trace.replay import ClusterReplayConfig, TraceWindow, cluster_replay
+from repro.workloads.registry import get_definition
 
 ARRIVALS = TraceGenerator(seed=9).arrivals(25.0, scale_factor=8.0)
 
@@ -131,15 +132,6 @@ class TestDigestIdentity:
         assert serial["telemetry"]
         assert sharded["telemetry"] == serial["telemetry"]
 
-    def test_least_loaded_live_is_shard_count_invariant(self, tmp_path):
-        """Digest routing feeds on merged epoch-boundary loads, so the
-        deferred scheduler replays identically at any shard count."""
-        serial = _run_session(1, scheduler="least-loaded-live", tmp_path=tmp_path)
-        sharded = _run_session(3, scheduler="least-loaded-live", tmp_path=tmp_path)
-        assert serial["completed"] > 0
-        assert sharded["digest"] == serial["digest"]
-        assert sharded["completed"] == serial["completed"]
-
 
 class TestArchiveIdentity:
     def test_archive_is_byte_identical_across_shard_counts(self, tmp_path):
@@ -201,45 +193,49 @@ class TestProtocolEquivalence:
         assert batched["pipe_bytes"] * 2 <= single["pipe_bytes"]
         assert batched["pipe_bytes"] > 0
 
-    def test_deferred_scheduler_forces_single_epoch_windows(self, tmp_path):
-        """least-loaded-live routes on previous-epoch load digests, so
-        batching would replay stale loads; the session must degrade to
-        window=1 and still match the serial twin (covered digest-wise in
-        TestDigestIdentity)."""
-        session = ShardedClusterSession(
-            _config(scheduler="least-loaded-live"),
-            shards=2,
-            epoch_seconds=5.0,
-            window_epochs=32,
-            trace_dir=str(tmp_path / "t"),
-        )
-        try:
-            assert session.window_epochs == 1
-        finally:
-            session.close()
-
 
 class TestClusterRun:
-    @pytest.mark.parametrize("scheduler", ["round-robin", "warm-affinity"])
+    @pytest.mark.parametrize(
+        "scheduler", ["round-robin", "least-assigned", "warm-affinity"]
+    )
     def test_sharded_stats_equal_serial(self, scheduler):
         def build():
             cluster = Cluster(_config(nodes=4, scheduler=scheduler))
             cluster.submit(ARRIVALS)
             return cluster
 
-        serial_cluster = build()
-        serial = serial_cluster.run()
-        serial_cluster.destroy()
+        serial = build().run()
         sharded = build().run(shards=2)
-        assert serial.completed > 0
+        assert serial.completed == len(ARRIVALS)
         assert sharded == serial  # dataclass equality: every field
 
-    def test_deferred_scheduler_reroutes_in_session(self):
-        cluster = Cluster(_config(nodes=4, scheduler="least-loaded-live"))
-        cluster.submit(ARRIVALS)
-        stats = cluster.run(shards=2)
-        assert stats.completed == len(ARRIVALS)
-        assert sum(stats.per_node_requests) == stats.completed
+
+class TestSubmissionOrder:
+    """The epoch loop feeds arrivals in log order, so a log that goes back
+    in time would submit a request after its node's clock passed it."""
+
+    def test_session_refuses_a_log_that_goes_back_in_time(self):
+        clock = get_definition("clock")
+        session = ShardedClusterSession(_config(nodes=1))
+        try:
+            with pytest.raises(ValueError, match=r"arrival 2 \(t=1\.0\)"):
+                session.run_phase([(12.0, clock), (20.0, clock), (1.0, clock)])
+        finally:
+            session.close()
+
+    def test_cluster_refuses_a_batch_that_starts_earlier(self):
+        clock = get_definition("clock")
+        cluster = Cluster(_config(nodes=2))
+        cluster.submit([(12.0, clock), (20.0, clock)])
+        cluster.submit([(1.0, clock)])
+        with pytest.raises(ValueError, match="must not decrease"):
+            cluster.run()
+
+    def test_equal_times_are_accepted(self):
+        clock = get_definition("clock")
+        cluster = Cluster(_config(nodes=2))
+        cluster.submit([(1.0, clock), (1.0, clock), (2.0, clock)])
+        assert cluster.run().completed == 3
 
 
 def _boom_manager():
@@ -323,3 +319,31 @@ class TestClusterReplay:
             node = int(name.split("-")[2].split(".")[0][1:])
             assert 12.0 <= (bucket + 1) * 5.0 and bucket * 5.0 < 18.0, name
             assert node in (0, 2), name
+
+
+class TestDenseLogDigest:
+    """A dense x40 log: 8 epochs of the fixed grid, where a grid that
+    splits dense cells takes 12.  The merged trace must not depend on the
+    grid, so its digest is pinned to the bytes both grids produce."""
+
+    def test_dense_log_reproduces_the_pinned_digest(self):
+        result = cluster_replay(
+            Desiccant,
+            ClusterReplayConfig(
+                nodes=4,
+                shards=1,
+                epoch_seconds=2.0,
+                scale_factor=40.0,
+                warmup_scale_factor=40.0,
+                warmup_seconds=4.0,
+                duration_seconds=8.0,
+                platform=PlatformConfig(capacity_bytes=512 * MIB),
+                trace=True,
+            ),
+        )
+        assert result.trace_sha256 == (
+            "b59ebcc1703c619281ce581a4c83363a68ded62b410b626b10eb7db5fc66afb5"
+        )
+        assert result.trace_events == 1894
+        assert result.stats.completed == 306
+        assert result.epochs == 8

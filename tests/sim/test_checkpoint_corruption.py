@@ -125,36 +125,40 @@ class TestCorruption:
         assert caught.value.invariant in ("checkpoint-digest", "checkpoint-truncated")
 
 
-class TestEnvironmentGate:
-    def test_fastpath_off_capture_refused(self, tmp_path):
-        """A capture an earlier build took under ``REPRO_FASTPATH=0``
-        never maintained the platform's incremental aggregates: it is
-        intact, but load refuses it by name."""
-        path = tmp_path / "reference.ckpt"
+class TestEarlierBuildCaptures:
+    def test_schema_1_capture_refused(self, tmp_path):
+        """Schema-1 captures (every earlier build's) hold ``pos`` cursors
+        into a different epoch grid: an intact one still fails by name,
+        before any pickle byte runs."""
+        path = tmp_path / "earlier-build.ckpt"
         payload = pickle.dumps({"x": 1}, protocol=checkpoint.PICKLE_PROTOCOL)
-        _write_payload(path, payload, {"fastpath": False, "check": ""})
-        # check_checkpoint does not care about the environment...
-        check_checkpoint(path)
-        # ...but load refuses to restore it, and says why.
-        with pytest.raises(Violation) as caught:
-            checkpoint.load(path)
-        assert caught.value.invariant == "checkpoint-env"
-        assert "REPRO_FASTPATH=0" in str(caught.value)
+        _write_payload(path, payload, {"fastpath": True, "check": ""}, schema=1)
+        for gate in (check_checkpoint, checkpoint.load):
+            with pytest.raises(Violation) as caught:
+                gate(path)
+            assert caught.value.invariant == "checkpoint-schema"
+            assert "schema 1" in str(caught.value)
+
+
+class TestEnvironmentGate:
+    """The header's env block records the capture's flags; it gates
+    nothing."""
 
     def test_current_header_restores(self, tmp_path):
         path = tmp_path / "current.ckpt"
         header = checkpoint.dump(path, {"x": 1})
-        # Earlier builds gate on this key, so new captures keep writing it.
-        assert header["env"]["fastpath"] is True
+        assert header["env"] == checkpoint.environment_fingerprint()
         _, state = checkpoint.load(path)
         assert state == {"x": 1}
 
 
-def _write_payload(path: Path, payload: bytes, env: dict) -> None:
+def _write_payload(
+    path: Path, payload: bytes, env: dict, schema: int = checkpoint.SCHEMA_VERSION
+) -> None:
     """A checkpoint whose header digest matches ``payload`` exactly."""
     header = {
         "magic": checkpoint.CHECKPOINT_MAGIC,
-        "schema": checkpoint.SCHEMA_VERSION,
+        "schema": schema,
         "meta": {},
         "env": env,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -193,14 +197,15 @@ class TestUnloadablePayload:
         assert "repro.retired_layer.ShardHost" in str(caught.value)
 
     def test_header_with_retired_env_key_still_restores(self, tmp_path):
-        # Only ``fastpath`` is gated; keys older builds recorded (such as
-        # ``memo``) are informational and must not block a restore.
+        # Env keys are informational: ones older builds recorded (such as
+        # ``memo`` or ``fastpath``) must not block a restore.
         path = tmp_path / "older-env.ckpt"
         payload = pickle.dumps({"x": 1}, protocol=checkpoint.PICKLE_PROTOCOL)
-        env = dict(checkpoint.environment_fingerprint(), memo=False)
+        env = dict(checkpoint.environment_fingerprint(), memo=False, fastpath=False)
         _write_payload(path, payload, env)
         header, state = checkpoint.load(path)
         assert header["env"]["memo"] is False
+        assert header["env"]["fastpath"] is False
         assert state == {"x": 1}
 
 

@@ -10,11 +10,11 @@ instance ids, so this holds within one process too.)
 import pytest
 
 from repro.core import Desiccant, VanillaManager
-from repro.faas.cluster import Cluster, ClusterConfig
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request
 from repro.mem.layout import MIB
 from repro.sim import EventTraceSink
 from repro.trace.generator import TraceGenerator
+from repro.trace.replay import ClusterReplayConfig, cluster_replay
 
 DURATION = 20.0
 SCALE = 8.0
@@ -34,21 +34,22 @@ def single_node_trace(manager_factory, seed=7):
     return sink.to_jsonl()
 
 
-def cluster_trace(manager_factory, seed=7, scheduler="warm-affinity"):
-    cluster = Cluster(
-        ClusterConfig(
+def cluster_trace(manager_factory, seed=7):
+    """Event count and merged canonical trace digest of a 4-node replay."""
+    result = cluster_replay(
+        manager_factory,
+        ClusterReplayConfig(
             nodes=4,
-            scheduler=scheduler,
-            node_config=PlatformConfig(capacity_bytes=512 * MIB, seed=seed),
+            scale_factor=SCALE,
+            warmup_scale_factor=SCALE,
+            warmup_seconds=5.0,
+            duration_seconds=DURATION,
+            platform=PlatformConfig(capacity_bytes=512 * MIB, seed=seed),
+            trace_seed=seed,
+            trace=True,
         ),
-        manager_factory=manager_factory,
     )
-    sink = EventTraceSink(cluster.kernel.bus)
-    arrivals = TraceGenerator(seed=seed).arrivals(DURATION, scale_factor=SCALE)
-    cluster.submit(arrivals)
-    cluster.run()
-    cluster.destroy()
-    return sink.to_jsonl()
+    return result.trace_events, result.trace_sha256
 
 
 @pytest.mark.parametrize("manager_factory", [VanillaManager, Desiccant])
@@ -63,13 +64,7 @@ def test_single_node_trace_is_reproducible(manager_factory):
 def test_cluster_trace_is_reproducible(manager_factory):
     first = cluster_trace(manager_factory)
     second = cluster_trace(manager_factory)
-    assert first != ""
-    assert first == second
-
-
-def test_live_scheduler_trace_is_reproducible():
-    first = cluster_trace(VanillaManager, scheduler="least-loaded-live")
-    second = cluster_trace(VanillaManager, scheduler="least-loaded-live")
+    assert first[0] > 0
     assert first == second
 
 

@@ -12,6 +12,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import RngStream
 from repro.sim.shard import (
@@ -27,6 +29,14 @@ from repro.sim.shard import (
 )
 
 # ------------------------------------------------------------------ epochs
+
+# Arrival times in a bounded, float-friendly window.  allow_nan/inf off:
+# the submission log is generated, never adversarial.
+times_strategy = st.lists(
+    st.floats(min_value=0.0, max_value=600.0, allow_nan=False, allow_infinity=False),
+    max_size=200,
+)
+epoch_strategy = st.floats(min_value=0.25, max_value=60.0, allow_nan=False)
 
 
 class TestEpochHorizons:
@@ -52,6 +62,46 @@ class TestEpochHorizons:
     def test_nonpositive_epoch_rejected(self):
         with pytest.raises(ValueError):
             epoch_horizons(0.0, 10.0, 0.0)
+
+    def test_tail_extends_by_whole_cells_past_the_last_arrival(self):
+        assert epoch_horizons(0.0, 20.0, 5.0, [3.0, 20.0]) == [
+            5.0, 10.0, 15.0, 20.0, 25.0
+        ]
+        assert epoch_horizons(0.0, 10.0, 5.0, [17.5]) == [5.0, 10.0, 15.0, 20.0]
+        assert epoch_horizons(10.0, 10.0, 5.0, [10.0]) == [15.0]
+
+    @given(times=times_strategy, epoch=epoch_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_strictly_increasing(self, times, epoch):
+        horizons = epoch_horizons(0.0, 600.0, epoch, times)
+        assert horizons[0] > 0.0
+        assert all(b > a for a, b in zip(horizons, horizons[1:]))
+
+    @given(times=times_strategy, epoch=epoch_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_covers_every_arrival(self, times, epoch):
+        """Every arrival lands strictly inside some epoch -- including one
+        exactly at the phase end (the tail guarantee)."""
+        start, end = 0.0, 600.0
+        times = times + [end]
+        horizons = epoch_horizons(start, end, epoch, times)
+        assert horizons[-1] >= end
+        assert horizons[-1] > max(times)
+        # The arrivals only ever extend the plain grid's tail.
+        grid = epoch_horizons(start, end, epoch)
+        assert horizons[: len(grid)] == grid
+
+    @given(times=times_strategy, epoch=epoch_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_under_input_reordering(self, times, epoch):
+        """The shard-count-independence property: every caller derives the
+        same horizons from the same log in any order -- `==` on floats,
+        not approx."""
+        start, end = 0.0, 600.0
+        a = epoch_horizons(start, end, epoch, times)
+        b = epoch_horizons(start, end, epoch, sorted(times))
+        c = epoch_horizons(start, end, epoch, list(reversed(times)))
+        assert a == b == c
 
 
 # ------------------------------------------------------------------- merge

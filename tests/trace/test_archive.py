@@ -481,52 +481,3 @@ class TestManifestDrivenFinalize:
         footers[0] = dict(footers[0], events=footers[0]["events"] + 1)
         with pytest.raises(ValueError, match="segment manifest"):
             finalize_archive(root, footers=footers)
-
-
-# ------------------------------------------------- adaptive bucket sizing
-
-
-class TestAdaptiveBucketSeconds:
-    def test_dense_trace_keeps_base_width(self):
-        from repro.trace.archive import adaptive_bucket_seconds
-
-        times = [i * 0.1 for i in range(10_000)]  # 600/cell at base 60
-        assert adaptive_bucket_seconds(times, base_seconds=60.0) == 60.0
-
-    def test_sparse_trace_widens_by_powers_of_two(self):
-        from repro.trace.archive import adaptive_bucket_seconds
-
-        times = [float(i * 60) for i in range(64)]  # one event per cell
-        width = adaptive_bucket_seconds(
-            times, base_seconds=60.0, target_events=256, max_scale=64
-        )
-        assert width == 60.0 * 64  # capped before reaching 256/cell
-        mid = adaptive_bucket_seconds(
-            times, base_seconds=60.0, target_events=4, max_scale=64
-        )
-        assert mid == 60.0 * 4
-
-    def test_empty_and_degenerate_inputs(self):
-        from repro.trace.archive import adaptive_bucket_seconds
-
-        assert adaptive_bucket_seconds([], base_seconds=60.0) == 60.0
-        assert adaptive_bucket_seconds([0.0], base_seconds=60.0) > 0
-
-    def test_pure_and_order_insensitive(self):
-        from repro.trace.archive import adaptive_bucket_seconds
-
-        times = [float(i * 37 % 500) for i in range(100)]
-        a = adaptive_bucket_seconds(times, base_seconds=5.0)
-        b = adaptive_bucket_seconds(sorted(times), base_seconds=5.0)
-        c = adaptive_bucket_seconds(list(reversed(times)), base_seconds=5.0)
-        assert a == b == c
-
-    def test_rejects_bad_parameters(self):
-        from repro.trace.archive import adaptive_bucket_seconds
-
-        with pytest.raises(ValueError):
-            adaptive_bucket_seconds([1.0], base_seconds=0.0)
-        with pytest.raises(ValueError):
-            adaptive_bucket_seconds([1.0], target_events=0)
-        with pytest.raises(ValueError):
-            adaptive_bucket_seconds([1.0], max_scale=0)
