@@ -23,6 +23,7 @@ from repro.analysis.characterize import (
 from repro.analysis.report import render_table
 from repro.faas.cluster import SCHEDULERS
 from repro.mem.layout import MIB, fmt_bytes
+from repro.sim.checkpoint import CheckpointError
 from repro.workloads import all_definitions, get_definition, table1_rows
 
 
@@ -810,7 +811,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
+    except (KeyError, CheckpointError) as exc:
+        # A refused checkpoint names its invariant: ``[checkpoint-...]``.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

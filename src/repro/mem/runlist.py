@@ -15,7 +15,11 @@ window ``[lo, hi)`` with new runs in a single list-splice.  Every bulk
 operation is therefore O(runs touched + log runs) instead of O(pages):
 faulting a 200 MiB heap in is one three-element splice, not 51,200 dict
 stores, which is what makes the Figure 9 Azure replays sweep-rate bound
-by arithmetic rather than page walks.
+by arithmetic rather than page walks.  The shapes a replay issues almost
+exclusively -- one run into a gap (a fresh fault-in), clearing a gap,
+clearing inside one run (a discard) -- are edited in place: two
+bisections and at most one list insert or delete per list.  Every other
+shape takes the general splice.
 
 Values are compared with ``==`` for coalescing (``PageState`` members
 compare by identity; frozensets by content).
@@ -24,7 +28,7 @@ compare by identity; frozensets by content).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 #: One run: (start, end, value), covering [start, end).
 Run = Tuple[int, int, Any]
@@ -91,7 +95,7 @@ class RunList:
 
     # ----------------------------------------------------------- mutation
 
-    def splice(self, lo: int, hi: int, pieces: Iterable[Run]) -> None:
+    def splice(self, lo: int, hi: int, pieces: Sequence[Run]) -> None:
         """Replace the window ``[lo, hi)`` with ``pieces``.
 
         ``pieces`` must be sorted, disjoint, and inside the window; absent
@@ -104,6 +108,44 @@ class RunList:
         starts, ends, values = self.starts, self.ends, self.values
         i = bisect_right(ends, lo)  # first run ending after lo
         j = bisect_left(starts, hi, lo=i)  # first run starting at/after hi
+        if not pieces:
+            if i == j:
+                return  # clearing a gap changes nothing
+            if j == i + 1:
+                # Clearing inside one run: trim its head or tail, split
+                # it around the window, or drop it.  The cleared stretch
+                # leaves a gap, so nothing coalesces.
+                s, e = starts[i], ends[i]
+                if s < lo:
+                    ends[i] = lo
+                    if e > hi:
+                        starts.insert(j, hi)
+                        ends.insert(j, e)
+                        values.insert(j, values[i])
+                elif e > hi:
+                    starts[i] = hi
+                else:
+                    del starts[i], ends[i], values[i]
+                return
+        elif i == j and len(pieces) == 1:
+            s, e, v = pieces[0]
+            if s < e:
+                # One run into a gap: grow or join the neighbour runs it
+                # meets with an equal value, else insert it.
+                left = i > 0 and ends[i - 1] == s and values[i - 1] == v
+                if i < len(starts) and starts[i] == e and values[i] == v:
+                    if left:
+                        ends[i - 1] = ends[i]
+                        del starts[i], ends[i], values[i]
+                    else:
+                        starts[i] = s
+                elif left:
+                    ends[i - 1] = e
+                else:
+                    starts.insert(i, s)
+                    ends.insert(i, e)
+                    values.insert(i, v)
+                return
         merged: List[List[Any]] = []
         if i < j and starts[i] < lo:
             merged.append([starts[i], lo, values[i]])

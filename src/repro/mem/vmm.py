@@ -46,6 +46,11 @@ DEFAULT_MMAP_BASE = 0x7F00_0000_0000
 
 _mapping_ids = itertools.count(1)
 
+#: Protection bits as plain ints: ``touch`` tests ``int(prot) & bit``,
+#: because ``IntFlag.__and__`` is Python code.
+_READ_BIT = int(Protection.READ)
+_WRITE_BIT = int(Protection.WRITE)
+
 
 class MemoryError_(Exception):
     """Base class for address-space errors (named to avoid the builtin)."""
@@ -306,11 +311,12 @@ class VirtualAddressSpace:
 
     def find_mapping(self, addr: int) -> Optional[Mapping]:
         """Return the mapping containing ``addr``, or ``None``."""
-        idx = bisect_right(self._starts, addr) - 1
+        starts = self._starts
+        idx = bisect_right(starts, addr) - 1
         if idx < 0:
             return None
-        mapping = self._mappings[self._starts[idx]]
-        return mapping if mapping.contains(addr) else None
+        mapping = self._mappings[starts[idx]]
+        return mapping if addr < mapping.start + mapping.length else None
 
     def mmap(
         self,
@@ -385,95 +391,136 @@ class VirtualAddressSpace:
 
     # --------------------------------------------------------------- touches
 
-    def touch(self, addr: int, length: int, write: bool = True) -> FaultCounts:
+    def touch(
+        self,
+        addr: int,
+        length: int,
+        write: bool = True,
+        faults: Optional[List[Tuple[int, int, bool]]] = None,
+    ) -> FaultCounts:
         """Access ``[addr, addr+length)``, faulting pages in as needed.
 
         Returns the faults incurred; raises :class:`SegmentationFault` for
-        unmapped or protection-violating accesses.
+        unmapped or protection-violating accesses.  When ``faults`` is a
+        list, the pages this touch faulted are appended to it as
+        ascending ``(first, end, swapped)`` runs of absolute page numbers:
+        one run per stretch of pages that changed state, never spanning
+        two mappings or two pre-touch states, with ``swapped`` set where
+        the pages came back from swap (major faults).
         """
         self._check_open()
         counts = FaultCounts()
         start, end = page_floor(addr), page_ceil(addr + length)
+        needed = _WRITE_BIT if write else _READ_BIT
         pos = start
         while pos < end:
             mapping = self.find_mapping(pos)
             if mapping is None:
                 raise SegmentationFault(f"{self.name}: access at {pos:#x} unmapped")
-            needed = Protection.WRITE if write else Protection.READ
-            if not mapping.prot & needed:
+            if not int(mapping.prot) & needed:
                 raise SegmentationFault(
-                    f"{self.name}: {needed!r} access at {pos:#x} "
+                    f"{self.name}: {Protection(needed)!r} access at {pos:#x} "
                     f"on {mapping.prot!r} mapping"
                 )
-            span_end = min(end, mapping.end)
+            span_end = min(end, mapping.start + mapping.length)
             first = (pos - mapping.start) >> PAGE_SHIFT
             last = (span_end - mapping.start + PAGE_SIZE - 1) >> PAGE_SHIFT
-            counts += self._touch_range(mapping, first, last, write)
+            self._touch_range(mapping, first, last, write, counts, faults)
             pos = span_end
         self.faults += counts
         return counts
 
     def _touch_range(
-        self, mapping: Mapping, first: int, last: int, write: bool
-    ) -> FaultCounts:
-        """Fault pages ``[first, last)`` of one mapping in, run by run."""
-        counts = FaultCounts()
+        self,
+        mapping: Mapping,
+        first: int,
+        last: int,
+        write: bool,
+        counts: FaultCounts,
+        faults: Optional[List[Tuple[int, int, bool]]],
+    ) -> None:
+        """Fault pages ``[first, last)`` of one mapping in, run by run,
+        adding to ``counts`` (and ``faults``, see :meth:`touch`)."""
+        runs = mapping._runs
+        starts, ends = runs.starts, runs.ends
         cow = write and not mapping.shared  # private writes copy file pages
+        phys = self.physical
+        i = bisect_right(ends, first)  # first run ending after ``first``
+        if i == len(starts) or starts[i] >= last:
+            # No present page in the window: one fresh run into one gap.
+            n = last - first
+            counts.minor += n
+            state = self._fault_in(mapping, first, last, cow)
+            runs.splice(first, last, ((first, last, state),))
+            self.version += n
+            if faults is not None:
+                base = mapping.start >> PAGE_SHIFT
+                faults.append((base + first, base + last, False))
+            return
+        if starts[i] <= first and ends[i] >= last:
+            state = runs.values[i]
+            if state is PageState.ANON_DIRTY or (
+                state is PageState.FILE_CLEAN and not cow
+            ):
+                return  # one resident run that this access cannot fault
         changed = 0
         pieces: List[Tuple[int, int, PageState]] = []
-        phys = self.physical
-        for s, e, state in mapping._runs.iter_segments(
-            first, last, PageState.NOT_PRESENT
-        ):
+        base = mapping.start >> PAGE_SHIFT
+        for s, e, state in runs.iter_segments(first, last, PageState.NOT_PRESENT):
             n = e - s
             if state is PageState.ANON_DIRTY:
                 pieces.append((s, e, state))
-            elif state is PageState.NOT_PRESENT:
+                continue
+            if state is PageState.NOT_PRESENT:
                 counts.minor += n
-                changed += n
-                if mapping.file is not None and not cow:
-                    # Read of file pages, or write to MAP_SHARED file pages:
-                    # serve from / install into the page cache.
-                    fresh = mapping.file.touch_range(
-                        mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
-                    )
-                    if fresh:
-                        phys.alloc_file(fresh)
-                    pieces.append((s, e, PageState.FILE_CLEAN))
-                    mapping.n_file += n
-                else:
-                    # Anonymous pages, or COW writes to unfaulted file pages.
-                    phys.alloc_anon(n)
-                    pieces.append((s, e, PageState.ANON_DIRTY))
-                    mapping.n_anon += n
+                pieces.append((s, e, self._fault_in(mapping, s, e, cow)))
             elif state is PageState.FILE_CLEAN:
-                if cow:
-                    # Copy-on-write: private file pages become anon frames.
-                    counts.minor += n
-                    changed += n
-                    freed = mapping.file.untouch_range(
-                        mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
-                    )
-                    if freed:
-                        phys.free_file(freed)
-                    phys.alloc_anon(n)
-                    pieces.append((s, e, PageState.ANON_DIRTY))
-                    mapping.n_file -= n
-                    mapping.n_anon += n
-                else:
+                if not cow:
                     pieces.append((s, e, state))
+                    continue
+                # Copy-on-write: private file pages become anon frames.
+                counts.minor += n
+                freed = mapping.file.untouch_range(
+                    mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
+                )
+                if freed:
+                    phys.free_file(freed)
+                phys.alloc_anon(n)
+                pieces.append((s, e, PageState.ANON_DIRTY))
+                mapping.n_file -= n
+                mapping.n_anon += n
             else:  # SWAPPED
                 counts.major += n
-                changed += n
                 phys.swap.swap_in(n)
                 phys.alloc_anon(n)
                 pieces.append((s, e, PageState.ANON_DIRTY))
                 mapping.n_swapped -= n
                 mapping.n_anon += n
+            changed += n
+            if faults is not None:
+                faults.append((base + s, base + e, state is PageState.SWAPPED))
         if changed:
-            mapping._runs.splice(first, last, pieces)
+            runs.splice(first, last, pieces)
             self.version += changed
-        return counts
+
+    def _fault_in(self, mapping: Mapping, s: int, e: int, cow: bool) -> PageState:
+        """Back the non-present pages ``[s, e)`` of ``mapping`` with
+        frames; returns their new state."""
+        n = e - s
+        if mapping.file is not None and not cow:
+            # Read of file pages, or write to MAP_SHARED file pages:
+            # serve from / install into the page cache.
+            fresh = mapping.file.touch_range(
+                mapping.file_page_of(s), mapping.file_page_of(e), mapping.id
+            )
+            if fresh:
+                self.physical.alloc_file(fresh)
+            mapping.n_file += n
+            return PageState.FILE_CLEAN
+        # Anonymous pages, or COW writes to unfaulted file pages.
+        self.physical.alloc_anon(n)
+        mapping.n_anon += n
+        return PageState.ANON_DIRTY
 
     # ------------------------------------------------------------- reclaim
 
@@ -555,9 +602,13 @@ class VirtualAddressSpace:
 
     def _release_range(self, mapping: Mapping, first: int, last: int) -> int:
         """Free frames for every present page in ``[first, last)``."""
+        runs = mapping._runs
+        i = bisect_right(runs.ends, first)  # first run ending after ``first``
+        if i == len(runs.starts) or runs.starts[i] >= last:
+            return 0  # nothing resident in the window
         released = 0
         phys = self.physical
-        for s, e, state in mapping._runs.iter_runs(first, last):
+        for s, e, state in runs.iter_runs(first, last):
             n = e - s
             if state is PageState.ANON_DIRTY:
                 phys.free_anon(n)
@@ -576,10 +627,9 @@ class VirtualAddressSpace:
                 phys.swap.discard(n)
                 mapping.n_swapped -= n
             released += n
-        if released:
-            mapping._runs.clear(first, last)
-            self.version += 1
-            self.release_epoch += 1
+        runs.clear(first, last)
+        self.version += 1
+        self.release_epoch += 1
         return released
 
     def _insert(self, mapping: Mapping) -> None:
@@ -598,13 +648,17 @@ class VirtualAddressSpace:
 
     def _overlapping(self, start: int, end: int) -> List[Mapping]:
         result = []
-        idx = max(0, bisect_right(self._starts, start) - 1)
-        for s in self._starts[idx:]:
-            mapping = self._mappings[s]
-            if mapping.start >= end:
+        starts, mappings = self._starts, self._mappings
+        idx = max(0, bisect_right(starts, start) - 1)
+        n = len(starts)
+        while idx < n:
+            s = starts[idx]
+            if s >= end:
                 break
-            if mapping.end > start:
+            mapping = mappings[s]
+            if s + mapping.length > start:
                 result.append(mapping)
+            idx += 1
         return result
 
     def _require_fully_mapped(self, start: int, end: int) -> None:

@@ -34,7 +34,7 @@ from repro.mem.layout import (
     page_floor,
 )
 from repro.mem.physical import MappedFile, PhysicalMemory
-from repro.mem.vmm import FaultCounts, Mapping, PageState, VirtualAddressSpace
+from repro.mem.vmm import FaultCounts, Mapping, VirtualAddressSpace
 from repro.runtime import costs
 from repro.runtime.object_model import CohortObject, ObjectGraph
 
@@ -477,29 +477,17 @@ class ManagedRuntime(abc.ABC):
         billed: a bump space passes its ``touched`` watermark, because the
         scalar ``_materialize`` never re-touches pages beneath it, even
         swapped-out ones.  The run may span several mappings (every heap
-        ``commit`` is an ``mprotect`` that splits the reservation).  Page
-        states are read before the touch; the touch is one VMM call.
+        ``commit`` is an ``mprotect`` that splits the reservation).  The
+        touch is one VMM call, and it reports the runs of pages it
+        faulted; on the anonymous heap mappings those are exactly the
+        range's pages that were not ``ANON_DIRTY`` before it.
         """
         lo = max(page_floor(addr), floor)
         hi = page_ceil(addr + members * unit)
         if hi <= lo:
             return FaultCounts()
-        # Runs of pages the touch will fault, as absolute page numbers.
         faults: List[Tuple[int, int, bool]] = []
-        pos = lo
-        while pos < hi:
-            mapping = self.space.find_mapping(pos)
-            if mapping is None:
-                break  # the touch below raises SegmentationFault
-            end = min(hi, mapping.end)
-            base = mapping.start >> PAGE_SHIFT
-            first = (pos - mapping.start) >> PAGE_SHIFT
-            last = (end - mapping.start) >> PAGE_SHIFT
-            for s, e, state in mapping.segments(first, last):
-                if state is not PageState.ANON_DIRTY:
-                    faults.append((base + s, base + e, state is PageState.SWAPPED))
-            pos = end
-        counts = self.space.touch(lo, hi - lo)
+        counts = self.space.touch(lo, hi - lo, faults=faults)
         if faults:
             self.invocation_fault_seconds = _bill_fault_runs(
                 self.invocation_fault_seconds, faults, addr, unit

@@ -424,7 +424,8 @@ class InlineShardPool:
     Used for the serial twin (one shard, every node) and for debugging a
     sharded run without process boundaries.  Deliberately does *not*
     touch the environment: inline hosts share the caller's live flags.
-    No codec runs, so the cost counters stay zero -- which is exactly
+    ``round_trips`` counts the same barriers as :class:`ShardPool`.  No
+    codec runs, so the pipe-byte counters stay zero -- which is exactly
     the honest accounting (nothing crossed a pipe).
     """
 
@@ -471,6 +472,7 @@ class InlineShardPool:
     def mark(self, name: str) -> None:
         for host in self._hosts:
             host.mark(name)
+        self.round_trips += 1
 
     def snapshot(self) -> List[bytes]:
         # A *real* pickle round-trip even inline: the blob is what a
@@ -492,6 +494,7 @@ class InlineShardPool:
         self.round_trips += 1
 
     def finish(self) -> List[Dict]:
+        self.round_trips += 1
         return [host.finalize() for host in self._hosts]
 
     def close(self) -> None:

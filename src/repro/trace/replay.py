@@ -329,12 +329,13 @@ def cluster_replay(
     ckpt_dir = (
         Path(config.checkpoint_dir) if config.checkpoint_dir is not None else None
     )
-    # Read the header (no pickle executed) up front: a resumed traced run
-    # must rewrite the *capturing* run's archive root, whose path the
-    # capture recorded in its meta.
+    # Verify the checkpoint (no pickle executed) up front: a resumed
+    # traced run must rewrite the *capturing* run's archive root, whose
+    # path the capture recorded in its meta, and a capture this build
+    # refuses fails by name before any arrivals are drawn.
     resume_meta: Optional[Dict[str, object]] = None
     if config.resume_from is not None:
-        resume_meta = checkpoint.read_header(config.resume_from)["meta"]
+        resume_meta = checkpoint.check_checkpoint(config.resume_from)["meta"]
     # Both phases' arrivals are drawn up front, warmup first: a resume
     # into the measured phase still needs the measured draw to follow
     # the warmup draw.

@@ -8,6 +8,9 @@ asserts identical observable state after every single step: return values,
 ``MemoryReport``s, per-page states, fault counters, version/release_epoch
 cadence, physical/swap counters, and smaps output -- and that the counter
 reads (``uss_bytes``, ``resident_bytes``) equal the reports' integers.
+Every touch also checks the fault runs the VMM reports against the pages
+whose state the reference touch changed, and every step checks that each
+mapping's run list stays sorted, disjoint and coalesced.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import random
 
 import pytest
 
+from repro.check import check_runlist
 from repro.mem.accounting import measure, measure_mapping, resident_bytes, uss_bytes
-from repro.mem.layout import PAGE_SIZE, PROT_RW, Protection
+from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE, PROT_RW, Protection
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.mem.reference import ReferenceAddressSpace
 from repro.mem.smaps import smaps_report
@@ -137,11 +141,45 @@ class DualSpace:
 
     def op_touch(self) -> None:
         addr, length = self._random_window()
-        write = self.rng.random() < 0.6
-        out = self.both(lambda s: s.touch(addr, length, write=write))
+        self.touch(addr, length, write=self.rng.random() < 0.6)
+
+    def touch(self, addr: int, length: int, write: bool) -> None:
+        """Touch both spaces; the fault runs the VMM reports must be the
+        pages whose state the reference touch changed, ascending, with
+        ``swapped`` exactly where the page was ``SWAPPED`` before."""
+        before = self.ref_pages()
+        faults: list = []
+        out = self.both(
+            lambda s: s.touch(addr, length, write=write, faults=faults)
+            if s is self.new
+            else s.touch(addr, length, write=write)
+        )
         if out is not None:
             a, b = out
             assert (a.minor, a.major) == (b.minor, b.major)
+        after = self.ref_pages()
+        changed = {
+            page: before.get(page) is PageState.SWAPPED
+            for page in before.keys() | after.keys()
+            if before.get(page) is not after.get(page)
+        }
+        reported = {}
+        previous_end = None
+        for first, end, swapped in faults:
+            assert first < end
+            assert previous_end is None or previous_end <= first, faults
+            previous_end = end
+            for page in range(first, end):
+                reported[page] = swapped
+        assert reported == changed
+
+    def ref_pages(self) -> dict:
+        """The reference space's present pages: absolute page -> state."""
+        return {
+            (m.start >> PAGE_SHIFT) + rel: state
+            for m in self.ref.mappings()
+            for rel, state in m.page_states()
+        }
 
     def op_discard(self) -> None:
         addr, length = self._random_window()
@@ -203,7 +241,9 @@ class DualSpace:
                 mr.n_file,
                 mr.n_swapped,
             )
-            # Exact per-page states, via both the run and dict interfaces.
+            # Exact per-page states, via both the run and dict interfaces,
+            # kept as sorted, disjoint, coalesced runs.
+            check_runlist(mn._runs, f"{mn.name}@{mn.start:#x}", 0, mn.num_pages)
             assert dict(mn.page_states()) == dict(mr.page_states())
             for rel in range(mn.num_pages):
                 assert mn.state_of(rel) is mr.state_of(rel)
@@ -255,9 +295,9 @@ def test_differential_split_heavy():
     )
     m_new, _ = out
     start = m_new.start
-    dual.both(lambda s: s.touch(start, 32 * PAGE_SIZE, write=False))
+    dual.touch(start, 32 * PAGE_SIZE, write=False)
     dual.check()
-    dual.both(lambda s: s.touch(start + 4 * PAGE_SIZE, 3 * PAGE_SIZE, write=True))
+    dual.touch(start + 4 * PAGE_SIZE, 3 * PAGE_SIZE, write=True)
     dual.check()
     dual.both(lambda s: s.mprotect(start + 8 * PAGE_SIZE, 8 * PAGE_SIZE, Protection.READ))
     dual.check()
@@ -265,7 +305,7 @@ def test_differential_split_heavy():
     dual.check()
     dual.both(lambda s: s.swap_out_range(start, 16 * PAGE_SIZE))
     dual.check()
-    dual.both(lambda s: s.touch(start, 8 * PAGE_SIZE, write=True))
+    dual.touch(start, 8 * PAGE_SIZE, write=True)
     dual.check()
 
 

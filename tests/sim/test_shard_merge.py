@@ -283,6 +283,18 @@ class TestPoolProtocol:
         finally:
             pool.close()
 
+    def test_window_mark_finish_count_three_round_trips(self, processes):
+        """Every barrier counts, inline or over pipes: windows + marks +
+        finish, as ``ShardedClusterSession.round_trips`` documents."""
+        pool = make_pool(EchoHost, [(0, False), (1, False)], processes=processes)
+        try:
+            pool.window([5.0], [[["a"]], [["b"]]])
+            pool.mark("reset")
+            pool.finish()
+            assert pool.round_trips == 3
+        finally:
+            pool.close()
+
     def test_payload_count_must_match_shards(self, processes):
         pool = make_pool(EchoHost, [(0, False)], processes=processes)
         try:

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -194,6 +195,39 @@ class TestTraceCommands:
         victim.write_bytes(bytes(blob))
         assert main(["trace", "verify", str(arc)]) == 1
         assert "PROBLEM" in capsys.readouterr().err
+
+
+REFUSED_CHECKPOINTS = {
+    "garbage": (b"garbage\nmore garbage\n", "checkpoint-magic"),
+    # A well-formed capture of the previous epoch grid's schema.
+    "schema-1": (
+        json.dumps(
+            {
+                "magic": "repro-checkpoint",
+                "schema": 1,
+                "meta": {"phase": "warmup"},
+                "env": {},
+                "payload_sha256": hashlib.sha256(b"payload").hexdigest(),
+                "payload_bytes": 7,
+            }
+        ).encode()
+        + b"\npayload",
+        "checkpoint-schema",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CHECKPOINTS)
+def test_replay_resume_of_refused_checkpoint_is_one_error_line(case, tmp_path, capsys):
+    content, invariant = REFUSED_CHECKPOINTS[case]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(content)
+    argv = ["replay", "--policy", "desiccant", "--scale-factor", "2", "--nodes", "2"]
+    argv += ["--warmup", "2", "--duration", "4", "--resume", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: [{invariant}] checkpoint ")
 
 
 def test_parser_rejects_unknown_policy():
