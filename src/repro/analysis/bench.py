@@ -730,8 +730,9 @@ def compare_replay(
     shape), so a matched label is the same workload.  When the matched
     run also used the committed run's seed, its simulation must be the
     committed one: the trace digest must equal the committed digest,
-    round trips may not exceed the committed count, and pipe bytes may
-    not exceed ``factor`` times the committed bytes.
+    round trips must equal the committed count (more is a regression,
+    fewer means the committed file is stale), and pipe bytes may not
+    exceed ``factor`` times the committed bytes.
     """
     committed = {
         r["label"]: r
@@ -763,9 +764,9 @@ def compare_replay(
                 f"{label}: trace digest {sha[:12]} != committed {base_sha[:12]}"
             )
         trips, base_trips = metrics.get("round_trips"), base_metrics.get("round_trips")
-        if trips is not None and base_trips is not None and trips > base_trips:
+        if trips is not None and base_trips is not None and trips != base_trips:
             failures.append(
-                f"{label}: {trips} round trips exceeds the committed {base_trips}"
+                f"{label}: {trips} round trips != the committed {base_trips}"
             )
         pipe, base_pipe = metrics.get("pipe_bytes"), base_metrics.get("pipe_bytes")
         if pipe is not None and base_pipe is not None and pipe > base_pipe * factor:

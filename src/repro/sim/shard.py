@@ -64,11 +64,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import multiprocessing
 import traceback
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ShardWorkerError",
@@ -547,12 +547,6 @@ def epoch_horizons(
 # ------------------------------------------------------------------- merge
 
 
-def _keyed_lines(lines: Iterable[str]) -> Iterator[Tuple[Tuple[float, int, int], str]]:
-    for line in lines:
-        record = json.loads(line)
-        yield (record["t"], record["node"], record["seq"]), line
-
-
 def merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
     """Merge per-shard JSONL trace streams into one canonical stream.
 
@@ -563,11 +557,16 @@ def merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
     ordered by node id and ``seq`` breaking ties within a node.  Keys
     are unique (``seq`` is dense per node), so the merge is a total
     order independent of how records were partitioned across sources.
+
+    One streaming ``heapq.merge`` keyed by
+    :func:`repro.trace.encode.line_key`, which reads the key off each
+    line's envelope (``json.loads`` only for lines it cannot read);
+    memory holds one pending line per source.
     """
-    for _, line in heapq.merge(
-        *[_keyed_lines(source) for source in sources], key=lambda pair: pair[0]
-    ):
-        yield line
+    # Imported here: repro.trace imports repro.sim at package init.
+    from repro.trace.encode import line_key
+
+    return heapq.merge(*sources, key=line_key)
 
 
 def _iter_file(path: Path) -> Iterator[str]:
@@ -582,24 +581,28 @@ def _iter_file(path: Path) -> Iterator[str]:
 _DIGEST_CHUNK = 1024
 
 
-def sha256_lines(lines: Iterable[str]) -> Tuple[int, str]:
+def sha256_lines(
+    lines: Iterable[str], out: Optional[IO[str]] = None
+) -> Tuple[int, str]:
     """Count and digest a line stream (newline-terminated, like the files).
 
     Hashes in :data:`_DIGEST_CHUNK`-line batches -- one ``update`` per
     chunk instead of two per line -- producing the identical digest.
+    ``out``, a text file, receives the same newline-terminated bytes
+    chunk by chunk.
     """
     digest = hashlib.sha256()
     count = 0
-    chunk: List[str] = []
-    for line in lines:
-        chunk.append(line)
-        count += 1
-        if len(chunk) >= _DIGEST_CHUNK:
-            digest.update(("\n".join(chunk) + "\n").encode("utf-8"))
-            chunk.clear()
-    if chunk:
-        digest.update(("\n".join(chunk) + "\n").encode("utf-8"))
-    return count, digest.hexdigest()
+    lines = iter(lines)
+    while True:
+        chunk = list(islice(lines, _DIGEST_CHUNK))
+        if not chunk:
+            return count, digest.hexdigest()
+        count += len(chunk)
+        text = "\n".join(chunk) + "\n"
+        digest.update(text.encode("utf-8"))
+        if out is not None:
+            out.write(text)
 
 
 def merge_trace_files(
@@ -621,10 +624,7 @@ def merge_trace_files(
     archive manifest carries the same composed digest this function
     returns.
     """
-    merged = heapq.merge(
-        *[_keyed_lines(_iter_file(Path(path))) for path in paths],
-        key=lambda pair: pair[0],
-    )
+    merged = merge_trace_lines([_iter_file(Path(path)) for path in paths])
     writer = None
     if archive_dir is not None:
         from repro.trace.archive import DEFAULT_BUCKET_SECONDS, ArchiveWriter
@@ -637,36 +637,14 @@ def merge_trace_files(
                 else archive_bucket_seconds
             ),
         )
+        merged = _tee_to_archive(merged, writer)
     handle = None
     if out_path is not None:
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         handle = out_path.open("w", encoding="utf-8")
-    digest = hashlib.sha256()
-    count = 0
-    # Chunked downstream hand-off: the merged stream reaches the digest,
-    # the flat file, and the archive (ArchiveWriter.add_many) in
-    # _DIGEST_CHUNK-line batches -- identical bytes, a fraction of the
-    # per-line call overhead.
-    chunk: List[Tuple[float, int, str]] = []
-
-    def drain() -> None:
-        payload = "\n".join(entry[2] for entry in chunk) + "\n"
-        if handle is not None:
-            handle.write(payload)
-        if writer is not None:
-            writer.add_many(chunk)
-        digest.update(payload.encode("utf-8"))
-        chunk.clear()
-
     try:
-        for (t, node, _), line in merged:
-            chunk.append((t, node, line))
-            count += 1
-            if len(chunk) >= _DIGEST_CHUNK:
-                drain()
-        if chunk:
-            drain()
+        count, sha = sha256_lines(merged, handle)
     finally:
         if handle is not None:
             handle.close()
@@ -674,4 +652,17 @@ def merge_trace_files(
         # The merged stream is canonical, so the writer's input-order
         # digest is the composed digest: safe to stamp the manifest.
         writer.close(manifest=True)
-    return count, digest.hexdigest()
+    return count, sha
+
+
+def _tee_to_archive(lines: Iterator[str], writer: Any) -> Iterator[str]:
+    """Pass ``lines`` through, handing each :data:`_DIGEST_CHUNK`-line
+    chunk to ``writer.add_many`` (an ``ArchiveWriter``) on the way."""
+    from repro.trace.encode import line_key
+
+    while True:
+        chunk = list(islice(lines, _DIGEST_CHUNK))
+        if not chunk:
+            return
+        writer.add_many([line_key(line)[:2] + (line,) for line in chunk])
+        yield from chunk

@@ -84,8 +84,10 @@ class EventTraceSink:
         #: Records written (== ``len(self.lines)`` unless ``store=False``).
         self.count = 0
         self._normalize_seq = normalize_seq
+        encode = _encode()
+        self._encode_line = encode.encode_line
         self._id_maps: Dict[str, Dict[object, int]] = {
-            key: {} for key in _encode().ID_KEYS
+            key: {} for key in encode.ID_KEYS
         }
         if digest_only and (
             path is not None or archive is not None or archive_dir is not None
@@ -140,7 +142,7 @@ class EventTraceSink:
     def _record(self, event: Event) -> None:
         """Encode one event and queue its line for the chunked hand-off."""
         t = round(event.time, 9)
-        line = _encode().encode_line(
+        line = self._encode_line(
             self.count if self._normalize_seq else event.seq,
             t,
             event.node,

@@ -55,21 +55,27 @@ per-node segments::
 :func:`ArchiveReader.compose` streams that merge (constant memory),
 verifying every footer digest on the way -- so per-segment digests
 compose to the existing whole-run SHA-256 and every current digest gate
-keeps working unchanged.  ``kind="rows"`` archives (telemetry CSV
-segments, which have no ``(t, node, seq)`` key embedded per line)
-compose by plain ``(bucket, node)``-ordered concatenation instead.
+keeps working unchanged.  The merge keys each line with
+:func:`repro.trace.encode.line_key`, which reads ``(t, node, seq)`` off
+the line's envelope; only a line it cannot read is parsed with
+``json.loads``.  ``kind="rows"`` archives (telemetry CSV segments, which
+have no ``(t, node, seq)`` key embedded per line) compose by plain
+``(bucket, node)``-ordered concatenation instead.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import itertools
 import json
 import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.trace.encode import line_key
 
 __all__ = [
     "ARCHIVE_SCHEMA",
@@ -618,10 +624,19 @@ class ArchiveReader:
         return footer
 
     def _read_all_lines(self, name: str, count_io: bool = True) -> List[str]:
+        """Every decompressed line of a segment, its footer last.
+
+        The file is read as one blob, decoded once and split on
+        newlines (the encoder never writes a raw carriage return, which
+        text mode would also split on).
+        """
         if count_io:
             self.segments_read.append(name)
-        with gzip.open(self.root / name, "rt", encoding="utf-8") as handle:
-            return [line.rstrip("\n") for line in handle]
+        with gzip.open(self.root / name, "rb") as handle:
+            lines = handle.read().decode("utf-8").split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        return lines
 
     def read_segment(
         self, name: str, verify: bool = False
@@ -648,12 +663,11 @@ class ArchiveReader:
         self, name: str, payload: List[str], footer: Dict[str, object]
     ) -> List[str]:
         problems = []
-        digest = hashlib.sha256()
-        for line in payload:
-            digest.update(line.encode("utf-8") + b"\n")
-        if digest.hexdigest() != footer["sha256"]:
+        blob = ("\n".join(payload) + "\n").encode("utf-8") if payload else b""
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest != footer["sha256"]:
             problems.append(
-                f"{name}: payload sha256 {digest.hexdigest()[:12]} != "
+                f"{name}: payload sha256 {digest[:12]} != "
                 f"footer {str(footer['sha256'])[:12]}"
             )
         if len(payload) != footer["events"]:
@@ -675,10 +689,9 @@ class ArchiveReader:
                     f"(width {width})"
                 )
         recorded_bytes = footer.get("payload_bytes")
-        actual_bytes = sum(len(line.encode("utf-8")) + 1 for line in payload)
-        if recorded_bytes is not None and recorded_bytes != actual_bytes:
+        if recorded_bytes is not None and recorded_bytes != len(blob):
             problems.append(
-                f"{name}: {actual_bytes} payload bytes != footer "
+                f"{name}: {len(blob)} payload bytes != footer "
                 f"payload_bytes {recorded_bytes}"
             )
         return problems
@@ -716,12 +729,11 @@ class ArchiveReader:
 
         def clipped(lines: Iterable[str]) -> Iterator[str]:
             for line in lines:
-                if t_start is not None or t_end is not None:
-                    t = json.loads(line)["t"]
-                    if t_start is not None and t < t_start:
-                        continue
-                    if t_end is not None and t >= t_end:
-                        continue
+                t = line_key(line)[0]
+                if t_start is not None and t < t_start:
+                    continue
+                if t_end is not None and t >= t_end:
+                    continue
                 yield line
 
         for bucket in sorted(by_bucket):
@@ -763,35 +775,36 @@ class ArchiveReader:
         Checks every segment's footer (digest, count, time range,
         addressing), then the composed whole-archive digest against the
         manifest and, optionally, an external expectation (the flat-file
-        twin's SHA-256).
+        twin's SHA-256).  A segment that fails its own checks is left
+        out of the composition, which is hashed in 1024-line chunks.
         """
-        problems = []
-        events = 0
-        digest = hashlib.sha256()
-        from repro.sim.shard import merge_trace_lines
+        from repro.sim.shard import merge_trace_lines, sha256_lines
 
-        infos = self.segments()
-        for bucket in sorted({info.bucket for info in infos}):
-            streams = []
-            for info in infos:
-                if info.bucket != bucket:
-                    continue
-                try:
-                    payload, footer = self.read_segment(info.name)
-                except (OSError, ValueError, KeyError, EOFError, zlib.error) as exc:
-                    problems.append(f"{info.name}: unreadable ({exc})")
-                    continue
-                problems.extend(self._verify_segment(info.name, payload, footer))
-                streams.append(payload)
-            bucket_lines = (
-                [line for payload in streams for line in payload]
-                if self.kind == "rows"
-                else list(merge_trace_lines(streams))
-            )
-            for line in bucket_lines:
-                digest.update(line.encode("utf-8") + b"\n")
-                events += 1
-        composed = digest.hexdigest()
+        problems: List[str] = []
+
+        def composed_lines() -> Iterator[str]:
+            by_bucket = itertools.groupby(self.segments(), lambda s: s.bucket)
+            for _, infos in by_bucket:
+                streams = []
+                for info in infos:
+                    try:
+                        payload, footer = self.read_segment(info.name)
+                    except (OSError, ValueError, KeyError, EOFError, zlib.error) as exc:
+                        problems.append(f"{info.name}: unreadable ({exc})")
+                        continue
+                    found = self._verify_segment(info.name, payload, footer)
+                    if found:
+                        # A payload that fails its footer stays out of
+                        # the merge: its lines may not even parse.
+                        problems.extend(found)
+                        continue
+                    streams.append(payload)
+                if self.kind == "rows":
+                    yield from itertools.chain.from_iterable(streams)
+                else:
+                    yield from merge_trace_lines(streams)
+
+        events, composed = sha256_lines(composed_lines())
         if self.manifest is not None:
             if self.manifest.get("events") != events:
                 problems.append(
@@ -844,6 +857,8 @@ def pack(
             line = line.rstrip("\n")
             if not line:
                 continue
+            # Parsed in full, not keyed off the envelope: the file comes
+            # from outside, and a malformed line must fail here.
             record = json.loads(line)
             writer.add(record["t"], record["node"], line)
     summary = writer.close(manifest=True)
@@ -875,7 +890,15 @@ def finalize_archive(
     manifest's sum.  ``event_trace_path`` additionally writes the flat
     canonical JSONL twin during that same pass, so a replay that wants
     both forms still reads every segment exactly once.
+
+    Each segment is read and verified as one blob, the merge keys lines
+    by their envelope (:func:`repro.trace.encode.line_key`), and the
+    composed stream is hashed -- and written to the flat twin -- in
+    1024-line chunks (:func:`repro.sim.shard.sha256_lines`).  Memory
+    holds one bucket's segments, as the streaming merge needs.
     """
+    from repro.sim.shard import sha256_lines
+
     root = Path(root)
     suffix = ".jsonl.gz"
     if footers is None:
@@ -901,19 +924,13 @@ def finalize_archive(
             ),
         )
         stream_verify = verify
-    digest = hashlib.sha256()
-    events = 0
     handle = None
     if event_trace_path is not None:
         event_trace_path = Path(event_trace_path)
         event_trace_path.parent.mkdir(parents=True, exist_ok=True)
         handle = event_trace_path.open("w", encoding="utf-8")
     try:
-        for line in reader.iter_window(verify=stream_verify):
-            digest.update(line.encode("utf-8") + b"\n")
-            events += 1
-            if handle is not None:
-                handle.write(line + "\n")
+        events, sha = sha256_lines(reader.iter_window(verify=stream_verify), handle)
     finally:
         if handle is not None:
             handle.close()
@@ -923,7 +940,6 @@ def finalize_archive(
             f"archive composed {events} events but the segment manifest "
             f"claims {claimed}"
         )
-    sha = digest.hexdigest()
     write_manifest(
         root,
         bucket_seconds=reader.bucket_seconds,

@@ -205,11 +205,19 @@ class TestReplayMacro:
 
     def test_compare_replay_flags_extra_round_trips(self):
         baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
-        fewer = [_coord_result("replay:vanilla:x8:d30:n8:s2", 4, 12_000)]
+        same = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
         more = [_coord_result("replay:vanilla:x8:d30:n8:s2", 6, 12_000)]
-        assert compare_replay(fewer, baseline) == []
+        assert compare_replay(same, baseline) == []
         failures = compare_replay(more, baseline)
         assert len(failures) == 1 and "round trips" in failures[0]
+
+    def test_compare_replay_flags_dropped_round_trips(self):
+        """Fewer round trips than committed on the committed seed means
+        the committed count is stale: the gate is exact, so it fails."""
+        baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 9, 12_000)]
+        fewer = [_coord_result("replay:vanilla:x8:d30:n8:s2", 6, 12_000)]
+        failures = compare_replay(fewer, baseline)
+        assert len(failures) == 1 and "6 round trips" in failures[0]
 
     def test_compare_replay_flags_pipe_byte_growth(self):
         baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
@@ -244,13 +252,14 @@ class TestReplayMacro:
     def test_small_legs_reproduce_the_committed_digests(self):
         """The replay smoke's single-platform and in-process 8-node legs,
         built and run through the ``repro bench`` spec path, stream the
-        committed trace bytes.  Digests only, no wall gate: this pins the
-        float-order contract of the simulation and the cluster engine on
-        every interpreter that runs the suite.  The legs run through
+        committed trace bytes, and the ``:n8`` legs the committed round
+        trips.  No wall gate: this pins the float-order contract of the
+        simulation and the cluster engine on every interpreter that runs
+        the suite.  The legs run through
         ``_run_replay``, which ``execute_spec`` wraps only with timing and
         tracemalloc (a 5x slowdown)."""
         committed = {
-            run["label"]: run["metrics"]["trace_sha256"]
+            run["label"]: run["metrics"]
             for run in load_baseline(ROOT / "BENCH_replay.json")["runs"]
         }
         specs = build_replay_macro(
@@ -263,7 +272,11 @@ class TestReplayMacro:
             "replay:desiccant:x8:d30:n8",
         ]
         for spec in specs:
-            assert _run_replay(spec)["trace_sha256"] == committed[spec.label], spec.label
+            metrics = _run_replay(spec)
+            expected = committed[spec.label]
+            assert metrics["trace_sha256"] == expected["trace_sha256"], spec.label
+            if spec.nodes:
+                assert metrics["round_trips"] == expected["round_trips"], spec.label
 
 
 class TestProfile:

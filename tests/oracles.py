@@ -14,6 +14,9 @@ where the tests that pin the fast structures to them can reach them:
 * :func:`reference_touch_cohort_segment` -- a cohort touch billed by
   walking the members one by one, one ``_charge_faults`` call per
   faulting member (production walks the fault runs instead);
+* :func:`reference_merge_trace_lines` -- the canonical trace merge with
+  every line's ``(t, node, seq)`` key read by ``json.loads``
+  (production reads the key off the line's envelope);
 * :func:`reference_paths` -- installs the summing, uncached and scalar
   paths on the platform and the runtimes, plus the linear bus on every
   kernel built afterwards.  With it installed ``frozen_instances``
@@ -27,7 +30,9 @@ byte for byte, as the same run in production form
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import heapq
+import json
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import repro.sim.kernel
 from repro.faas.instance import FunctionInstance, InstanceState
@@ -203,6 +208,21 @@ def reference_touch_cohort_segment(
         if minor or major:
             self._charge_faults(minor, major)
     return counts
+
+
+def _keyed_lines(lines: Iterable[str]) -> Iterator[Tuple[Tuple[float, int, int], str]]:
+    for line in lines:
+        record = json.loads(line)
+        yield (record["t"], record["node"], record["seq"]), line
+
+
+def reference_merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
+    """:func:`repro.sim.shard.merge_trace_lines` with each key parsed by
+    ``json.loads``: one ``heapq.merge`` over ``(key, line)`` pairs."""
+    for _, line in heapq.merge(
+        *[_keyed_lines(source) for source in sources], key=lambda pair: pair[0]
+    ):
+        yield line
 
 
 def reference_paths(monkeypatch) -> None:

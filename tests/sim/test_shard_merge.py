@@ -12,7 +12,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.rng import RngStream
@@ -27,6 +27,8 @@ from repro.sim.shard import (
     run_window,
     sha256_lines,
 )
+from repro.trace.encode import ID_KEYS, encode_line
+from tests.oracles import reference_merge_trace_lines
 
 # ------------------------------------------------------------------ epochs
 
@@ -160,11 +162,61 @@ class TestMerge:
         # no-op -- the property merge_trace_files relies on.
         assert list(merge_trace_lines(halves)) == serial
 
+    @given(
+        events=st.lists(
+            st.tuples(
+                # Few distinct times, so nodes tie on t; 1e-05 is spelled
+                # without a fraction, so its lines take json.loads.
+                st.sampled_from([0.0, 1e-05, 0.5, 1.25, 2.0, 3.0]),
+                st.integers(min_value=0, max_value=5),
+                st.text(max_size=6),
+            ),
+            max_size=80,
+        ),
+        sources=st.integers(min_value=1, max_value=4),
+    )
+    @example(
+        events=[(0.5, 0, "a"), (0.5, 0, "b"), (0.5, 1, "c")], sources=2
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_merge_matches_json_loads_oracle(self, events, sources):
+        """Encoded multi-node streams, split across sources by node:
+        the envelope-keyed merge emits the oracle's order, which is the
+        canonical ``(t, node, seq)`` order."""
+        seqs = {}
+        records = []
+        for t, node, note in sorted(events, key=lambda event: event[0]):
+            seq = seqs.get(node, 0)
+            seqs[node] = seq + 1
+            maps = {key: {} for key in ID_KEYS}
+            line = encode_line(seq, t, node, "step", {"note": note}, maps)
+            records.append((t, node, seq, line))
+        streams = [
+            [r[3] for r in sorted(records) if r[1] % sources == shard]
+            for shard in range(sources)
+        ]
+        merged = list(merge_trace_lines(streams))
+        assert merged == list(reference_merge_trace_lines(streams))
+        assert merged == [r[3] for r in sorted(records)]
+
     def test_sha256_lines_matches_manual_digest(self):
         lines = ["alpha", "beta"]
         count, digest = sha256_lines(lines)
         assert count == 2
         assert digest == hashlib.sha256(b"alpha\nbeta\n").hexdigest()
+
+    @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+    def test_sha256_lines_chunks_hash_every_line(self, count, tmp_path):
+        """Around the 1024-line chunk edges the digest, the count and
+        the bytes written to ``out`` are those of the whole stream."""
+        lines = [f"line{k}" for k in range(count)]
+        text = "".join(line + "\n" for line in lines)
+        path = tmp_path / "out.jsonl"
+        with path.open("w", encoding="utf-8") as out:
+            result = sha256_lines(iter(lines), out)
+        expected = (count, hashlib.sha256(text.encode("utf-8")).hexdigest())
+        assert result == expected == sha256_lines(lines)
+        assert path.read_text(encoding="utf-8") == text
 
     def test_merge_trace_files_roundtrip(self, tmp_path):
         serial = _serial_stream()

@@ -16,6 +16,7 @@ The contract under test (docs/TRACE_ARCHIVE.md):
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,8 @@ from repro.trace.archive import (
     parse_segment_name,
     segment_name,
 )
+from repro.trace.encode import ID_KEYS, encode_line
+from tests.oracles import reference_merge_trace_lines
 
 # ------------------------------------------------------------- fixtures
 
@@ -204,6 +207,17 @@ class TestComposition:
         flat.write_text("".join(line + "\n" for line in stream[:5]))
         pack(flat, tmp_path / "arc")
         with pytest.raises(FileExistsError):
+            pack(flat, tmp_path / "arc")
+
+    def test_pack_rejects_truncated_last_line(self, tmp_path, stream):
+        # A crashed writer's last line: its envelope head is whole, the
+        # rest of the object is missing.
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text(
+            "".join(line + "\n" for line in stream[:5])
+            + '{"seq":5,"t":1.5,"node":0,"kind":"inv\n'
+        )
+        with pytest.raises(json.JSONDecodeError):
             pack(flat, tmp_path / "arc")
 
     def test_empty_archive(self, tmp_path):
@@ -481,3 +495,81 @@ class TestManifestDrivenFinalize:
         footers[0] = dict(footers[0], events=footers[0]["events"] + 1)
         with pytest.raises(ValueError, match="segment manifest"):
             finalize_archive(root, footers=footers)
+
+
+# ------------------------------------------ two-writer composition oracle
+
+#: ``(t, node)`` events over three 10 s buckets; nodes tie on ``t``
+#: inside every bucket, and 1e-05 is spelled without a fraction.
+_TIED_EVENTS = [
+    (1e-05, 0), (1e-05, 3), (0.5, 1), (0.5, 2), (0.5, 0), (4.25, 3),
+    (9.75, 2), (9.75, 1), (10.0, 0), (10.0, 1), (10.0, 2), (10.0, 3),
+    (12.5, 3), (12.5, 0), (19.999, 1), (20.0, 2), (20.0, 0), (27.125, 3),
+]
+
+
+def _per_node_streams(events):
+    """Each node's encoded lines in its own ``(t, seq)`` order, the way
+    a node-canonical sink writes them."""
+    streams = {}
+    for t, node in sorted(events, key=lambda event: event[0]):
+        lines = streams.setdefault(node, [])
+        maps = {key: {} for key in ID_KEYS}
+        data = {"function": f"fn{node}", "note": "caf\u00e9"}
+        lines.append(encode_line(len(lines), t, node, "step", data, maps))
+    return streams
+
+
+class TestTwoWriterComposition:
+    """Two writers with disjoint nodes fill one root; the coordinator's
+    finalize must compose exactly what the ``json.loads`` oracle merge
+    composes."""
+
+    def _archive(self, root):
+        streams = _per_node_streams(_TIED_EVENTS)
+        writers = {
+            0: ArchiveWriter(root, bucket_seconds=10.0),
+            1: ArchiveWriter(root, bucket_seconds=10.0),
+        }
+        for node, lines in sorted(streams.items()):
+            for line in lines:
+                t = json.loads(line)["t"]
+                writers[node % 2].add(t, node, line)
+        footers = []
+        for writer in writers.values():
+            footers.extend(writer.close(manifest=False)["segments"])
+        return streams, footers
+
+    def test_finalize_matches_oracle_merge(self, tmp_path):
+        root = tmp_path / "arc"
+        streams, footers = self._archive(root)
+        assert len({f["bucket"] for f in footers}) >= 2
+        assert len({f["node"] for f in footers}) == 4
+        oracle = list(reference_merge_trace_lines(list(streams.values())))
+        flat = tmp_path / "flat.jsonl"
+        composed = finalize_archive(root, footers=footers, event_trace_path=flat)
+        assert composed == sha256_lines(oracle)
+        assert flat.read_text(encoding="utf-8") == "".join(
+            line + "\n" for line in oracle
+        )
+        assert composed[1] == hashlib.sha256(flat.read_bytes()).hexdigest()
+        manifest = json.loads((root / "MANIFEST.json").read_text())
+        assert manifest["sha256"] == composed[1]
+        assert ArchiveReader(root).verify(against_sha256=composed[1]) == []
+
+    def test_flipped_payload_byte_fails_by_name(self, tmp_path):
+        """A payload byte flipped under intact gzip framing is caught by
+        the footer digest, and the error names the segment.  (A flip in
+        the compressed bytes trips gzip's own CRC first.)"""
+        root = tmp_path / "arc"
+        _, footers = self._archive(root)
+        victim = root / segment_name(1, 2)
+        with gzip.open(victim, "rb") as handle:
+            payload, footer = handle.read().rsplit(b"\n", 2)[:2]
+        flipped = bytearray(payload + b"\n")
+        flipped[12] ^= 0x01
+        victim.write_bytes(gzip_member(bytes(flipped)) + gzip_member(footer + b"\n"))
+        with pytest.raises(ValueError, match=victim.name):
+            finalize_archive(root, footers=footers)
+        problems = ArchiveReader(root).verify()
+        assert any(victim.name in problem for problem in problems)

@@ -6,7 +6,9 @@ envelope keys first, sorted scalar payload keys, floats rounded to 9
 places, ``request_id`` / ``instance_id`` remapped to dense
 first-appearance indexes.  The Hypothesis property drives arbitrary
 scalar payloads through both; the golden lines pin the bytes themselves,
-without calling ``json``.
+without calling ``json``.  ``line_key``, the merge-key reader, must read
+back exactly the ``(t, node, seq)`` that ``json.loads`` does from every
+line ``encode_line`` writes.
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.trace.encode
 from repro.sim.bus import EventBus
 from repro.sim.trace import EventTraceSink
-from repro.trace.encode import ID_KEYS, SCALARS, encode_line
+from repro.trace.encode import ID_KEYS, SCALARS, encode_line, line_key
 
 
 def fresh_maps():
@@ -151,6 +155,115 @@ def test_encode_line_matches_json_dumps(kind, payload, seq, t, node):
         t = round(t, 9)  # the sink rounds before encoding
     expected = reference_line(seq, t, node, kind, payload, fresh_maps())
     assert encode_line(seq, t, node, kind, payload, fresh_maps()) == expected
+
+
+# ------------------------------------------------------- merge-key reader
+
+
+def _same(a, b):
+    """Equal in type and value, with NaN equal to NaN."""
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def _json_key(line):
+    record = json.loads(line)
+    return record["t"], record["node"], record["seq"]
+
+
+def _json_spy():
+    """Wraps the ``json`` module inside ``repro.trace.encode``: no
+    ``loads`` call means the key was read off the envelope."""
+    return mock.patch.object(repro.trace.encode, "json", wraps=json)
+
+
+#: Payload keys that repeat an envelope key overwrite its value in place.
+_envelope_keys = st.sampled_from(("seq", "t", "node", "kind"))
+
+_key_payloads = st.dictionaries(
+    st.one_of(_keys, _envelope_keys), _scalar_values, max_size=6
+)
+
+_key_times = st.one_of(
+    _times, st.integers(min_value=-(2**63), max_value=2**63)
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=_kinds,
+    payload=_key_payloads,
+    seq=st.integers(min_value=0, max_value=10**9),
+    t=_key_times,
+    node=st.integers(min_value=0, max_value=64),
+)
+# The envelope path: a production-shaped record, non-ASCII payload.
+@example(kind="thaw", payload={"function": "café", "x": 0.5}, seq=7, t=1.5, node=2)
+@example(kind="k", payload={"t": 2.25, "node": 5, "seq": 9}, seq=0, t=1.0, node=0)
+# The fallback path: a payload "t" that is not a fraction literal, an
+# int time too large for a float, non-finite and exponent-only times,
+# non-integer envelope values.
+@example(kind="k", payload={"t": "1.5"}, seq=0, t=1.0, node=0)
+@example(kind="k", payload={"t": 3}, seq=0, t=1.0, node=0)
+@example(kind="k", payload={}, seq=0, t=2**60 + 1, node=0)
+@example(kind="k", payload={}, seq=0, t=math.nan, node=0)
+@example(kind="k", payload={}, seq=0, t=-math.inf, node=0)
+@example(kind="k", payload={}, seq=0, t=1e-05, node=0)
+@example(kind="k", payload={"seq": True, "node": None}, seq=0, t=1.5, node=0)
+@example(kind="k", payload={"node": 1.5}, seq=0, t=1.5, node=0)
+def test_line_key_matches_json_loads(kind, payload, seq, t, node):
+    line = encode_line(seq, t, node, kind, payload, fresh_maps())
+    with _json_spy() as spy:
+        key = line_key(line)
+    expected = _json_key(line)
+    assert all(map(_same, key, expected)), (line, key, expected)
+    assert spy.loads.call_count <= 1
+
+
+@pytest.mark.parametrize(
+    "seq, t, node, payload",
+    [
+        (0, 0.0, 0, {}),
+        (12345, 34.567891234, 3, {"function": "fn-12", "cold": False}),
+        (1, 1.5e-07, 7, {"kind": "x,\"t\":9.5"}),
+        (2, 1e16 + 2.0, 1, {}),
+        (4, 1.0, 1, {"t": 0.25, "node": 4, "seq": 8}),
+        (3, -2.5, 2, {"note": '"node":1,"kind":'}),
+    ],
+)
+def test_line_key_reads_envelope_without_json(seq, t, node, payload):
+    """Lines whose envelope holds integer ``seq``/``node`` and a
+    fraction-literal ``t`` are read without ``json``."""
+    line = encode_line(seq, t, node, "k", payload, fresh_maps())
+    with _json_spy() as spy:
+        key = line_key(line)
+    assert spy.loads.call_count == 0
+    assert all(map(_same, key, _json_key(line)))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"seq":0,"t":3,"node":0,"kind":"k"}',
+        '{"seq":0,"t":"1.5","node":0,"kind":"k"}',
+        '{"seq":0,"t":NaN,"node":0,"kind":"k"}',
+        '{"seq":0,"t":Infinity,"node":0,"kind":"k"}',
+        '{"seq":0,"t":1e-05,"node":0,"kind":"k"}',
+        '{"seq":true,"t":1.5,"node":0,"kind":"k"}',
+        '{"seq":0,"t":1.5,"node":null,"kind":"k"}',
+        '{"seq":0,"t":1.5,"node":2.0,"kind":"k"}',
+        '{"t": 1.5, "node": 0, "seq": 0}',
+        '{"node":0,"seq":0,"t":1.5}',
+    ],
+)
+def test_line_key_falls_back_to_json(line):
+    with _json_spy() as spy:
+        key = line_key(line)
+    assert spy.loads.call_count == 1
+    assert all(map(_same, key, _json_key(line)))
 
 
 # --------------------------------------------------------- id normalization
