@@ -730,9 +730,9 @@ def compare_replay(
     shape), so a matched label is the same workload.  When the matched
     run also used the committed run's seed, its simulation must be the
     committed one: the trace digest must equal the committed digest,
-    round trips must equal the committed count (more is a regression,
-    fewer means the committed file is stale), and pipe bytes may not
-    exceed ``factor`` times the committed bytes.
+    round trips and epochs must equal the committed counts (more is a
+    regression, fewer means the committed file is stale), and pipe bytes
+    may not exceed ``factor`` times the committed bytes.
     """
     committed = {
         r["label"]: r
@@ -763,11 +763,12 @@ def compare_replay(
             failures.append(
                 f"{label}: trace digest {sha[:12]} != committed {base_sha[:12]}"
             )
-        trips, base_trips = metrics.get("round_trips"), base_metrics.get("round_trips")
-        if trips is not None and base_trips is not None and trips != base_trips:
-            failures.append(
-                f"{label}: {trips} round trips != the committed {base_trips}"
-            )
+        for key, noun in (("round_trips", "round trips"), ("epochs", "epochs")):
+            count, base_count = metrics.get(key), base_metrics.get(key)
+            if count is not None and base_count is not None and count != base_count:
+                failures.append(
+                    f"{label}: {count} {noun} != the committed {base_count}"
+                )
         pipe, base_pipe = metrics.get("pipe_bytes"), base_metrics.get("pipe_bytes")
         if pipe is not None and base_pipe is not None and pipe > base_pipe * factor:
             failures.append(

@@ -95,13 +95,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "eager": EagerGcManager,
         "desiccant": Desiccant,
     }
-    if args.digest_only and (args.event_trace or args.archive or args.nodes):
-        print(
-            "error: --digest-only neither stores nor writes the trace; "
-            "drop --event-trace/--archive/--nodes",
-            file=sys.stderr,
-        )
-        return 2
     checkpointing = (
         args.checkpoint_dir or args.checkpoint_every or args.resume or args.fork
     )
@@ -226,16 +219,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 event_trace_path=trace_path,
                 archive_dir=archive_dir,
                 archive_bucket_seconds=args.bucket_seconds,
-                digest_only=args.digest_only,
             )
             result = replay(factories[policy], config, generator)
             stats = result.stats
-            if args.digest_only:
-                print(
-                    f"digest-only [{policy}]: {result.trace_events} events, "
-                    f"stream sha256 {result.trace_sha256}",
-                    file=sys.stderr,
-                )
             if result.trace is not None and trace_path is not None:
                 print(
                     f"wrote {len(result.trace)} events to {trace_path}",
@@ -561,13 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(with --policy all, one directory per policy: DIR.<policy>); "
         "independent of --event-trace, and digest-checked against it "
         "when both are on",
-    )
-    p.add_argument(
-        "--digest-only",
-        action="store_true",
-        help="compute the measurement window's trace-stream SHA-256 "
-        "without storing or writing lines (single platform only, "
-        "incompatible with --event-trace/--archive/--nodes)",
     )
     p.add_argument(
         "--bucket-seconds",

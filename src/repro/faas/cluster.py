@@ -214,12 +214,10 @@ class ClusterShardSpec:
     #: Per-node platform configs, seeds already offset by node id.
     node_configs: Dict[int, PlatformConfig]
     manager_factory: Callable[[], object]
-    #: Stream per-node canonical traces into this directory once the
-    #: ``start-trace`` mark arrives (None = never trace).
-    trace_dir: Optional[str] = None
-    #: Roll canonical records into segmented-archive form here (shared
-    #: across shards: each worker writes only its own nodes' segments,
-    #: the coordinator finalizes).  Independent of ``trace_dir``.
+    #: Roll node-canonical records into segmented-archive form here once
+    #: the ``start-trace`` mark arrives (shared across shards: each worker
+    #: writes only its own nodes' segments, the coordinator finalizes;
+    #: None = never trace).
     archive_dir: Optional[str] = None
     archive_bucket_seconds: float = 60.0
     #: Stream per-node telemetry CSVs here, flushed at every epoch barrier.
@@ -419,31 +417,26 @@ class ClusterShardHost:
             for platform in self.platforms.values():
                 platform.reset_metrics()
         elif name == "start-trace":
-            if self.spec.trace_dir is None and self.spec.archive_dir is None:
+            if self.spec.archive_dir is None:
                 return
-            if self.spec.archive_dir is not None:
-                from repro.trace.archive import ArchiveWriter  # worker-side lazy
+            from repro.trace.archive import ArchiveWriter  # worker-side lazy
 
-                # One writer per worker, shared by its node sinks: every
-                # (bucket, node) segment still has exactly one producer,
-                # so the shared root fills with byte-identical segments
-                # no matter how nodes were partitioned.
-                self._archive = ArchiveWriter(
-                    self.spec.archive_dir,
-                    bucket_seconds=self.spec.archive_bucket_seconds,
-                )
+            # One writer per worker, shared by its node sinks: every
+            # (bucket, node) segment still has exactly one producer,
+            # so the shared root fills with byte-identical segments
+            # no matter how nodes were partitioned.
+            self._archive = ArchiveWriter(
+                self.spec.archive_dir,
+                bucket_seconds=self.spec.archive_bucket_seconds,
+            )
             for node_id, platform in self.platforms.items():
                 # Node-canonical, streamed: seq is the sink's own dense
-                # counter and lines go straight to disk, so worker memory
-                # stays flat and the records do not depend on shard count.
+                # counter and lines go straight to the archive, so worker
+                # memory stays flat and the records do not depend on
+                # shard count.
                 self._sinks[node_id] = EventTraceSink(
                     platform.bus,
                     node=node_id,
-                    path=(
-                        Path(self.spec.trace_dir) / f"node{node_id:03d}.jsonl"
-                        if self.spec.trace_dir is not None
-                        else None
-                    ),
                     normalize_seq=True,
                     store=False,
                     archive=self._archive,
@@ -477,11 +470,6 @@ class ClusterShardHost:
                 "evictions": platform.evictions,
                 "overcommits": platform.overcommits,
                 "cpu_busy": dict(platform.cpu.busy),
-                "trace_path": (
-                    str(Path(self.spec.trace_dir) / f"node{node_id:03d}.jsonl")
-                    if sink is not None and self.spec.trace_dir is not None
-                    else None
-                ),
                 "trace_events": sink.count if sink is not None else 0,
                 "telemetry_path": str(
                     Path(self.spec.telemetry_dir) / f"node{node_id:03d}.csv"
@@ -580,7 +568,6 @@ class ShardedClusterSession:
         epoch_seconds: float = 5.0,
         processes: Optional[bool] = None,
         window_epochs: int = 32,
-        trace_dir: Optional[str] = None,
         archive_dir: Optional[str] = None,
         archive_bucket_seconds: float = 60.0,
         telemetry_dir: Optional[str] = None,
@@ -619,7 +606,6 @@ class ShardedClusterSession:
                     node_ids=node_ids,
                     node_configs=node_configs,
                     manager_factory=factory,
-                    trace_dir=trace_dir,
                     archive_dir=archive_dir,
                     archive_bucket_seconds=archive_bucket_seconds,
                     telemetry_dir=telemetry_dir,

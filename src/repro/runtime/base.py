@@ -244,12 +244,7 @@ class ManagedRuntime(abc.ABC):
         self.graph.pop_frame()
         self.invocations += 1
 
-    def alloc(
-        self,
-        size: int,
-        refs: Iterable[int] = (),
-        scope: str = "frame",
-    ) -> int:
+    def alloc(self, size: int, scope: str = "frame") -> int:
         """Allocate an object and root it per ``scope``.
 
         * ``"ephemeral"``  -- unrooted; dead at the next collection.
@@ -258,7 +253,7 @@ class ManagedRuntime(abc.ABC):
         * ``"weak"``       -- held only by a weak root (JIT artifacts).
         """
         self._check_booted()
-        oid = self.graph.new_object(size, refs)
+        oid = self.graph.new_object(size)
         self._root(oid, scope)
         if scope == "ephemeral":
             # The allocation site references the object until placement

@@ -68,7 +68,6 @@ class G1Runtime(ManagedRuntime):
         super().__init__(name, config or G1Config(), **kwargs)
         self._heap: Mapping | None = None
         self._regions: RegionManager | None = None
-        self._where: Dict[int, Region] = {}
         self._marking_done = False
         self.young_gc_count = 0
         self.mixed_gc_count = 0
@@ -134,7 +133,6 @@ class G1Runtime(ManagedRuntime):
             return None
         region, _offset = result
         self._commit_region(region)
-        self._where[oid] = region
         self._materialize(region)
         return region
 
@@ -148,7 +146,6 @@ class G1Runtime(ManagedRuntime):
         for region in span:
             self._commit_region(region)
             self._materialize(region)
-        self._where[oid] = span[0]
 
     # ------------------------------------------------------------------- GC
 
@@ -271,14 +268,9 @@ class G1Runtime(ManagedRuntime):
                 continue
             for member in self._regions.humongous_span(region.index):
                 member.reset()
-            for oid in head_objects:
-                self._where.pop(oid, None)
 
     def _collect_dead(self, live: set) -> None:
         _count, _bytes = self.graph.sweep(live)
-        for oid in list(self._where):
-            if oid not in self.graph.objects:
-                del self._where[oid]
 
     # -------------------------------------------------------------- reclaim
 

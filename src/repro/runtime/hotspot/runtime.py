@@ -21,7 +21,7 @@ The §3.2.1 behaviours the characterization depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.mem.layout import MIB, Protection, page_ceil
 from repro.mem.vmm import Mapping
@@ -71,7 +71,6 @@ class HotSpotRuntime(ManagedRuntime):
         self._eden: ContiguousSpace | None = None
         self._from: ContiguousSpace | None = None
         self._to: ContiguousSpace | None = None
-        self._where: Dict[int, ContiguousSpace] = {}
         self.young_gc_count = 0
         self.full_gc_count = 0
 
@@ -150,7 +149,6 @@ class HotSpotRuntime(ManagedRuntime):
                     self._place_old_direct(oid, size)
                     return
         self._eden.bump(oid, size)
-        self._where[oid] = self._eden
         self._materialize(self._eden)
 
     def _supports_cohorts(self, unit: int) -> bool:
@@ -158,9 +156,6 @@ class HotSpotRuntime(ManagedRuntime):
 
     def _bump_space(self) -> Tuple[ContiguousSpace, int]:
         return self._eden, self._heap.start + self._eden.offset
-
-    def _bumped(self, space: ContiguousSpace, oid: int, size: int) -> None:
-        self._where[oid] = space
 
     def _place_old_direct(self, oid: int, size: int) -> None:
         if not self._old.fits(size):
@@ -171,7 +166,6 @@ class HotSpotRuntime(ManagedRuntime):
                 f"({self._old.free} free of {self._old.reserved} reserved)"
             )
         self._old.bump(oid, size)
-        self._where[oid] = self._old
         self._materialize(self._old)
 
     def _ensure_old_capacity(self, size: int) -> None:
@@ -221,16 +215,13 @@ class HotSpotRuntime(ManagedRuntime):
                 if tail is not None:
                     # The leading members fill ``to``; the rest overflow.
                     self._to.bump(oid, obj.size)
-                    self._where[oid] = self._to
                     copied += obj.size
                     oid, obj = tail, self.graph.objects[tail]
             if obj.age >= cfg.tenure_threshold or not self._to.fits(obj.size):
                 self._old.bump(oid, obj.size)
-                self._where[oid] = self._old
                 promoted += obj.size
             else:
                 self._to.bump(oid, obj.size)
-                self._where[oid] = self._to
                 copied += obj.size
         self._materialize(self._to)
         self._materialize(self._old)
@@ -239,7 +230,6 @@ class HotSpotRuntime(ManagedRuntime):
         for oid in dead:
             collected += self.graph.objects[oid].size
             del self.graph.objects[oid]
-            self._where.pop(oid, None)
 
         self._eden.reset()
         self._from.reset()
@@ -280,9 +270,6 @@ class HotSpotRuntime(ManagedRuntime):
     def _full_gc(self, aggressive: bool) -> float:
         live = self.graph.reachable(include_weak=not aggressive)
         _count, collected = self.graph.sweep(live)
-        for oid in list(self._where):
-            if oid not in self.graph.objects:
-                del self._where[oid]
 
         # Mark-sweep-compact: slide every live object to the bottom of the
         # old generation, preserving address order (old first, then young).
@@ -302,7 +289,6 @@ class HotSpotRuntime(ManagedRuntime):
         self._set_committed(self._old, max(self._old.committed, page_ceil(live_bytes)))
         for oid in ordered:
             self._old.bump(oid, self.graph.objects[oid].size)
-            self._where[oid] = self._old
         self._materialize(self._old)
 
         seconds = self._parallel_pause(

@@ -1,31 +1,31 @@
 """The object graph shared by every runtime simulator.
 
-Objects are nodes with a byte size and strong reference edges.  Roots come in
-three flavours:
+Objects are nodes with a byte size; an object is live exactly while a root
+holds it (no workload creates references between objects, so liveness is
+the root set).  Roots come in three flavours:
 
 * **frame roots** -- live for one function invocation (temporaries); the
   runtime pops them at invocation exit, at which point the temporaries are
   garbage -- *frozen garbage* once the instance is paused.
 * **persistent roots** -- the function's cached state (loaded libraries,
   connection pools); live across invocations.
-* **weak roots** -- reachable only through a weak edge (V8's JIT code cache
-  is modelled this way).  Normal collections retain them; *aggressive*
-  collections (§4.7) clear them, triggering deoptimization on the next run.
+* **weak roots** -- held only weakly (V8's JIT code cache is modelled this
+  way).  Normal collections retain them; *aggressive* collections (§4.7)
+  clear them, triggering deoptimization on the next run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 
 @dataclass
 class HeapObject:
-    """One allocated object: identity, size, and outgoing strong edges."""
+    """One allocated object: identity and size."""
 
     oid: int
     size: int
-    refs: List[int] = field(default_factory=list)
     age: int = 0  # young collections survived (promotion decisions)
 
     def __post_init__(self) -> None:
@@ -60,10 +60,10 @@ class CohortObject(HeapObject):
 
 
 class ObjectGraph:
-    """Object table plus root sets, with reachability tracing.
+    """Object table plus root sets; the live set is the root set.
 
     Placement (which space / address an object lives at) is the runtime's
-    job; the graph only knows identity, sizes, and edges.
+    job; the graph only knows identity, sizes, and roots.
     """
 
     def __init__(self) -> None:
@@ -78,14 +78,11 @@ class ObjectGraph:
 
     # ------------------------------------------------------------- mutation
 
-    def new_object(self, size: int, refs: Iterable[int] = ()) -> int:
+    def new_object(self, size: int) -> int:
         """Create an object and return its id (caller decides rooting)."""
         oid = self._next_id
         self._next_id += 1
-        ref_list = list(refs)
-        for child in ref_list:
-            self._require(child)
-        self.objects[oid] = HeapObject(oid, size, ref_list)
+        self.objects[oid] = HeapObject(oid, size)
         return oid
 
     def new_cohort(self, count: int, unit: int) -> int:
@@ -96,7 +93,7 @@ class ObjectGraph:
             raise ValueError(f"cohort unit must be positive, got {unit}")
         oid = self._next_id
         self._next_id += 1
-        self.objects[oid] = CohortObject(oid, count * unit, [], 0, count, unit)
+        self.objects[oid] = CohortObject(oid, count * unit, 0, count, unit)
         return oid
 
     def split_cohort(self, oid: int, head: int) -> int:
@@ -104,7 +101,7 @@ class ObjectGraph:
 
         ``oid`` keeps the leading ``head`` members; a new cohort takes the
         rest and its id is returned.  The tail inherits the head's age and
-        edges and is rooted in every frame, persistent, and weak root set
+        is rooted in every frame, persistent, and weak root set
         that holds the head, so it lives and dies exactly as the members
         it stands for.  Moving collectors call this where a run's members
         would part ways (a survivor space or an old chunk filling up).
@@ -120,7 +117,7 @@ class ObjectGraph:
         self._next_id += 1
         rest = obj.count - head
         self.objects[tail] = CohortObject(
-            tail, rest * obj.unit, list(obj.refs), obj.age, rest, obj.unit
+            tail, rest * obj.unit, obj.age, rest, obj.unit
         )
         obj.count = head
         obj.size = head * obj.unit
@@ -132,12 +129,6 @@ class ObjectGraph:
             if oid in frame:
                 frame.add(tail)
         return tail
-
-    def add_ref(self, parent: int, child: int) -> None:
-        """Add a strong edge parent -> child."""
-        self._require(parent)
-        self._require(child)
-        self.objects[parent].refs.append(child)
 
     def push_frame(self) -> None:
         """Open a new invocation frame (its roots die with the frame)."""
@@ -179,35 +170,23 @@ class ObjectGraph:
         """Drop a weak root (idempotent)."""
         self.weak_roots.discard(oid)
 
-    # ------------------------------------------------------------- tracing
+    # ------------------------------------------------------------ liveness
 
-    def all_roots(self, include_weak: bool) -> Set[int]:
-        """The current root set."""
+    def reachable(self, include_weak: bool = True) -> Set[int]:
+        """The live set: every rooted object, as a fresh set the caller
+        may extend.  Weak roots count unless ``include_weak`` is false
+        (aggressive collections)."""
         roots: Set[int] = set(self.persistent_roots)
         for frame in self._frames:
             roots |= frame
         if include_weak:
             roots |= self.weak_roots
         # Roots may point at already-removed objects only through bugs;
-        # filter defensively so tracing never KeyErrors.
+        # filter defensively so collectors never KeyError.
         return {oid for oid in roots if oid in self.objects}
 
-    def reachable(self, include_weak: bool = True) -> Set[int]:
-        """Transitive closure of the roots over strong edges."""
-        live: Set[int] = set()
-        stack = list(self.all_roots(include_weak))
-        while stack:
-            oid = stack.pop()
-            if oid in live:
-                continue
-            live.add(oid)
-            for child in self.objects[oid].refs:
-                if child not in live and child in self.objects:
-                    stack.append(child)
-        return live
-
     def live_bytes(self, include_weak: bool = True) -> int:
-        """Total size of currently reachable objects."""
+        """Total size of the live (rooted) objects."""
         return sum(self.objects[oid].size for oid in self.reachable(include_weak))
 
     def sweep(self, live: Set[int]) -> Tuple[int, int]:
@@ -249,9 +228,9 @@ class ObjectGraph:
         append = nodes.append
         for obj in self.objects.values():
             if type(obj) is CohortObject:
-                append((obj.oid, obj.size, obj.refs, obj.age, obj.count, obj.unit))
+                append((obj.oid, obj.size, obj.age, obj.count, obj.unit))
             else:
-                append((obj.oid, obj.size, obj.refs, obj.age))
+                append((obj.oid, obj.size, obj.age))
         return (
             self._next_id,
             nodes,
@@ -265,12 +244,12 @@ class ObjectGraph:
         self._next_id = next_id
         objects: Dict[int, HeapObject] = {}
         for row in nodes:
-            if len(row) == 6:
-                oid, size, refs, age, count, unit = row
-                objects[oid] = CohortObject(oid, size, refs, age, count, unit)
+            if len(row) == 5:
+                oid, size, age, count, unit = row
+                objects[oid] = CohortObject(oid, size, age, count, unit)
             else:
-                oid, size, refs, age = row
-                objects[oid] = HeapObject(oid, size, refs, age)
+                oid, size, age = row
+                objects[oid] = HeapObject(oid, size, age)
         self.objects = objects
         self.persistent_roots = persistent
         self.weak_roots = weak

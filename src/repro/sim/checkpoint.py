@@ -13,7 +13,7 @@ File format
 -----------
 One UTF-8 JSON header line followed by the raw pickle payload::
 
-    {"magic": "repro-checkpoint", "schema": 2, "meta": {...},
+    {"magic": "repro-checkpoint", "schema": 3, "meta": {...},
      "env": {...}, "payload_sha256": "...", "payload_bytes": N}\n
     <payload_bytes of pickle protocol 4>
 
@@ -27,9 +27,11 @@ The ``env`` block records the flags the capture ran under; it is
 informational and gates nothing.
 
 A capture's ``pos`` cursor indexes its phase's horizon list, so the
-schema changes whenever the epoch grid does: schema 2 is the fixed
-grid's, and a capture of another schema fails as ``checkpoint-schema``
-rather than resume at the wrong epoch.
+schema changes whenever the epoch grid does, and whenever pickled state
+changes shape: schema 2 is the fixed grid's, schema 3 pickles object
+graph nodes without reference edges, and a capture of another schema
+fails as ``checkpoint-schema`` rather than resume at the wrong epoch or
+misparse a node row.
 
 Invariant names
 ---------------
@@ -92,7 +94,7 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: cursors index.  A restore across schema versions is refused outright
 #: (``checkpoint-schema``): silently reinterpreting old state would break
 #: the byte-identity contract in ways no digest can catch.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Pinned pickle protocol: part of the format, not a knob, so the same
 #: checkpoint bytes restore on every supported interpreter.

@@ -48,12 +48,15 @@ shard-count-invariant.
 Determinism
 -----------
 Shard workers produce *node-canonical* event traces
-(:class:`~repro.sim.trace.EventTraceSink` with ``normalize_seq=True``):
-per-node records do not depend on which process or kernel hosted the
-node.  :func:`merge_trace_files` merges the per-node JSONL streams into
-one stream ordered by ``(t, node, seq)`` -- the same total order one
-kernel shared by every node produces -- so the merged trace's SHA-256 is
-byte-identical to the serial twin's for any shard count.
+(:class:`~repro.sim.trace.EventTraceSink` with ``normalize_seq=True``)
+and write them as segments of one shared archive root
+(:mod:`repro.trace.archive`): per-node records do not depend on which
+process or kernel hosted the node.  The coordinator's
+:func:`~repro.trace.archive.finalize_archive` merges each bucket's
+per-node segments with :func:`merge_trace_lines` into one stream ordered
+by ``(t, node, seq)`` -- the same total order one kernel shared by every
+node produces -- so the merged trace's SHA-256 is byte-identical to the
+serial twin's for any shard count.
 
 :class:`InlineShardPool` runs the identical window protocol with
 in-process hosts (no forking, no codec); the serial twin of a sharded
@@ -67,7 +70,6 @@ import heapq
 import multiprocessing
 import traceback
 from itertools import islice
-from pathlib import Path
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -78,7 +80,6 @@ __all__ = [
     "run_window",
     "epoch_horizons",
     "merge_trace_lines",
-    "merge_trace_files",
     "sha256_lines",
 ]
 
@@ -569,15 +570,7 @@ def merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
     return heapq.merge(*sources, key=line_key)
 
 
-def _iter_file(path: Path) -> Iterator[str]:
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if line:
-                yield line
-
-
-#: Lines per SHA-256 / write / archive hand-off in the merge hot loops.
+#: Lines per SHA-256 / write hand-off in :func:`sha256_lines`.
 _DIGEST_CHUNK = 1024
 
 
@@ -603,66 +596,3 @@ def sha256_lines(
         digest.update(text.encode("utf-8"))
         if out is not None:
             out.write(text)
-
-
-def merge_trace_files(
-    paths: Sequence[str | Path],
-    out_path: Optional[str | Path] = None,
-    archive_dir: Optional[str | Path] = None,
-    archive_bucket_seconds: Optional[float] = None,
-) -> Tuple[int, str]:
-    """Merge per-node trace files; return ``(events, sha256)``.
-
-    **Constant-memory guarantee**: every input is consumed line by line
-    through a heap merge over one buffered reader per file, so peak
-    memory is bounded by ``O(len(paths))`` read buffers plus one record
-    -- independent of file sizes (regression-tested in
-    ``tests/sim/test_merge_memory.py``).  With ``out_path`` the merged
-    JSONL is also written; with ``archive_dir`` the merged stream is
-    additionally rolled straight into segmented-archive form
-    (:mod:`repro.trace.archive`), still in one streaming pass, and the
-    archive manifest carries the same composed digest this function
-    returns.
-    """
-    merged = merge_trace_lines([_iter_file(Path(path)) for path in paths])
-    writer = None
-    if archive_dir is not None:
-        from repro.trace.archive import DEFAULT_BUCKET_SECONDS, ArchiveWriter
-
-        writer = ArchiveWriter(
-            archive_dir,
-            bucket_seconds=(
-                DEFAULT_BUCKET_SECONDS
-                if archive_bucket_seconds is None
-                else archive_bucket_seconds
-            ),
-        )
-        merged = _tee_to_archive(merged, writer)
-    handle = None
-    if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        handle = out_path.open("w", encoding="utf-8")
-    try:
-        count, sha = sha256_lines(merged, handle)
-    finally:
-        if handle is not None:
-            handle.close()
-    if writer is not None:
-        # The merged stream is canonical, so the writer's input-order
-        # digest is the composed digest: safe to stamp the manifest.
-        writer.close(manifest=True)
-    return count, sha
-
-
-def _tee_to_archive(lines: Iterator[str], writer: Any) -> Iterator[str]:
-    """Pass ``lines`` through, handing each :data:`_DIGEST_CHUNK`-line
-    chunk to ``writer.add_many`` (an ``ArchiveWriter``) on the way."""
-    from repro.trace.encode import line_key
-
-    while True:
-        chunk = list(islice(lines, _DIGEST_CHUNK))
-        if not chunk:
-            return
-        writer.add_many([line_key(line)[:2] + (line,) for line in chunk])
-        yield from chunk

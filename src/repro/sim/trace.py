@@ -22,18 +22,14 @@ exactly this: per-node canonical traces merge into one stream ordered by
 
 Line *encoding* lives in :mod:`repro.trace.encode`, which documents the
 byte format.  The sink *batches* its downstream I/O: lines buffer in the
-sink and reach the file, the archive
-(:meth:`~repro.trace.archive.ArchiveWriter.add_many`), and the digest
-stream in chunks, drained at the epoch-barrier :meth:`flush` (and at
-:meth:`detach` / checkpoint capture), so checkpoint/restore semantics
-are untouched.  ``digest_only=True`` runs the sink as a pure SHA-256
-stream -- no stored lines, no file, no archive -- the sink behind
-``repro replay --digest-only``.
+sink and reach the file and the shared archive writer
+(:meth:`~repro.trace.archive.ArchiveWriter.add_many`) in chunks, drained
+at the epoch-barrier :meth:`flush` (and at :meth:`detach` / checkpoint
+capture), so checkpoint/restore semantics are untouched.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
@@ -76,9 +72,6 @@ class EventTraceSink:
         normalize_seq: bool = False,
         store: bool = True,
         archive: Optional[object] = None,
-        archive_dir: Optional[str | Path] = None,
-        archive_bucket_seconds: float = 60.0,
-        digest_only: bool = False,
     ) -> None:
         self.lines: List[str] = []
         #: Records written (== ``len(self.lines)`` unless ``store=False``).
@@ -89,15 +82,7 @@ class EventTraceSink:
         self._id_maps: Dict[str, Dict[object, int]] = {
             key: {} for key in encode.ID_KEYS
         }
-        if digest_only and (
-            path is not None or archive is not None or archive_dir is not None
-        ):
-            raise ValueError(
-                "digest_only sinks neither store nor write lines; drop "
-                "path/archive/archive_dir"
-            )
-        self._store = store and not digest_only
-        self._digest = hashlib.sha256() if digest_only else None
+        self._store = store
         if path is not None:
             path = Path(path)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -106,30 +91,15 @@ class EventTraceSink:
         else:
             self._path = None
             self._file = None
-        # Segmented-archive backend (docs/TRACE_ARCHIVE.md).  ``archive``
-        # is a shared, externally owned ArchiveWriter (e.g. one writer for
-        # every node sink in a shard worker); ``archive_dir`` creates a
-        # writer this sink owns and finalizes (with manifest) on detach.
-        if archive is not None and archive_dir is not None:
-            raise ValueError("pass either archive or archive_dir, not both")
+        # Segmented-archive backend (docs/TRACE_ARCHIVE.md): a shared,
+        # externally owned ArchiveWriter (e.g. one writer for every node
+        # sink in a shard worker), which its owner closes.
         self._archive = archive
-        self._owns_archive = False
-        if archive_dir is not None:
-            from repro.trace.archive import ArchiveWriter  # lazy: avoid cycle
-
-            self._archive = ArchiveWriter(
-                archive_dir, bucket_seconds=archive_bucket_seconds
-            )
-            self._owns_archive = True
         #: Line buffer, drained in chunks: bare lines, or
         #: ``(t, node, line)`` tuples when an archive needs the keys.
         self._pending: List[object] = []
         self._pending_plain = self._archive is None
-        self._buffered = (
-            self._file is not None
-            or self._archive is not None
-            or self._digest is not None
-        )
+        self._buffered = self._file is not None or self._archive is not None
         self._subscription: Optional[Subscription] = bus.subscribe(
             self._record,
             kinds=tuple(kinds) if kinds is not None else TRACE_KINDS,
@@ -170,42 +140,18 @@ class EventTraceSink:
             return
         self._pending = []
         if self._pending_plain:
-            payload = "\n".join(pending) + "\n"
-            if self._file is not None:
-                self._file.write(payload)
-            if self._digest is not None:
-                self._digest.update(payload.encode("utf-8"))
+            self._file.write("\n".join(pending) + "\n")
             return
-        if self._file is not None or self._digest is not None:
-            payload = "\n".join(entry[2] for entry in pending) + "\n"
-            if self._file is not None:
-                self._file.write(payload)
-            if self._digest is not None:
-                self._digest.update(payload.encode("utf-8"))
-        if self._archive is not None:
-            self._archive.add_many(pending)
+        if self._file is not None:
+            self._file.write("\n".join(entry[2] for entry in pending) + "\n")
+        self._archive.add_many(pending)
 
     # --------------------------------------------------------------- export
-
-    @property
-    def sha256(self) -> Optional[str]:
-        """Stream digest so far (``digest_only`` sinks; else ``None``).
-
-        Same convention as :func:`repro.sim.shard.sha256_lines`: SHA-256
-        over every line newline-terminated.
-        """
-        if self._digest is None:
-            return None
-        self._drain()
-        return self._digest.hexdigest()
 
     def detach(self) -> None:
         """Stop recording (and close the streaming file, if any).
 
-        An owned archive (``archive_dir``) is finalized with a manifest:
-        a single sink sees records in canonical bus order, so the
-        writer's input-order digest *is* the composed digest.  A shared
-        external ``archive`` writer is left open for its owner to close.
+        The shared ``archive`` writer is left open for its owner to close.
         """
         if self._subscription is not None:
             self._bus.unsubscribe(self._subscription)
@@ -214,10 +160,6 @@ class EventTraceSink:
         if self._file is not None:
             self._file.close()
             self._file = None
-        if self._archive is not None and self._owns_archive:
-            self._archive.close(manifest=True)
-            self._owns_archive = False
-            self._archive = None
 
     def flush(self) -> None:
         """Push buffered streamed lines to disk (epoch-barrier hook)."""
@@ -240,11 +182,6 @@ class EventTraceSink:
         post-checkpoint continuation wrote are discarded, exactly as
         required.
         """
-        if self._digest is not None:
-            raise TypeError(
-                "digest_only sinks cannot be checkpointed: the running "
-                "SHA-256 stream state does not pickle"
-            )
         self._drain()
         state = dict(self.__dict__)
         handle = state.pop("_file", None)

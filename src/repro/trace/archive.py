@@ -628,12 +628,16 @@ class ArchiveReader:
 
         The file is read as one blob, decoded once and split on
         newlines (the encoder never writes a raw carriage return, which
-        text mode would also split on).
+        text mode would also split on).  A segment that cannot be read,
+        decompressed or decoded raises ``ValueError`` naming it.
         """
         if count_io:
             self.segments_read.append(name)
-        with gzip.open(self.root / name, "rb") as handle:
-            lines = handle.read().decode("utf-8").split("\n")
+        try:
+            with gzip.open(self.root / name, "rb") as handle:
+                lines = handle.read().decode("utf-8").split("\n")
+        except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{name}: unreadable ({exc})") from exc
         if lines[-1] == "":
             lines.pop()
         return lines
@@ -644,12 +648,16 @@ class ArchiveReader:
         """``(payload_lines, footer)`` of one segment.
 
         With ``verify=True`` the payload is re-hashed and the footer's
-        count, digest, time range, and addressing are all checked.
+        count, digest, time range, and addressing are all checked.  Every
+        failure is a ``ValueError`` whose message starts with ``name``.
         """
         lines = self._read_all_lines(name)
         if not lines:
             raise ValueError(f"{name}: empty segment file")
-        footer = json.loads(lines[-1])
+        try:
+            footer = json.loads(lines[-1])
+        except ValueError:
+            footer = None
         if not isinstance(footer, dict) or footer.get("schema") != ARCHIVE_SCHEMA:
             raise ValueError(f"{name}: missing footer (truncated segment?)")
         payload = lines[:-1]
@@ -789,8 +797,8 @@ class ArchiveReader:
                 for info in infos:
                     try:
                         payload, footer = self.read_segment(info.name)
-                    except (OSError, ValueError, KeyError, EOFError, zlib.error) as exc:
-                        problems.append(f"{info.name}: unreadable ({exc})")
+                    except ValueError as exc:  # names the segment
+                        problems.append(str(exc))
                         continue
                     found = self._verify_segment(info.name, payload, footer)
                     if found:

@@ -89,10 +89,6 @@ class ReplayConfig:
     #: Range-read this slice back from the archive after the run
     #: (requires ``archive_dir``).
     window: Optional[TraceWindow] = None
-    #: Run the trace sink as a pure SHA-256 stream: no stored lines, no
-    #: file, no archive; the digest lands in ``ReplayResult.trace_sha256``.
-    #: Mutually exclusive with ``event_trace_path`` / ``archive_dir``.
-    digest_only: bool = False
 
 
 @dataclass
@@ -101,11 +97,15 @@ class ReplayResult:
 
     stats: ReplayStats
     platform: FaasPlatform
-    #: The trace sink, when ``event_trace_path`` was configured.
+    #: The trace sink, when ``event_trace_path`` or ``archive_dir`` was
+    #: configured.
     trace: Optional[EventTraceSink] = None
-    #: Measurement-window event count / stream digest, filled for traced
-    #: runs (``digest_only`` runs carry the digest here without a file).
+    #: Measurement-window event count, filled for traced runs.
     trace_events: int = 0
+    #: ``None``: a single-platform replay computes no stream digest.  Its
+    #: trace digest is the SHA-256 of the ``event_trace_path`` file, or
+    #: ``archive_sha256``.  The field mirrors
+    #: :attr:`ClusterReplayResult.trace_sha256`, the merged digest.
     trace_sha256: Optional[str] = None
     archive_path: Optional[Path] = None
     archive_events: int = 0
@@ -131,13 +131,6 @@ def replay(
     platform.reset_metrics()
     if config.window is not None and config.archive_dir is None:
         raise ValueError("window requires archive_dir")
-    if config.digest_only and (
-        config.event_trace_path is not None or config.archive_dir is not None
-    ):
-        raise ValueError(
-            "digest_only replays neither store nor write the trace; drop "
-            "event_trace_path/archive_dir"
-        )
     writer = None
     if config.archive_dir is not None:
         from repro.trace.archive import ArchiveWriter
@@ -146,9 +139,7 @@ def replay(
             config.archive_dir, bucket_seconds=config.archive_bucket_seconds
         )
     sink = None
-    if config.digest_only:
-        sink = EventTraceSink(platform.bus, digest_only=True)
-    elif config.event_trace_path is not None or writer is not None:
+    if config.event_trace_path is not None or writer is not None:
         sink = EventTraceSink(
             platform.bus, path=config.event_trace_path, archive=writer
         )
@@ -186,7 +177,6 @@ def replay(
         platform=platform,
         trace=sink,
         trace_events=sink.count if sink is not None else 0,
-        trace_sha256=sink.sha256 if sink is not None else None,
         archive_path=(
             Path(config.archive_dir) if config.archive_dir is not None else None
         ),

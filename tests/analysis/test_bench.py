@@ -219,6 +219,21 @@ class TestReplayMacro:
         failures = compare_replay(fewer, baseline)
         assert len(failures) == 1 and "6 round trips" in failures[0]
 
+    def test_compare_replay_flags_changed_epochs(self):
+        """The epoch grid is exact on the committed seed: more epochs
+        than committed fail, and so do fewer (a stale committed count)."""
+        label = "replay:vanilla:x8:d30:n8"
+        baseline = [_coord_result(label, 5, 0)]
+        baseline[0]["metrics"]["epochs"] = 25
+        for epochs, failures in (
+            (25, []),
+            (26, [f"{label}: 26 epochs != the committed 25"]),
+            (24, [f"{label}: 24 epochs != the committed 25"]),
+        ):
+            current = [_coord_result(label, 5, 0)]
+            current[0]["metrics"]["epochs"] = epochs
+            assert compare_replay(current, baseline) == failures
+
     def test_compare_replay_flags_pipe_byte_growth(self):
         baseline = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 12_000)]
         within = [_coord_result("replay:vanilla:x8:d30:n8:s2", 5, 24_000)]
@@ -253,9 +268,9 @@ class TestReplayMacro:
         """The replay smoke's single-platform and in-process 8-node legs,
         built and run through the ``repro bench`` spec path, stream the
         committed trace bytes, and the ``:n8`` legs the committed round
-        trips.  No wall gate: this pins the float-order contract of the
-        simulation and the cluster engine on every interpreter that runs
-        the suite.  The legs run through
+        trips and epochs.  No wall gate: this pins the float-order
+        contract of the simulation and the cluster engine on every
+        interpreter that runs the suite.  The legs run through
         ``_run_replay``, which ``execute_spec`` wraps only with timing and
         tracemalloc (a 5x slowdown)."""
         committed = {
@@ -277,6 +292,7 @@ class TestReplayMacro:
             assert metrics["trace_sha256"] == expected["trace_sha256"], spec.label
             if spec.nodes:
                 assert metrics["round_trips"] == expected["round_trips"], spec.label
+                assert metrics["epochs"] == expected["epochs"], spec.label
 
 
 class TestProfile:

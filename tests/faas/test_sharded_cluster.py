@@ -2,8 +2,8 @@
 
 The contract under test: a sharded run differs from the serial twin in
 exactly one way -- how nodes were partitioned across kernels -- so
-aggregate statistics, merged canonical trace digests, and streamed
-telemetry CSVs must be byte-identical for every shard count.
+aggregate statistics, archive segments, merged canonical trace digests,
+and streamed telemetry CSVs must be byte-identical for every shard count.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from repro.faas.cluster import (
 )
 from repro.faas.platform import PlatformConfig
 from repro.mem.layout import MIB
-from repro.sim.shard import ShardWorkerError, merge_trace_files
+from repro.sim.shard import ShardWorkerError, sha256_lines
 from repro.trace.archive import ArchiveReader, finalize_archive
 from repro.trace.generator import TraceGenerator
 from repro.trace.replay import ClusterReplayConfig, TraceWindow, cluster_replay
 from repro.workloads.registry import get_definition
+from tests.oracles import reference_merge_trace_lines
 
 ARRIVALS = TraceGenerator(seed=9).arrivals(25.0, scale_factor=8.0)
 
@@ -41,13 +42,13 @@ def _run_session(
     scheduler="warm-affinity",
     processes=False,
     tmp_path=None,
-    archive=False,
     window_epochs=32,
     epoch_seconds=5.0,
     tag="",
 ):
-    """Drive one traced session over the shared arrival batch."""
-    trace_dir = tmp_path / f"trace-s{shards}{tag}"
+    """Drive one traced session over the shared arrival batch; its merged
+    trace is what ``finalize_archive`` composes from the session's
+    archive."""
     telemetry_dir = tmp_path / f"telemetry-s{shards}{tag}"
     archive_dir = tmp_path / f"archive-s{shards}{tag}"
     session = ShardedClusterSession(
@@ -56,9 +57,8 @@ def _run_session(
         epoch_seconds=epoch_seconds,
         processes=processes,
         window_epochs=window_epochs,
-        trace_dir=str(trace_dir),
         telemetry_dir=str(telemetry_dir),
-        archive_dir=str(archive_dir) if archive else None,
+        archive_dir=str(archive_dir),
         archive_bucket_seconds=5.0,
     )
     try:
@@ -69,14 +69,10 @@ def _run_session(
         round_trips, pipe_bytes = session.round_trips, session.pipe_bytes
     finally:
         session.close()
-    events, digest = merge_trace_files(
-        [nodes[node]["trace_path"] for node in sorted(nodes)]
-    )
+    events, digest = finalize_archive(archive_dir)
     telemetry = b"".join(
         path.read_bytes() for path in sorted(telemetry_dir.glob("node*.csv"))
     )
-    if archive:
-        finalize_archive(archive_dir)
     return {
         "nodes": nodes,
         "events": events,
@@ -85,7 +81,7 @@ def _run_session(
         "epochs": epochs,
         "clock": clock,
         "completed": sum(len(info["outcomes"]) for info in nodes.values()),
-        "archive_dir": archive_dir if archive else None,
+        "archive_dir": archive_dir,
         "round_trips": round_trips,
         "pipe_bytes": pipe_bytes,
     }
@@ -135,21 +131,29 @@ class TestDigestIdentity:
 
 class TestArchiveIdentity:
     def test_archive_is_byte_identical_across_shard_counts(self, tmp_path):
-        """Tentpole acceptance: the segmented archives a run produces are
-        byte-identical files across shard counts, and their composed
-        digest equals the flat merged trace's whole-run SHA-256."""
-        serial = _run_session(1, tmp_path=tmp_path, archive=True)
+        """The segmented archives a run produces are byte-identical files
+        across shard counts, and their composed digest equals an
+        independent merge: each node's segment payloads concatenated in
+        bucket order, merged by the ``json.loads`` oracle."""
+        serial = _run_session(1, tmp_path=tmp_path)
         reference = serial["archive_dir"]
         names = sorted(p.name for p in reference.iterdir())
         assert any(name.startswith("seg-") for name in names)
 
         reader = ArchiveReader(reference)
+        streams = {}
+        for info in reader.segments():  # (bucket, node) order
+            payload, _footer = reader.read_segment(info.name)
+            streams.setdefault(info.node, []).extend(payload)
+        assert len(streams) == 8
+        witness = sha256_lines(reference_merge_trace_lines(list(streams.values())))
+        assert witness == (serial["events"], serial["digest"])
         assert reader.manifest["sha256"] == serial["digest"]
         assert reader.manifest["events"] == serial["events"]
         assert reader.verify(against_sha256=serial["digest"]) == []
 
         for shards in (2, 4, 7):
-            sharded = _run_session(shards, tmp_path=tmp_path, archive=True)
+            sharded = _run_session(shards, tmp_path=tmp_path)
             root = sharded["archive_dir"]
             assert sorted(p.name for p in root.iterdir()) == names, shards
             for name in names:
@@ -158,8 +162,8 @@ class TestArchiveIdentity:
                 ).read_bytes(), (shards, name)
 
     def test_process_workers_write_identical_archives(self, tmp_path):
-        inline = _run_session(2, processes=False, tmp_path=tmp_path, archive=True)
-        forked = _run_session(2, processes=True, tmp_path=tmp_path, archive=True)
+        inline = _run_session(2, processes=False, tmp_path=tmp_path)
+        forked = _run_session(2, processes=True, tmp_path=tmp_path)
         names = sorted(p.name for p in inline["archive_dir"].iterdir())
         assert sorted(p.name for p in forked["archive_dir"].iterdir()) == names
         for name in names:

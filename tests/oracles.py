@@ -17,6 +17,9 @@ where the tests that pin the fast structures to them can reach them:
 * :func:`reference_merge_trace_lines` -- the canonical trace merge with
   every line's ``(t, node, seq)`` key read by ``json.loads``
   (production reads the key off the line's envelope);
+* :func:`reference_cold_starts` -- one function's cold/warm verdicts from
+  arrival and finish times alone, with no memory model (the platform
+  simulates every instance);
 * :func:`reference_paths` -- installs the summing, uncached and scalar
   paths on the platform and the runtimes, plus the linear bus on every
   kernel built afterwards.  With it installed ``frozen_instances``
@@ -223,6 +226,33 @@ def reference_merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[st
         *[_keyed_lines(source) for source in sources], key=lambda pair: pair[0]
     ):
         yield line
+
+
+def reference_cold_starts(
+    arrivals: Sequence[float], finishes: Sequence[float], keep_alive: float
+) -> List[bool]:
+    """Whether each request of one function starts cold, with memory
+    unlimited and a fixed keep-alive window.
+
+    Request ``k`` arrives at ``arrivals[k]`` (nondecreasing) and finishes
+    at ``finishes[k]``.  On each arrival at ``t``: every instance whose
+    request finished by ``t`` is idle; idle instances with ``finished +
+    keep_alive < t`` are gone; the idle instance that finished last
+    serves the request (warm), or a new instance boots (cold).  Each
+    instance is known by its last request's finish time.
+    """
+    busy: List[float] = []
+    idle: List[float] = []
+    cold: List[bool] = []
+    for t, finished in zip(arrivals, finishes):
+        idle += [f for f in busy if f <= t]
+        busy = [f for f in busy if f > t]
+        idle = [f for f in idle if f + keep_alive >= t]
+        cold.append(not idle)
+        if idle:
+            idle.remove(max(idle))
+        busy.append(finished)
+    return cold
 
 
 def reference_paths(monkeypatch) -> None:

@@ -127,7 +127,7 @@ class TestObjectModel:
         assert inner_tail in inner_frame and inner_tail not in outer_frame
         assert graph.persistent_roots == {persistent, persistent_tail}
         assert graph.weak_roots == {weak, weak_tail}
-        assert loose_tail not in graph.all_roots(include_weak=True)
+        assert loose_tail not in graph.reachable(include_weak=True)
         strong = graph.reachable(include_weak=False)
         assert strong == {outer, outer_tail, inner, inner_tail, persistent, persistent_tail}
 
@@ -764,12 +764,12 @@ class TestStreamSegmentCount:
             finally:
                 inside["stream"] = False
 
-        def spying_alloc(self, size, refs=(), scope="frame"):
+        def spying_alloc(self, size, scope="frame"):
             if inside["stream"] and not inside["alloc"]:
                 calls[-1][2] += 1  # a member that did not fit
             inside["alloc"] += 1
             try:
-                return alloc(self, size, refs, scope)
+                return alloc(self, size, scope)
             finally:
                 inside["alloc"] -= 1
 

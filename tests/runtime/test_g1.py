@@ -19,6 +19,16 @@ def make_runtime(budget=256 * MIB, **kwargs) -> G1Runtime:
     return rt
 
 
+def region_of(rt: G1Runtime, oid: int) -> Region:
+    """The one region whose objects hold ``oid``."""
+    (region,) = [
+        region
+        for region in rt._regions.regions
+        if any(held == oid for held, _offset in region.objects)
+    ]
+    return region
+
+
 class TestRegionManager:
     def test_needs_enough_regions(self):
         with pytest.raises(ValueError):
@@ -84,7 +94,7 @@ class TestCollections:
         oid = rt.alloc(64 * KIB)
         for _ in range(rt.config.tenure_threshold + 1):
             rt.collect(full=False)
-        assert rt._where[oid].kind is RegionKind.OLD
+        assert region_of(rt, oid).kind is RegionKind.OLD
 
     def test_mixed_gc_after_marking(self):
         """Old garbage past the IHOP triggers marking, then a mixed GC

@@ -14,6 +14,12 @@ def make_runtime(budget=256 * MIB, **kwargs) -> HotSpotRuntime:
     return rt
 
 
+def space_of(rt: HotSpotRuntime, oid: int):
+    """The one space whose objects hold ``oid``."""
+    (space,) = [space for space in rt._spaces() if oid in space.objects]
+    return space
+
+
 class TestBootAndLayout:
     def test_boot_maps_heap_and_libraries(self):
         rt = make_runtime()
@@ -49,7 +55,7 @@ class TestAllocationAndYoungGC:
         rt = make_runtime()
         rt.begin_invocation()
         oid = rt.alloc(8 * KIB)
-        assert rt._where[oid] is rt._eden
+        assert space_of(rt, oid) is rt._eden
 
     def test_eden_overflow_triggers_scavenge(self):
         rt = make_runtime()
@@ -73,7 +79,7 @@ class TestAllocationAndYoungGC:
         rt.begin_invocation()
         oid = rt.alloc(32 * KIB)  # frame-rooted: survives
         rt.collect(full=False)
-        assert rt._where[oid] is rt._from
+        assert space_of(rt, oid) is rt._from
         assert rt.graph.objects[oid].age == 1
 
     def test_aged_objects_promote_to_old(self):
@@ -82,13 +88,13 @@ class TestAllocationAndYoungGC:
         oid = rt.alloc(32 * KIB)
         for _ in range(rt.config.tenure_threshold):
             rt.collect(full=False)
-        assert rt._where[oid] is rt._old
+        assert space_of(rt, oid) is rt._old
 
     def test_huge_object_goes_straight_to_old(self):
         rt = make_runtime()
         rt.begin_invocation()
         oid = rt.alloc(rt._eden.reserved + MIB)
-        assert rt._where[oid] is rt._old
+        assert space_of(rt, oid) is rt._old
 
     def test_oom_when_live_exceeds_heap(self):
         rt = make_runtime(budget=32 * MIB)
@@ -104,7 +110,7 @@ class TestFullGCAndResize:
         rt.begin_invocation()
         oid = rt.alloc(64 * KIB)
         rt.collect(full=True)
-        assert rt._where[oid] is rt._old
+        assert space_of(rt, oid) is rt._old
         assert rt._eden.top == 0
         assert rt._from.top == 0
         # Compaction packs live data at the bottom: used == live.

@@ -126,18 +126,20 @@ class TestCorruption:
 
 
 class TestEarlierBuildCaptures:
-    def test_schema_1_capture_refused(self, tmp_path):
-        """Schema-1 captures (every earlier build's) hold ``pos`` cursors
-        into a different epoch grid: an intact one still fails by name,
-        before any pickle byte runs."""
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_earlier_schema_refused(self, tmp_path, schema):
+        """Schema-1 captures hold ``pos`` cursors into a different epoch
+        grid, and schema-2 captures pickle object-graph nodes with an
+        edge slot: an intact one still fails by name, before any pickle
+        byte runs."""
         path = tmp_path / "earlier-build.ckpt"
         payload = pickle.dumps({"x": 1}, protocol=checkpoint.PICKLE_PROTOCOL)
-        _write_payload(path, payload, {"fastpath": True, "check": ""}, schema=1)
+        _write_payload(path, payload, {"fastpath": True, "check": ""}, schema=schema)
         for gate in (check_checkpoint, checkpoint.load):
             with pytest.raises(Violation) as caught:
                 gate(path)
             assert caught.value.invariant == "checkpoint-schema"
-            assert "schema 1" in str(caught.value)
+            assert f"schema {schema}" in str(caught.value)
 
 
 class TestEnvironmentGate:

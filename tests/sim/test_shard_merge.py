@@ -22,7 +22,6 @@ from repro.sim.shard import (
     ShardWorkerError,
     epoch_horizons,
     make_pool,
-    merge_trace_files,
     merge_trace_lines,
     run_window,
     sha256_lines,
@@ -159,7 +158,7 @@ class TestMerge:
         serial = _serial_stream()
         halves = [serial[: len(serial) // 2], serial[len(serial) // 2 :]]
         # A previously merged stream is itself sorted, so re-merging is a
-        # no-op -- the property merge_trace_files relies on.
+        # no-op.
         assert list(merge_trace_lines(halves)) == serial
 
     @given(
@@ -217,28 +216,6 @@ class TestMerge:
         expected = (count, hashlib.sha256(text.encode("utf-8")).hexdigest())
         assert result == expected == sha256_lines(lines)
         assert path.read_text(encoding="utf-8") == text
-
-    def test_merge_trace_files_roundtrip(self, tmp_path):
-        serial = _serial_stream()
-        paths = []
-        for shard in range(3):
-            path = tmp_path / f"node{shard}.jsonl"
-            path.write_text(
-                "".join(
-                    line + "\n"
-                    for line in serial
-                    if json.loads(line)["node"] % 3 == shard
-                )
-            )
-            paths.append(path)
-        out = tmp_path / "merged.jsonl"
-        events, digest = merge_trace_files(paths, out)
-        assert events == len(serial)
-        # The digest covers exactly the bytes written.
-        assert digest == hashlib.sha256(out.read_bytes()).hexdigest()
-        assert out.read_text() == "".join(line + "\n" for line in serial)
-        # Digest-only mode agrees without writing anything.
-        assert merge_trace_files(paths) == (events, digest)
 
 
 # -------------------------------------------------------------------- pool

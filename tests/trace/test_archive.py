@@ -573,3 +573,32 @@ class TestTwoWriterComposition:
             finalize_archive(root, footers=footers)
         problems = ArchiveReader(root).verify()
         assert any(victim.name in problem for problem in problems)
+
+    @pytest.mark.parametrize("damage", ["flip16", "flip30", "flip60", "half"])
+    def test_unreadable_segment_fails_by_name(self, tmp_path, damage):
+        """Corrupt compressed bytes or a truncated file make every reader
+        raise a ``ValueError`` that starts with the segment's name, and
+        ``verify`` reports that message as it is, once.  On this segment
+        the flips fail gzip's CRC (byte 16) or the deflate stream (bytes
+        30 and 60), and the truncation ends the stream early."""
+        root = tmp_path / "arc"
+        _, footers = self._archive(root)
+        victim = root / segment_name(0, 1)
+        blob = bytearray(victim.read_bytes())
+        if damage == "half":
+            del blob[len(blob) // 2 :]
+        else:
+            blob[int(damage[4:])] ^= 0x01
+        victim.write_bytes(bytes(blob))
+        named = rf"^{victim.name}: unreadable \("
+        reader = ArchiveReader(root)
+        with pytest.raises(ValueError, match=named) as caught:
+            reader.read_segment(victim.name)
+        for read in (
+            lambda: list(reader.iter_window()),
+            lambda: finalize_archive(root),
+            lambda: finalize_archive(root, footers=footers),
+        ):
+            with pytest.raises(ValueError, match=named):
+                read()
+        assert ArchiveReader(root).verify() == [str(caught.value)]
