@@ -22,65 +22,52 @@ Quickstart::
     print(run.final_uss, run.final_ideal)
 """
 
-from repro.analysis import run_concurrent_instances, run_overhead_experiment, run_single
-from repro.core import (
-    ActivationController,
-    Desiccant,
-    DesiccantConfig,
-    EagerGcManager,
-    ProfileStore,
-    SwapManager,
-    VanillaManager,
-    estimated_throughput,
-    reclaim_instance,
-)
-from repro.faas import (
-    FaasPlatform,
-    FunctionInstance,
-    LambdaPlatform,
-    PlatformConfig,
-    SharedLibraryPool,
-)
-from repro.faas.platform import Request
-from repro.sim import EventBus, EventTraceSink, RngStream, SimKernel
-from repro.runtime import CPythonRuntime, HotSpotRuntime, ManagedRuntime, V8Runtime
-from repro.trace import ReplayConfig, TraceGenerator, replay
-from repro.workloads import all_definitions, definitions_by_language, get_definition
+from repro._lazy import export
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "run_concurrent_instances",
-    "run_overhead_experiment",
-    "run_single",
-    "ActivationController",
-    "Desiccant",
-    "DesiccantConfig",
-    "EagerGcManager",
-    "ProfileStore",
-    "SwapManager",
-    "VanillaManager",
-    "estimated_throughput",
-    "reclaim_instance",
-    "FaasPlatform",
-    "FunctionInstance",
-    "LambdaPlatform",
-    "PlatformConfig",
-    "SharedLibraryPool",
-    "Request",
-    "EventBus",
-    "EventTraceSink",
-    "RngStream",
-    "SimKernel",
-    "CPythonRuntime",
-    "HotSpotRuntime",
-    "ManagedRuntime",
-    "V8Runtime",
-    "ReplayConfig",
-    "TraceGenerator",
-    "replay",
-    "all_definitions",
-    "definitions_by_language",
-    "get_definition",
+    *export(
+        __name__,
+        {
+            "repro.analysis": (
+                "run_concurrent_instances",
+                "run_overhead_experiment",
+                "run_single",
+            ),
+            "repro.core": (
+                "ActivationController",
+                "Desiccant",
+                "DesiccantConfig",
+                "EagerGcManager",
+                "ProfileStore",
+                "SwapManager",
+                "VanillaManager",
+                "estimated_throughput",
+                "reclaim_instance",
+            ),
+            "repro.faas": (
+                "FaasPlatform",
+                "FunctionInstance",
+                "LambdaPlatform",
+                "PlatformConfig",
+                "SharedLibraryPool",
+            ),
+            "repro.faas.platform": ("Request",),
+            "repro.sim": ("EventBus", "EventTraceSink", "RngStream", "SimKernel"),
+            "repro.runtime": (
+                "CPythonRuntime",
+                "HotSpotRuntime",
+                "ManagedRuntime",
+                "V8Runtime",
+            ),
+            "repro.trace": ("ReplayConfig", "TraceGenerator", "replay"),
+            "repro.workloads": (
+                "all_definitions",
+                "definitions_by_language",
+                "get_definition",
+            ),
+        },
+    ),
     "__version__",
 ]

@@ -1,20 +1,17 @@
 """Characterization harnesses and report rendering for the experiments."""
 
-from repro.analysis.characterize import (
-    POLICIES,
-    SingleInstanceRun,
-    run_concurrent_instances,
-    run_overhead_experiment,
-    run_single,
-)
-from repro.analysis.report import render_table, write_csv
+from repro._lazy import export
 
-__all__ = [
-    "POLICIES",
-    "SingleInstanceRun",
-    "run_concurrent_instances",
-    "run_overhead_experiment",
-    "run_single",
-    "render_table",
-    "write_csv",
-]
+__all__ = export(
+    __name__,
+    {
+        "repro.analysis.characterize": (
+            "POLICIES",
+            "SingleInstanceRun",
+            "run_concurrent_instances",
+            "run_overhead_experiment",
+            "run_single",
+        ),
+        "repro.analysis.report": ("render_table", "write_csv"),
+    },
+)

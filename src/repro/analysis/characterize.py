@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.choices import POLICIES
 from repro.mem.layout import MIB
 from repro.mem.accounting import measure
 from repro.mem.physical import PhysicalMemory
@@ -30,8 +31,6 @@ from repro.runtime.hotspot import HotSpotRuntime
 from repro.runtime.v8 import V8Runtime
 from repro.workloads.model import FunctionDefinition
 from repro.workloads.registry import get_definition
-
-POLICIES = ("vanilla", "eager", "desiccant")
 
 _RUNTIME_CLASSES = (HotSpotRuntime, V8Runtime, CPythonRuntime)
 

@@ -28,44 +28,33 @@ See ``docs/TESTING.md`` for the workflow (including how to add a new
 invariant).
 """
 
-from repro.check.invariants import (
-    Violation,
-    check_archive_writer,
-    check_checkpoint,
-    check_digest_composition,
-    check_file,
-    check_shard_conservation,
-    check_instance,
-    check_mapping,
-    check_segment_manifest,
-    check_physical,
-    check_platform,
-    check_runlist,
-    check_runtime,
-    check_smaps,
-    check_space,
-    check_trace_archive,
-)
-from repro.check.oracle import InvariantOracle, OracleConfig, maybe_attach_oracle
+from repro._lazy import export
 
-__all__ = [
-    "InvariantOracle",
-    "OracleConfig",
-    "Violation",
-    "check_archive_writer",
-    "check_checkpoint",
-    "check_digest_composition",
-    "check_file",
-    "check_instance",
-    "check_mapping",
-    "check_physical",
-    "check_platform",
-    "check_runlist",
-    "check_runtime",
-    "check_segment_manifest",
-    "check_shard_conservation",
-    "check_smaps",
-    "check_space",
-    "check_trace_archive",
-    "maybe_attach_oracle",
-]
+__all__ = export(
+    __name__,
+    {
+        "repro.check.invariants": (
+            "Violation",
+            "check_archive_writer",
+            "check_checkpoint",
+            "check_digest_composition",
+            "check_file",
+            "check_instance",
+            "check_mapping",
+            "check_physical",
+            "check_platform",
+            "check_runlist",
+            "check_runtime",
+            "check_segment_manifest",
+            "check_shard_conservation",
+            "check_smaps",
+            "check_space",
+            "check_trace_archive",
+        ),
+        "repro.check.oracle": (
+            "InvariantOracle",
+            "OracleConfig",
+            "maybe_attach_oracle",
+        ),
+    },
+)

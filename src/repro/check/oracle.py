@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import procenv
 from repro.check.invariants import (
     Violation,
     _violate,
@@ -500,12 +501,11 @@ class InvariantOracle:
 def maybe_attach_oracle(platform) -> Optional[InvariantOracle]:
     """Attach an oracle to ``platform`` when ``REPRO_CHECK`` asks for it.
 
-    ``REPRO_CHECK`` unset/""/"0" disables; anything else enables.
+    :func:`repro.procenv.check_enabled` reads the flag.
     ``REPRO_CHECK_CADENCE`` (default ``step``) and ``REPRO_CHECK_EVERY``
     (default 1) tune the sweep rate.
     """
-    flag = os.environ.get("REPRO_CHECK", "")
-    if flag in ("", "0"):
+    if not procenv.check_enabled():
         return None
     config = OracleConfig(
         cadence=os.environ.get("REPRO_CHECK_CADENCE", "step"),

@@ -15,15 +15,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.characterize import (
-    POLICIES,
-    run_overhead_experiment,
-    run_single,
-)
 from repro.analysis.report import render_table
-from repro.faas.cluster import SCHEDULERS
+from repro.choices import POLICIES, SCHEDULERS
 from repro.mem.layout import MIB, fmt_bytes
-from repro.sim.checkpoint import CheckpointError
 from repro.workloads import all_definitions, get_definition, table1_rows
 
 
@@ -33,6 +27,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.analysis.characterize import run_single
+
     names = [args.function] if args.function != "all" else [
         d.name for d in all_definitions()
     ]
@@ -170,7 +166,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 resume_from=resume_from,
                 fork=fork,
             )
-            result = cluster_replay(factories[policy], config, generator)
+            from repro.sim.checkpoint import CheckpointError
+
+            try:
+                result = cluster_replay(factories[policy], config, generator)
+            except CheckpointError as exc:
+                # A refused checkpoint names its invariant: ``[checkpoint-...]``.
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             stats = result.stats
             if result.checkpoints:
                 print(
@@ -489,6 +492,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from repro.analysis.characterize import run_overhead_experiment
+
     before, after = run_overhead_experiment(
         args.function,
         reclaimer=args.reclaimer,
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay the Azure-style trace (§5.3)")
     p.add_argument(
         "--policy",
-        choices=("vanilla", "eager", "desiccant", "all"),
+        choices=(*POLICIES, "all"),
         default="all",
     )
     p.add_argument("--scale-factor", type=float, default=15.0)
@@ -790,8 +795,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, CheckpointError) as exc:
-        # A refused checkpoint names its invariant: ``[checkpoint-...]``.
+    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,48 +19,29 @@ Platform, managers, keep-alive policies, and telemetry all communicate
 through the kernel's event bus; see :mod:`repro.sim`.
 """
 
-from repro.faas.cgroup import CpuAccountant, weighted_cpu_seconds
-from repro.faas.instance import FunctionInstance, InstanceState, runtime_for
-from repro.faas.libraries import SharedLibraryPool
-from repro.faas.platform import (
-    FaasPlatform,
-    ManagerBridge,
-    PlatformConfig,
-    RequestOutcome,
-)
-from repro.faas.lambda_platform import LambdaPlatform
-from repro.faas.cluster import Cluster, ClusterConfig, ClusterStats
-from repro.faas.keepalive import (
-    GreedyDualSizeFrequency,
-    HybridHistogramKeepAlive,
-    LruEviction,
-    subscribe_policy,
-)
-from repro.faas.probe import ProbeReport, probe_idle_semantics
-from repro.faas.telemetry import TelemetryRecorder, bucket_means, sparkline
+from repro._lazy import export
 
-__all__ = [
-    "CpuAccountant",
-    "weighted_cpu_seconds",
-    "FunctionInstance",
-    "InstanceState",
-    "runtime_for",
-    "SharedLibraryPool",
-    "FaasPlatform",
-    "ManagerBridge",
-    "PlatformConfig",
-    "RequestOutcome",
-    "LambdaPlatform",
-    "Cluster",
-    "ClusterConfig",
-    "ClusterStats",
-    "GreedyDualSizeFrequency",
-    "HybridHistogramKeepAlive",
-    "LruEviction",
-    "subscribe_policy",
-    "ProbeReport",
-    "probe_idle_semantics",
-    "TelemetryRecorder",
-    "bucket_means",
-    "sparkline",
-]
+__all__ = export(
+    __name__,
+    {
+        "repro.faas.cgroup": ("CpuAccountant", "weighted_cpu_seconds"),
+        "repro.faas.instance": ("FunctionInstance", "InstanceState", "runtime_for"),
+        "repro.faas.libraries": ("SharedLibraryPool",),
+        "repro.faas.platform": (
+            "FaasPlatform",
+            "ManagerBridge",
+            "PlatformConfig",
+            "RequestOutcome",
+        ),
+        "repro.faas.lambda_platform": ("LambdaPlatform",),
+        "repro.faas.cluster": ("Cluster", "ClusterConfig", "ClusterStats"),
+        "repro.faas.keepalive": (
+            "GreedyDualSizeFrequency",
+            "HybridHistogramKeepAlive",
+            "LruEviction",
+            "subscribe_policy",
+        ),
+        "repro.faas.probe": ("ProbeReport", "probe_idle_semantics"),
+        "repro.faas.telemetry": ("TelemetryRecorder", "bucket_means", "sparkline"),
+    },
+)

@@ -50,12 +50,15 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import procenv
+from repro.check.invariants import check_archive_writer, check_shard_conservation
+from repro.choices import SCHEDULERS
+from repro.core.baselines import VanillaManager
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request
-from repro.sim import EventTraceSink, SimKernel
+from repro.sim import EventTraceSink, SimKernel, checkpoint
 from repro.sim.shard import epoch_horizons, make_pool
+from repro.trace.archive import ArchiveWriter, parse_segment_name
+from repro.trace.stats import percentile
 from repro.workloads.model import FunctionDefinition
-
-SCHEDULERS = ("round-robin", "least-assigned", "warm-affinity")
 
 
 @dataclass
@@ -141,8 +144,6 @@ class Cluster:
         config: Optional[ClusterConfig] = None,
         manager_factory: Optional[Callable[[], object]] = None,
     ) -> None:
-        from repro.core.baselines import VanillaManager  # avoids module cycle
-
         self.config = config or ClusterConfig()
         self._manager_factory = manager_factory or VanillaManager
         #: Submission log: ``(time, definition)`` per arrival, in submit
@@ -166,8 +167,6 @@ class Cluster:
         partition changes nothing observable, so the statistics are the
         same at every shard count.
         """
-        from repro.trace.stats import percentile  # avoids module cycle
-
         session = ShardedClusterSession(
             self.config, self._manager_factory, shards=shards
         )
@@ -191,6 +190,24 @@ class Cluster:
 
 
 # ------------------------------------------------------------------ shards
+
+
+def check_parameters(
+    nodes: int, scheduler: str, epoch_seconds: float, window_epochs: int
+) -> None:
+    """Refuse a cluster shape or epoch grid the engine cannot run.
+
+    :class:`ShardedClusterSession` runs these checks when it is built,
+    and :class:`~repro.trace.replay.ClusterReplayConfig` when it is.
+    """
+    if nodes < 1:
+        raise ValueError("need at least one node")
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
+    if epoch_seconds <= 0:
+        raise ValueError("epoch_seconds must be positive")
+    if window_epochs < 1:
+        raise ValueError("window_epochs must be >= 1")
 
 
 def partition_nodes(nodes: int, shards: int) -> List[Tuple[int, ...]]:
@@ -240,7 +257,7 @@ class ClusterShardHost:
     """
 
     def __init__(self, spec: ClusterShardSpec) -> None:
-        # Lazy imports: this constructor is the worker process entry.
+        # Telemetry loads only in a run that streams it.
         from repro.faas.telemetry import TelemetryRecorder
 
         self.spec = spec
@@ -322,8 +339,6 @@ class ClusterShardHost:
         if self._archive is not None:
             self._archive.flush()
             if any(p.oracle is not None for p in self.platforms.values()):
-                from repro.check import check_archive_writer
-
                 check_archive_writer(self._archive)
         for platform in self.platforms.values():
             if platform.oracle is not None:
@@ -370,8 +385,6 @@ class ClusterShardHost:
         for recorder in self._recorders.values():
             recorder.reopen_outputs()
         if self._archive is not None:
-            from repro.trace.archive import parse_segment_name
-
             known = {footer["name"] for footer in self._archive._closed}
             known.update(
                 segment.path.name for segment in self._archive._open.values()
@@ -419,8 +432,6 @@ class ClusterShardHost:
         elif name == "start-trace":
             if self.spec.archive_dir is None:
                 return
-            from repro.trace.archive import ArchiveWriter  # worker-side lazy
-
             # One writer per worker, shared by its node sinks: every
             # (bucket, node) segment still has exactly one producer,
             # so the shared root fills with byte-identical segments
@@ -576,12 +587,7 @@ class ShardedClusterSession:
         profile_dir: Optional[str] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        from repro.core.baselines import VanillaManager  # avoids module cycle
-
-        if epoch_seconds <= 0:
-            raise ValueError("epoch_seconds must be positive")
-        if window_epochs < 1:
-            raise ValueError("window_epochs must be >= 1")
+        check_parameters(config.nodes, config.scheduler, epoch_seconds, window_epochs)
         factory = manager_factory or VanillaManager
         self.config = config
         self.epoch_seconds = float(epoch_seconds)
@@ -765,9 +771,6 @@ class ShardedClusterSession:
     def _absorb(
         self, reports: List[Dict], horizon: Optional[float], epochs: int = 1
     ) -> None:
-        # Lazy import: repro.check reaches back into repro.faas.
-        from repro.check import check_shard_conservation
-
         check_shard_conservation(reports, horizon)
         self.epochs += epochs
         self.clock = max(report["clock"] for report in reports)
@@ -795,8 +798,6 @@ class ShardedClusterSession:
         header meta carries the session fingerprint, the cursors, and
         whatever the caller adds (phase name, arrival-log digest).
         """
-        from repro.sim import checkpoint
-
         state = {
             "coordinator": {
                 "router": self.router,
@@ -836,8 +837,6 @@ class ShardedClusterSession:
         (worker-side, see :meth:`ClusterShardHost.apply_fork`).  An
         empty/None fork replays the captured run bit for bit.
         """
-        from repro.sim import checkpoint
-
         header, state = checkpoint.load(path)
         meta = header["meta"]
         if meta.get("session") != self._fingerprint:

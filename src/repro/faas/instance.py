@@ -16,7 +16,6 @@ from repro.mem.layout import MIB, PAGE_SIZE
 from repro.mem.physical import MappedFile, PhysicalMemory
 from repro.runtime.base import ManagedRuntime, ReclaimOutcome
 from repro.runtime.cpython import CPythonConfig, CPythonRuntime
-from repro.runtime.golang import GoConfig, GoRuntime
 from repro.runtime.hotspot import HotSpotConfig, HotSpotRuntime
 from repro.runtime.v8 import V8Config, V8Runtime
 from repro.workloads.model import FunctionModel, FunctionSpec, InvocationResult
@@ -70,6 +69,8 @@ def runtime_for(
             shared_files=shared_files,
         )
     if spec.language == "go":
+        from repro.runtime.golang import GoConfig, GoRuntime
+
         return GoRuntime(
             name,
             GoConfig(memory_budget=memory_budget),

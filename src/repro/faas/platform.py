@@ -50,7 +50,9 @@ from repro.sim import (
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
     from repro.core.baselines import MemoryManager
+from repro import procenv
 from repro.faas.instance import FunctionInstance, InstanceState
+from repro.faas.keepalive import LruEviction, subscribe_policy
 from repro.faas.libraries import SharedLibraryPool
 from repro.runtime.cpython import CPythonRuntime
 from repro.runtime.hotspot import HotSpotRuntime
@@ -310,7 +312,6 @@ class FaasPlatform:
         node_id: int = 0,
     ) -> None:
         from repro.core.baselines import VanillaManager
-        from repro.faas.keepalive import LruEviction, subscribe_policy
 
         self.config = config or PlatformConfig()
         self.kernel = kernel if kernel is not None else SimKernel(seed=self.config.seed)
@@ -361,11 +362,13 @@ class FaasPlatform:
             "freeze", "destroy", "keep-warm", "snapshot"
         ):
             raise ValueError(f"unknown idle policy {self.config.idle_policy!r}")
-        from repro.check.oracle import maybe_attach_oracle
+        #: Non-None only under REPRO_CHECK: the invariant oracle watching
+        #: this platform (see repro.check).  Its module loads only then.
+        self.oracle = None
+        if procenv.check_enabled():
+            from repro.check.oracle import maybe_attach_oracle
 
-        #: Non-None only when REPRO_CHECK=1: the invariant oracle watching
-        #: this platform (see repro.check).
-        self.oracle = maybe_attach_oracle(self)
+            self.oracle = maybe_attach_oracle(self)
 
     # ----------------------------------------------------------------- time
 

@@ -1,12 +1,13 @@
 """Explicit run-flag propagation into worker processes, and the wall clock.
 
 The repo's only behavioral switches are ``REPRO_CHECK`` and its tuning
-knobs.  A platform reads them from ``os.environ`` when it is built, so a
-worker must see the parent's *current* environment.  ``fork`` and
-``spawn`` children start with it, but a ``forkserver`` child (the Linux
-default from Python 3.14) inherits the environment the server was
-started with -- not whatever the parent set since, such as a test that
-turned ``REPRO_CHECK`` on after the first pool started.
+knobs.  A platform reads them from ``os.environ`` when it is built
+(:func:`check_enabled`), so a worker must see the parent's *current*
+environment.  ``fork`` and ``spawn`` children start with it, but a
+``forkserver`` child (the Linux default from Python 3.14) inherits the
+environment the server was started with -- not whatever the parent set
+since, such as a test that turned ``REPRO_CHECK`` on after the first
+pool started.
 
 Every process pool in the repo therefore propagates the flags
 explicitly: :func:`snapshot` captures the parent's flags, and
@@ -25,6 +26,15 @@ from typing import Dict, Optional
 
 #: Flags forwarded verbatim from the parent environment when set.
 _PASSTHROUGH = ("REPRO_CHECK", "REPRO_CHECK_CADENCE", "REPRO_CHECK_EVERY")
+
+
+def check_enabled() -> bool:
+    """Whether ``REPRO_CHECK`` turns the invariant oracle on.
+
+    Unset, ``""`` and ``"0"`` mean off; anything else means on.  A
+    platform imports :mod:`repro.check.oracle` only when this is true.
+    """
+    return os.environ.get("REPRO_CHECK", "") not in ("", "0")
 
 
 def snapshot(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:

@@ -13,31 +13,23 @@ memory-management policies §3.2 of the paper dissects:
 * ``cpython`` -- the §7 generalization: 256 KiB arenas freed only when empty.
 """
 
-from repro.runtime.base import (
-    HeapStats,
-    ManagedRuntime,
-    OutOfMemory,
-    ReclaimOutcome,
-    RuntimeConfig,
-)
-from repro.runtime.object_model import HeapObject, ObjectGraph
-from repro.runtime.hotspot import HotSpotRuntime
-from repro.runtime.v8 import V8Runtime
-from repro.runtime.cpython import CPythonRuntime
-from repro.runtime.golang import GoRuntime
-from repro.runtime.g1 import G1Runtime
+from repro._lazy import export
 
-__all__ = [
-    "HeapStats",
-    "ManagedRuntime",
-    "OutOfMemory",
-    "ReclaimOutcome",
-    "RuntimeConfig",
-    "HeapObject",
-    "ObjectGraph",
-    "HotSpotRuntime",
-    "V8Runtime",
-    "CPythonRuntime",
-    "GoRuntime",
-    "G1Runtime",
-]
+__all__ = export(
+    __name__,
+    {
+        "repro.runtime.base": (
+            "HeapStats",
+            "ManagedRuntime",
+            "OutOfMemory",
+            "ReclaimOutcome",
+            "RuntimeConfig",
+        ),
+        "repro.runtime.object_model": ("HeapObject", "ObjectGraph"),
+        "repro.runtime.hotspot": ("HotSpotRuntime",),
+        "repro.runtime.v8": ("V8Runtime",),
+        "repro.runtime.cpython": ("CPythonRuntime",),
+        "repro.runtime.golang": ("GoRuntime",),
+        "repro.runtime.g1": ("G1Runtime",),
+    },
+)

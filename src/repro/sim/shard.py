@@ -72,6 +72,10 @@ import traceback
 from itertools import islice
 from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro import procenv
+from repro.sim import checkpoint, wire
+from repro.trace.encode import line_key
+
 __all__ = [
     "ShardWorkerError",
     "ShardPool",
@@ -170,9 +174,6 @@ def _worker_main(conn, host_factory, spec, env: Dict[str, str]) -> None:
     epoch's index and horizon.  The bulky replies (reports, snapshots,
     results) are deflated when that shrinks them.
     """
-    from repro import procenv  # local import: keep module picklable footprint small
-    from repro.sim import wire
-
     def send_error(tb: str, epoch_index=None, horizon=None) -> None:
         wire.send_frame(
             conn,
@@ -205,16 +206,12 @@ def _worker_main(conn, host_factory, spec, env: Dict[str, str]) -> None:
                     host.mark(message[1])
                     wire.send_frame(conn, ("ok", None))
                 elif command == "snapshot":
-                    from repro.sim import checkpoint
-
                     wire.send_frame(
                         conn,
                         ("report", checkpoint.snapshot_host(host)),
                         compress=True,
                     )
                 elif command == "restore":
-                    from repro.sim import checkpoint
-
                     _, blob, fork = message
                     host = checkpoint.restore_host(blob, fork=fork)
                     wire.send_frame(conn, ("ok", None))
@@ -256,8 +253,6 @@ class ShardPool:
         env: Optional[Dict[str, str]] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        from repro import procenv
-
         if not specs:
             raise ValueError("need at least one shard spec")
         if env is None:
@@ -293,8 +288,6 @@ class ShardPool:
         return self.pipe_bytes_sent + self.pipe_bytes_received
 
     def _send(self, shard: int, message: Tuple) -> None:
-        from repro.sim import wire
-
         try:
             self.pipe_bytes_sent += wire.send_frame(
                 self._connections[shard], message, compress=True
@@ -307,8 +300,6 @@ class ShardPool:
             pass
 
     def _receive(self, shard: int) -> Any:
-        from repro.sim import wire
-
         try:
             message, nbytes = wire.recv_frame(self._connections[shard])
         except EOFError as exc:
@@ -479,16 +470,12 @@ class InlineShardPool:
         # A *real* pickle round-trip even inline: the blob is what a
         # process worker would ship, so inline-pool tests exercise the
         # identical serialization path.
-        from repro.sim import checkpoint
-
         self.round_trips += 1
         return [checkpoint.snapshot_host(host) for host in self._hosts]
 
     def restore(
         self, blobs: Sequence[bytes], fork: Optional[Dict] = None
     ) -> None:
-        from repro.sim import checkpoint
-
         if len(blobs) != len(self._hosts):
             raise ValueError("one checkpoint blob per shard required")
         self._hosts = [checkpoint.restore_host(blob, fork=fork) for blob in blobs]
@@ -564,9 +551,6 @@ def merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
     line's envelope (``json.loads`` only for lines it cannot read);
     memory holds one pending line per source.
     """
-    # Imported here: repro.trace imports repro.sim at package init.
-    from repro.trace.encode import line_key
-
     return heapq.merge(*sources, key=line_key)
 
 

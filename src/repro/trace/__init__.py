@@ -9,34 +9,25 @@ Poisson/bursty triggers, per Shahrad et al.), and :mod:`replay` drives the
 platform through warmup + measurement windows.
 """
 
-from repro.trace.archive import (
-    ArchiveReader,
-    ArchiveWriter,
-    finalize_archive,
-    pack,
-)
-from repro.trace.generator import FunctionArrivalSpec, TraceGenerator
-from repro.trace.replay import (
-    ReplayConfig,
-    ReplayResult,
-    TraceWindow,
-    WindowResult,
-    replay,
-)
-from repro.trace.stats import ReplayStats, percentile
+from repro._lazy import export
 
-__all__ = [
-    "ArchiveReader",
-    "ArchiveWriter",
-    "FunctionArrivalSpec",
-    "TraceGenerator",
-    "ReplayConfig",
-    "ReplayResult",
-    "TraceWindow",
-    "WindowResult",
-    "finalize_archive",
-    "pack",
-    "replay",
-    "ReplayStats",
-    "percentile",
-]
+__all__ = export(
+    __name__,
+    {
+        "repro.trace.archive": (
+            "ArchiveReader",
+            "ArchiveWriter",
+            "finalize_archive",
+            "pack",
+        ),
+        "repro.trace.generator": ("FunctionArrivalSpec", "TraceGenerator"),
+        "repro.trace.replay": (
+            "ReplayConfig",
+            "ReplayResult",
+            "TraceWindow",
+            "WindowResult",
+            "replay",
+        ),
+        "repro.trace.stats": ("ReplayStats", "percentile"),
+    },
+)

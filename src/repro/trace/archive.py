@@ -590,8 +590,8 @@ class ArchiveReader:
     def _probe_bucket_seconds(self) -> float:
         """Without a manifest, any one footer names the bucket width."""
         for info in self.segments():
-            footer = self._read_footer(info.name)
-            return float(footer["bucket_seconds"])
+            lines = self._read_all_lines(info.name, count_io=False)
+            return float(self._split_footer(info.name, lines)[1]["bucket_seconds"])
         return DEFAULT_BUCKET_SECONDS
 
     # ---------------------------------------------------------- addressing
@@ -613,16 +613,6 @@ class ArchiveReader:
 
     # ------------------------------------------------------------- reading
 
-    def _read_footer(self, name: str) -> Dict[str, object]:
-        """Parse a segment's footer (its last decompressed line)."""
-        lines = self._read_all_lines(name, count_io=False)
-        if not lines:
-            raise ValueError(f"{name}: empty segment file")
-        footer = json.loads(lines[-1])
-        if footer.get("schema") != ARCHIVE_SCHEMA:
-            raise ValueError(f"{name}: last line is not a footer")
-        return footer
-
     def _read_all_lines(self, name: str, count_io: bool = True) -> List[str]:
         """Every decompressed line of a segment, its footer last.
 
@@ -642,6 +632,25 @@ class ArchiveReader:
             lines.pop()
         return lines
 
+    @staticmethod
+    def _split_footer(
+        name: str, lines: List[str]
+    ) -> Tuple[List[str], Dict[str, object]]:
+        """``(payload_lines, footer)``: the footer is the last line.
+
+        A segment with no lines, or whose last line is not a JSON
+        object with this schema, raises ``ValueError`` naming it.
+        """
+        if not lines:
+            raise ValueError(f"{name}: empty segment file")
+        try:
+            footer = json.loads(lines[-1])
+        except ValueError:
+            footer = None
+        if not isinstance(footer, dict) or footer.get("schema") != ARCHIVE_SCHEMA:
+            raise ValueError(f"{name}: missing footer (truncated segment?)")
+        return lines[:-1], footer
+
     def read_segment(
         self, name: str, verify: bool = False
     ) -> Tuple[List[str], Dict[str, object]]:
@@ -651,16 +660,7 @@ class ArchiveReader:
         count, digest, time range, and addressing are all checked.  Every
         failure is a ``ValueError`` whose message starts with ``name``.
         """
-        lines = self._read_all_lines(name)
-        if not lines:
-            raise ValueError(f"{name}: empty segment file")
-        try:
-            footer = json.loads(lines[-1])
-        except ValueError:
-            footer = None
-        if not isinstance(footer, dict) or footer.get("schema") != ARCHIVE_SCHEMA:
-            raise ValueError(f"{name}: missing footer (truncated segment?)")
-        payload = lines[:-1]
+        payload, footer = self._split_footer(name, self._read_all_lines(name))
         if verify:
             problems = self._verify_segment(name, payload, footer)
             if problems:

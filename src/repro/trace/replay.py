@@ -253,6 +253,23 @@ class ClusterReplayConfig:
     #: (see :meth:`repro.faas.cluster.ShardedClusterSession.restore`).
     fork: Optional[Dict[str, object]] = None
 
+    def __post_init__(self) -> None:
+        # Building a cluster config loads the cluster engine, so the
+        # timed cluster_replay call never imports it and a single
+        # platform's replay never does.  The engine's checks run here
+        # too: a config it would refuse fails before any arrival is drawn.
+        from repro.faas.cluster import check_parameters
+
+        check_parameters(
+            self.nodes, self.scheduler, self.epoch_seconds, self.window_epochs
+        )
+        if self.window is not None and self.archive_dir is None:
+            raise ValueError("window requires archive_dir")
+        if self.fork and self.resume_from is None:
+            raise ValueError("fork requires resume_from")
+        if self.checkpoint_every is not None and self.checkpoint_dir is None:
+            raise ValueError("checkpoint_every requires checkpoint_dir")
+
 
 @dataclass
 class ClusterReplayResult:
@@ -303,19 +320,15 @@ def cluster_replay(
     them.
     """
     from repro import procenv
+    from repro.check import check_segment_manifest
     from repro.faas.cluster import ClusterConfig, ShardedClusterSession
     from repro.sim import checkpoint
+    from repro.trace.archive import finalize_archive
 
     config = config or ClusterReplayConfig()
     generator = generator or TraceGenerator(seed=config.trace_seed)
     tracing = config.trace or config.event_trace_path is not None
     archiving = config.archive_dir is not None
-    if config.window is not None and not archiving:
-        raise ValueError("window requires archive_dir")
-    if config.fork and config.resume_from is None:
-        raise ValueError("fork requires resume_from")
-    if config.checkpoint_every is not None and config.checkpoint_dir is None:
-        raise ValueError("checkpoint_every requires checkpoint_dir")
     ckpt_dir = (
         Path(config.checkpoint_dir) if config.checkpoint_dir is not None else None
     )
@@ -333,53 +346,11 @@ def cluster_replay(
     measured_offsets = generator.arrivals(
         config.duration_seconds, config.scale_factor
     )
-    # Out-of-pipe traces: every traced run routes through a segmented
-    # archive root shared by all workers (a temporary root when only the
-    # flat trace was asked for); no trace record ever crosses the
-    # coordination pipes.
-    ephemeral_archive = False
-    if archiving:
-        archive_root: Optional[Path] = Path(config.archive_dir)
-    elif tracing:
-        if resume_meta is not None and resume_meta.get("archive_root"):
-            # Rewrite the capturing run's root: the restored hosts'
-            # open segments and shipped footers all point into it.
-            archive_root = Path(str(resume_meta["archive_root"]))
-        elif ckpt_dir is not None:
-            # Pin the root next to the checkpoints so a later resume
-            # still finds the segments closed before its barrier.
-            archive_root = ckpt_dir / "archive"
-        else:
-            archive_root = Path(tempfile.mkdtemp(prefix="repro-shard-archive-"))
-            ephemeral_archive = True
-    else:
-        archive_root = None
-    cluster_config = ClusterConfig(
-        nodes=config.nodes,
-        scheduler=config.scheduler,
-        node_config=config.platform,
-    )
-    session = ShardedClusterSession(
-        cluster_config,
-        manager_factory,
-        shards=config.shards,
-        epoch_seconds=config.epoch_seconds,
-        processes=config.processes,
-        window_epochs=config.window_epochs,
-        archive_dir=str(archive_root) if archive_root is not None else None,
-        archive_bucket_seconds=config.archive_bucket_seconds,
-        telemetry_dir=(
-            str(config.telemetry_dir) if config.telemetry_dir is not None else None
-        ),
-        telemetry_interval=config.telemetry_interval,
-        profile_dir=(
-            str(config.profile_dir) if config.profile_dir is not None else None
-        ),
-        start_method=config.start_method,
-    )
     checkpoints: List[Path] = []
 
-    def make_barrier(phase_name: str, digest: str, extra: Dict[str, object]):
+    def make_barrier(
+        phase_name: str, digest: Optional[str], extra: Dict[str, object]
+    ):
         if ckpt_dir is None:
             return None
 
@@ -402,8 +373,13 @@ def cluster_replay(
 
         return on_barrier
 
-    def verify_arrivals(digest: str) -> None:
-        recorded = resume_meta.get("arrivals_sha256")
+    def phase_digest(arrivals, resumed: bool) -> Optional[str]:
+        """The arrival log's digest, computed only where it is read: in a
+        capture's meta, or to check a resume against the capture's."""
+        if ckpt_dir is None and not resumed:
+            return None
+        digest = checkpoint.arrivals_digest(arrivals)
+        recorded = resume_meta.get("arrivals_sha256") if resumed else None
         if recorded is not None and recorded != digest:
             raise checkpoint.CheckpointError(
                 "checkpoint-arrivals",
@@ -411,98 +387,142 @@ def cluster_replay(
                 "the regenerated arrival log is not the one the capture "
                 "recorded (trace_seed/scale/duration mismatch)",
             )
+        return digest
 
-    resumed_phase: Optional[str] = None
-    coordinator_started = procenv.wall_clock()
+    # Out-of-pipe traces: every traced run routes through a segmented
+    # archive root shared by all workers (a temporary root when only the
+    # flat trace was asked for); no trace record ever crosses the
+    # coordination pipes.
+    ephemeral_archive = False
+    if archiving:
+        archive_root: Optional[Path] = Path(config.archive_dir)
+    elif tracing:
+        if resume_meta is not None and resume_meta.get("archive_root"):
+            # Rewrite the capturing run's root: the restored hosts'
+            # open segments and shipped footers all point into it.
+            archive_root = Path(str(resume_meta["archive_root"]))
+        elif ckpt_dir is not None:
+            # Pin the root next to the checkpoints so a later resume
+            # still finds the segments closed before its barrier.
+            archive_root = ckpt_dir / "archive"
+        else:
+            archive_root = Path(tempfile.mkdtemp(prefix="repro-shard-archive-"))
+            ephemeral_archive = True
+    else:
+        archive_root = None
+    # From here on a temporary root is removed however the run ends,
+    # including a session that refuses to start.
     try:
-        start_index = start_pos = 0
-        if config.resume_from is not None:
-            cursor = session.restore(config.resume_from, fork=config.fork)
-            resume_meta = cursor["meta"]
-            resumed_phase = str(resume_meta.get("phase", "measured"))
-            start_index, start_pos = cursor["index"], cursor["pos"]
-        if resumed_phase in (None, "warmup"):
-            warm_digest = checkpoint.arrivals_digest(warm)
-            if resumed_phase == "warmup":
-                verify_arrivals(warm_digest)
+        session = ShardedClusterSession(
+            ClusterConfig(
+                nodes=config.nodes,
+                scheduler=config.scheduler,
+                node_config=config.platform,
+            ),
+            manager_factory,
+            shards=config.shards,
+            epoch_seconds=config.epoch_seconds,
+            processes=config.processes,
+            window_epochs=config.window_epochs,
+            archive_dir=str(archive_root) if archive_root is not None else None,
+            archive_bucket_seconds=config.archive_bucket_seconds,
+            telemetry_dir=(
+                str(config.telemetry_dir)
+                if config.telemetry_dir is not None
+                else None
+            ),
+            telemetry_interval=config.telemetry_interval,
+            profile_dir=(
+                str(config.profile_dir) if config.profile_dir is not None else None
+            ),
+            start_method=config.start_method,
+        )
+        resumed_phase: Optional[str] = None
+        coordinator_started = procenv.wall_clock()
+        try:
+            start_index = start_pos = 0
+            if config.resume_from is not None:
+                cursor = session.restore(config.resume_from, fork=config.fork)
+                resume_meta = cursor["meta"]
+                resumed_phase = str(resume_meta.get("phase", "measured"))
+                start_index, start_pos = cursor["index"], cursor["pos"]
+            if resumed_phase in (None, "warmup"):
+                warm_digest = phase_digest(warm, resumed=resumed_phase == "warmup")
+                session.run_phase(
+                    warm,
+                    start=0.0,
+                    end=config.warmup_seconds,
+                    start_index=start_index,
+                    start_pos=start_pos,
+                    checkpoint_every=config.checkpoint_every,
+                    on_barrier=make_barrier("warmup", warm_digest, {}),
+                )
+                # Identical for every shard count: the max shard clock is
+                # the global last-event time of the (deterministic) warmup
+                # drain.
+                measure_start = max(session.clock, config.warmup_seconds)
+                session.mark("reset-metrics")
+                if archive_root is not None:
+                    session.mark("start-trace")
+                start_index = start_pos = 0
+                fresh_measurement = True
+            else:
+                measure_start = float(resume_meta["measure_start"])
+                fresh_measurement = False
+            measured = [(measure_start + t, d) for t, d in measured_offsets]
+            measured_digest = phase_digest(measured, resumed=not fresh_measurement)
+            measured_meta = {"measure_start": measure_start}
+            measured_barrier = make_barrier(
+                "measured", measured_digest, measured_meta
+            )
+            if ckpt_dir is not None and fresh_measurement:
+                # The warmup/measurement boundary: the checkpoint a forked
+                # what-if leg resumes from to skip the warmup prefix.
+                path = ckpt_dir / "measure-start.ckpt"
+                session.capture(
+                    path,
+                    0,
+                    0,
+                    meta={
+                        "phase": "measured",
+                        "arrivals_sha256": measured_digest,
+                        "archive_root": (
+                            str(archive_root) if archive_root is not None else None
+                        ),
+                        **measured_meta,
+                    },
+                )
+                checkpoints.append(path)
             session.run_phase(
-                warm,
-                start=0.0,
-                end=config.warmup_seconds,
+                measured,
+                start=measure_start,
+                end=measure_start + config.duration_seconds,
                 start_index=start_index,
                 start_pos=start_pos,
                 checkpoint_every=config.checkpoint_every,
-                on_barrier=make_barrier("warmup", warm_digest, {}),
+                on_barrier=measured_barrier,
             )
-            # Identical for every shard count: the max shard clock is the
-            # global last-event time of the (deterministic) warmup drain.
-            measure_start = max(session.clock, config.warmup_seconds)
-            session.mark("reset-metrics")
-            if archive_root is not None:
-                session.mark("start-trace")
-            start_index = start_pos = 0
-            fresh_measurement = True
-        else:
-            measure_start = float(resume_meta["measure_start"])
-            fresh_measurement = False
-        measured = [(measure_start + t, d) for t, d in measured_offsets]
-        measured_digest = checkpoint.arrivals_digest(measured)
-        measured_meta = {"measure_start": measure_start}
-        if not fresh_measurement:
-            verify_arrivals(measured_digest)
-        measured_barrier = make_barrier("measured", measured_digest, measured_meta)
-        if ckpt_dir is not None and fresh_measurement:
-            # The warmup/measurement boundary: the checkpoint a forked
-            # what-if leg resumes from to skip the warmup prefix.
-            path = ckpt_dir / "measure-start.ckpt"
-            session.capture(
-                path,
-                0,
-                0,
-                meta={
-                    "phase": "measured",
-                    "arrivals_sha256": measured_digest,
-                    "archive_root": (
-                        str(archive_root) if archive_root is not None else None
-                    ),
-                    **measured_meta,
-                },
-            )
-            checkpoints.append(path)
-        session.run_phase(
-            measured,
-            start=measure_start,
-            end=measure_start + config.duration_seconds,
-            start_index=start_index,
-            start_pos=start_pos,
-            checkpoint_every=config.checkpoint_every,
-            on_barrier=measured_barrier,
+            nodes = session.finish()
+            per_node_requests = list(session.router.assigned)
+            epochs, events = session.epochs, session.events
+            round_trips = session.round_trips
+            pipe_bytes = session.pipe_bytes
+            worker_busy = session.worker_busy_seconds
+            footers = session.archive_footers
+        finally:
+            session.close()
+        coordinator_wall = procenv.wall_clock() - coordinator_started
+        trace_path = (
+            Path(config.event_trace_path)
+            if config.event_trace_path is not None
+            else None
         )
-        nodes = session.finish()
-        per_node_requests = list(session.router.assigned)
-        epochs, events = session.epochs, session.events
-        round_trips = session.round_trips
-        pipe_bytes = session.pipe_bytes
-        worker_busy = session.worker_busy_seconds
-        footers = session.archive_footers
-    finally:
-        session.close()
-    coordinator_wall = procenv.wall_clock() - coordinator_started
-    trace_path = (
-        Path(config.event_trace_path)
-        if config.event_trace_path is not None
-        else None
-    )
-    trace_events = 0
-    trace_sha256 = None
-    archive_events = 0
-    archive_sha256 = None
-    window = None
-    if archive_root is not None:
-        from repro.check import check_segment_manifest
-        from repro.trace.archive import finalize_archive
-
-        try:
+        trace_events = 0
+        trace_sha256 = None
+        archive_events = 0
+        archive_sha256 = None
+        window = None
+        if archive_root is not None:
             # Manifest-driven compose: the workers' shipped footers stand
             # in for the per-segment verify pre-pass, and the flat JSONL
             # twin (when asked for) is written during the same single
@@ -517,9 +537,9 @@ def cluster_replay(
                 archive_events, archive_sha256 = composed_events, composed_sha
             if config.window is not None:
                 window = config.window.read(archive_root)
-        finally:
-            if ephemeral_archive:
-                shutil.rmtree(archive_root, ignore_errors=True)
+    finally:
+        if ephemeral_archive:
+            shutil.rmtree(archive_root, ignore_errors=True)
 
     outcomes = [pair for node in sorted(nodes) for pair in nodes[node]["outcomes"]]
     latencies = sorted(latency for latency, _ in outcomes) or [0.0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -73,6 +74,16 @@ class TestSpecs:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown bench kind"):
             execute_spec(BenchSpec(kind="nope"))
+
+    @pytest.mark.parametrize("baseline", ["BENCH_replay.json", "BENCH_vmm.json"])
+    def test_committed_specs_name_only_benchspec_fields(self, baseline):
+        """A committed run's ``spec`` is a ``BenchSpec`` this build can run:
+        no key names an option the build no longer has, and the spec
+        rebuilds the run's label."""
+        fields = {field.name for field in dataclasses.fields(BenchSpec)}
+        for run in load_baseline(ROOT / baseline)["runs"]:
+            assert sorted(set(run["spec"]) - fields) == [], run["label"]
+            assert BenchSpec(**run["spec"]).label == run["label"]
 
 
 class TestExecution:

@@ -8,6 +8,8 @@ and streamed telemetry CSVs must be byte-identical for every shard count.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.core import Desiccant
@@ -323,6 +325,52 @@ class TestClusterReplay:
             node = int(name.split("-")[2].split(".")[0][1:])
             assert 12.0 <= (bucket + 1) * 5.0 and bucket * 5.0 < 18.0, name
             assert node in (0, 2), name
+
+
+class TestRefusedClusterReplay:
+    """A traced replay without ``archive_dir`` writes through a temporary
+    archive root.  A run refused before its first window leaves none
+    behind in the temporary directory."""
+
+    @pytest.fixture
+    def tmpdir_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        return tmp_path
+
+    def _config(self, **overrides):
+        return ClusterReplayConfig(
+            **{
+                "nodes": 2,
+                "trace": True,
+                "warmup_seconds": 1.0,
+                "duration_seconds": 1.0,
+                **overrides,
+            }
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"window_epochs": 0},
+            {"epoch_seconds": 0.0},
+            {"scheduler": "bogus"},
+            {"nodes": 0},
+        ],
+    )
+    def test_refused_config_leaves_no_archive_root(self, tmpdir_root, bad):
+        with pytest.raises(ValueError):
+            cluster_replay(Desiccant, self._config(**bad))
+        assert list(tmpdir_root.glob("repro-shard-archive-*")) == []
+
+    def test_session_refused_after_the_root_is_made_removes_it(self, tmpdir_root):
+        """A config changed after it was built passes its own checks,
+        reaches the temporary root and is refused by the session."""
+        config = self._config()
+        config.window_epochs = 0
+        with pytest.raises(ValueError, match="window_epochs"):
+            cluster_replay(Desiccant, config)
+        assert list(tmpdir_root.glob("repro-shard-archive-*")) == []
 
 
 class TestDenseLogDigest:

@@ -214,3 +214,39 @@ class TestForkDeterminism:
                 **self.PRESSURE,
             )
         assert caught.value.invariant == "checkpoint-arrivals"
+
+
+class TestArrivalDigests:
+    """Only a capture's meta and a resume's ``checkpoint-arrivals`` check
+    read the arrival-log digests, so only those runs compute them."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        calls = []
+        digest = checkpoint.arrivals_digest
+
+        def spy(arrivals):
+            calls.append(len(arrivals))
+            return digest(arrivals)
+
+        monkeypatch.setattr(checkpoint, "arrivals_digest", spy)
+        return calls
+
+    def test_traced_run_without_checkpoints_never_digests(self, digests):
+        result = _run()
+        assert result.trace_sha256 is not None
+        assert digests == []
+
+    def test_capture_digests_each_phase_once(self, tmp_path, digests):
+        result = _run(checkpoint_dir=tmp_path / "ckpt")
+        assert result.checkpoints
+        assert len(digests) == 2
+
+    def test_resume_without_captures_still_checks_the_log(self, tmp_path):
+        ckpt_dir = tmp_path / "ckpt"
+        _run(checkpoint_dir=ckpt_dir)
+        warmup = sorted(ckpt_dir.glob("warmup-*.ckpt"))
+        assert warmup
+        with pytest.raises(checkpoint.CheckpointError) as caught:
+            _run(seed=43, resume_from=warmup[0])
+        assert caught.value.invariant == "checkpoint-arrivals"

@@ -238,3 +238,23 @@ def test_parser_rejects_unknown_policy():
 def test_command_required():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_parser_loads_no_subcommand_module():
+    """Building the parser loads no subcommand's modules: a
+    single-platform ``repro replay`` never compiles the cluster engine,
+    the checkpoint format or the characterization harness."""
+    from tests.test_imports import run_fresh
+
+    unloaded = [
+        "repro.analysis.characterize",
+        "repro.faas.cluster",
+        "repro.sim.checkpoint",
+    ]
+    report = run_fresh(
+        "import json, sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        f"print(json.dumps([m for m in {unloaded!r} if m in sys.modules]))"
+    )
+    assert report == []

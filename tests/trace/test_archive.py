@@ -602,3 +602,24 @@ class TestTwoWriterComposition:
             with pytest.raises(ValueError, match=named):
                 read()
         assert ArchiveReader(root).verify() == [str(caught.value)]
+
+    @pytest.mark.parametrize(
+        "footer", [b'{"schema": "repro-trace-arch', b"[1, 2]", b'"footer"']
+    )
+    def test_unparsable_footer_fails_by_name(self, tmp_path, footer):
+        """Without a manifest or a bucket width, ``finalize_archive``
+        probes the first segment's footer for the width.  A footer member
+        that is not a JSON object fails as ``read_segment`` does, naming
+        the segment, not as a bare decode or attribute error."""
+        root = tmp_path / "arc"
+        self._archive(root)
+        victim = root / segment_name(0, 0)
+        assert victim.name == "seg-b00000000-n000.jsonl.gz"
+        with gzip.open(victim, "rb") as handle:
+            payload = handle.read().rsplit(b"\n", 2)[0]
+        victim.write_bytes(gzip_member(payload + b"\n") + gzip_member(footer + b"\n"))
+        named = rf"^{victim.name}: missing footer"
+        with pytest.raises(ValueError, match=named):
+            finalize_archive(root)
+        with pytest.raises(ValueError, match=named):
+            ArchiveReader(root, bucket_seconds=10.0).read_segment(victim.name)
