@@ -2,7 +2,8 @@
 """Checkpoint smoke: capture / restore / fork round-trip on a small replay.
 
 The CI face of docs/CHECKPOINTS.md: for each shard count, run a small
-traced cluster replay from scratch while capturing checkpoints, then
+traced cluster replay from scratch while capturing checkpoints and
+streaming per-node telemetry CSVs, then
 
 1. resume from ``measure-start.ckpt`` -- the merged trace SHA-256 must
    equal the uninterrupted run's;
@@ -10,8 +11,11 @@ traced cluster replay from scratch while capturing checkpoints, then
 3. fork from ``measure-start.ckpt`` with no changes -- same identity;
 4. fork with a changed policy -- must *not* raise (divergence is legal).
 
-Exits nonzero on the first digest mismatch, leaving the artifacts
-(checkpoints plus both flat traces) in ``--work-dir`` for upload::
+Legs 1-3 rewrite the scratch run's telemetry CSVs from their barrier on,
+and each must leave them byte-identical to what the scratch run wrote.
+Exits nonzero after any digest or telemetry mismatch, leaving the
+artifacts (checkpoints, CSVs and both flat traces) in ``--work-dir`` for
+upload::
 
     python benchmarks/checkpoint_smoke.py --shards 1,2 --work-dir ckpt-smoke
 """
@@ -40,16 +44,29 @@ def _config(shards: int, work: Path, **overrides) -> ClusterReplayConfig:
         trace_seed=42,
         checkpoint_dir=work / "ckpt",
         checkpoint_every=2,
+        telemetry_dir=work / "telemetry",
         **overrides,
     )
+
+
+def _telemetry(work: Path) -> dict:
+    return {
+        path.name: path.read_bytes()
+        for path in sorted((work / "telemetry").glob("node*.csv"))
+    }
 
 
 def run_smoke(shards: int, work: Path) -> int:
     failures = 0
     base_cfg = _config(shards, work, event_trace_path=work / "base.jsonl")
     base = cluster_replay(Desiccant, base_cfg)
+    telemetry = _telemetry(work)
     print(f"[shards={shards}] scratch: {base.trace_events} events "
-          f"sha {base.trace_sha256[:12]}, {len(base.checkpoints)} checkpoints")
+          f"sha {base.trace_sha256[:12]}, {len(base.checkpoints)} checkpoints, "
+          f"{len(telemetry)} telemetry CSVs")
+    if not telemetry:
+        print(f"[shards={shards}] scratch run streamed no telemetry CSV")
+        failures += 1
 
     def leg(name: str, **overrides) -> None:
         nonlocal failures
@@ -58,11 +75,13 @@ def run_smoke(shards: int, work: Path) -> int:
             replace(_config(shards, work), **overrides),
         )
         match = result.trace_sha256 == base.trace_sha256
+        same_csvs = _telemetry(work) == telemetry
         verdict = "ok" if match else "DIGEST MISMATCH"
+        if not same_csvs:
+            verdict += ", TELEMETRY MISMATCH"
         print(f"[shards={shards}] {name}: sha {result.trace_sha256[:12]} "
               f"({verdict})")
-        if not match:
-            failures += 1
+        failures += (not match) + (not same_csvs)
 
     measure_start = work / "ckpt" / "measure-start.ckpt"
     leg("resume @ measure-start", resume_from=measure_start)
@@ -100,10 +119,10 @@ def main(argv=None) -> int:
         work.mkdir(parents=True, exist_ok=True)
         failures += run_smoke(shards, work)
     if failures:
-        print(f"checkpoint smoke: {failures} digest mismatch(es)",
+        print(f"checkpoint smoke: {failures} digest or telemetry mismatch(es)",
               file=sys.stderr)
         return 1
-    print("checkpoint smoke: all legs byte-identical")
+    print("checkpoint smoke: all legs byte-identical, telemetry included")
     return 0
 
 

@@ -329,7 +329,7 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
             "evictions": stats.evictions,
         }
         if trace_path is not None:
-            metrics["trace_events"] = len(result.trace)
+            metrics["trace_events"] = result.trace_events
             metrics["trace_sha256"] = hashlib.sha256(
                 Path(trace_path).read_bytes()
             ).hexdigest()

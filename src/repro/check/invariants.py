@@ -670,7 +670,7 @@ def check_segment_manifest(
             problems.append(f"{name}: negative payload_bytes")
         total += footer["events"]
         parsed = parse_segment_name(name)
-        if parsed is not None and parsed[:2] != cell:
+        if parsed is not None and parsed != cell:
             problems.append(f"{name}: footer addresses {cell}")
         t_min, t_max = footer.get("t_min"), footer.get("t_max")
         if t_min is not None and t_max is not None:

@@ -225,9 +225,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             )
             result = replay(factories[policy], config, generator)
             stats = result.stats
-            if result.trace is not None and trace_path is not None:
+            if trace_path is not None:
                 print(
-                    f"wrote {len(result.trace)} events to {trace_path}",
+                    f"wrote {result.trace_events} events to {trace_path}",
                     file=sys.stderr,
                 )
             if archive_dir is not None:

@@ -237,13 +237,9 @@ class ClusterShardSpec:
     #: None = never trace).
     archive_dir: Optional[str] = None
     archive_bucket_seconds: float = 60.0
-    #: Stream per-node telemetry CSVs here, flushed at every epoch barrier.
+    #: Stream per-node telemetry CSVs here (one sample per simulated
+    #: second, 512 kept in memory), flushed at every epoch barrier.
     telemetry_dir: Optional[str] = None
-    telemetry_interval: float = 1.0
-    #: Bound each node's in-memory telemetry ring (rows still stream out).
-    telemetry_max_samples: Optional[int] = 512
-    #: Dump a cProfile of this worker here (None = no profiling).
-    profile_path: Optional[str] = None
 
 
 class ClusterShardHost:
@@ -283,15 +279,10 @@ class ClusterShardHost:
             for node_id, platform in self.platforms.items():
                 self._recorders[node_id] = TelemetryRecorder(
                     platform,
-                    interval=spec.telemetry_interval,
-                    max_samples=spec.telemetry_max_samples,
+                    interval=1.0,
+                    max_samples=512,
                     stream_csv=Path(spec.telemetry_dir) / f"node{node_id:03d}.csv",
                 )
-        self._profiler = None
-        if spec.profile_path is not None:
-            import cProfile
-
-            self._profiler = cProfile.Profile()
 
     # ----------------------------------------------------------- protocol
 
@@ -314,15 +305,11 @@ class ClusterShardHost:
             )
 
     def advance(self, until: Optional[float]) -> None:
-        if self._profiler is not None:
-            self._profiler.enable()
         started = procenv.wall_clock()
         try:
             self.kernel.run(until)
         finally:
             self._busy_wall += procenv.wall_clock() - started
-            if self._profiler is not None:
-                self._profiler.disable()
 
     def epoch_end(self, horizon: Optional[float]) -> None:
         """Per-epoch bounded-memory flush point and oracle cadence.
@@ -500,15 +487,12 @@ class ClusterShardHost:
             archive_segments = list(summary["segments"])
             archive_events = summary["events"]
             self._archive = None
-        if self._profiler is not None:
-            self._profiler.dump_stats(self.spec.profile_path)
         return {
             "shard": self.spec.shard,
             "events": self.kernel.events_processed,
             "busy_wall_seconds": self._busy_wall,
             "archive_segments": archive_segments,
             "archive_events": archive_events,
-            "profile_path": self.spec.profile_path,
             "nodes": nodes,
         }
 
@@ -582,10 +566,6 @@ class ShardedClusterSession:
         archive_dir: Optional[str] = None,
         archive_bucket_seconds: float = 60.0,
         telemetry_dir: Optional[str] = None,
-        telemetry_interval: float = 1.0,
-        telemetry_max_samples: Optional[int] = 512,
-        profile_dir: Optional[str] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         check_parameters(config.nodes, config.scheduler, epoch_seconds, window_epochs)
         factory = manager_factory or VanillaManager
@@ -615,23 +595,11 @@ class ShardedClusterSession:
                     archive_dir=archive_dir,
                     archive_bucket_seconds=archive_bucket_seconds,
                     telemetry_dir=telemetry_dir,
-                    telemetry_interval=telemetry_interval,
-                    telemetry_max_samples=telemetry_max_samples,
-                    profile_path=(
-                        str(Path(profile_dir) / f"shard{shard}.prof")
-                        if profile_dir is not None
-                        else None
-                    ),
                 )
             )
         if processes is None:
             processes = self.shards > 1
-        self.pool = make_pool(
-            ClusterShardHost,
-            specs,
-            processes=processes,
-            start_method=start_method,
-        )
+        self.pool = make_pool(ClusterShardHost, specs, processes=processes)
         #: Stable digest of everything that shapes this session's
         #: timeline; a checkpoint captured by a session with a different
         #: fingerprint is refused at restore (``checkpoint-config``).

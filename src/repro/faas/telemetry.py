@@ -56,15 +56,11 @@ class TelemetryRecorder:
     #: ring this keeps recorder memory flat over arbitrarily long runs --
     #: shard workers stream one CSV per node and :meth:`flush` it at
     #: every epoch barrier, so a crashed worker loses at most one epoch
-    #: of samples and the coordinator never holds a full series.
+    #: of samples and the coordinator never holds a full series.  The
+    #: file is created at the first sample (or at :meth:`detach`), so
+    #: building a recorder never touches an existing stream -- a resumed
+    #: run's recorders are built before the restore that reopens it.
     stream_csv: Optional[str | Path] = None
-    #: Roll sample rows into a segmented archive (``kind="rows"``,
-    #: ``.csv.gz`` segments; see ``docs/TRACE_ARCHIVE.md``) using the
-    #: same deterministic segment roller as the event trace.  Rows are
-    #: the :attr:`HEADERS` columns comma-joined with ``\n`` line endings
-    #: (no header row) -- a distinct format from the ``\r\n`` CSV stream.
-    archive_dir: Optional[str | Path] = None
-    archive_bucket_seconds: float = 60.0
     samples: List[TelemetrySample] = field(default_factory=list)
     _next_sample_at: float = 0.0
 
@@ -88,28 +84,20 @@ class TelemetryRecorder:
             self.samples = deque(self.samples, maxlen=self.max_samples)
         self._stream_handle = None
         self._stream_writer = None
-        if self.stream_csv is not None:
-            path = Path(self.stream_csv)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream_handle = path.open("w", newline="")
-            self._stream_writer = csv.writer(self._stream_handle)
-            self._stream_writer.writerow(self.HEADERS)
-        self._archive = None
-        if self.archive_dir is not None:
-            from repro.trace.archive import ArchiveWriter  # lazy: avoid cycle
-
-            self._archive = ArchiveWriter(
-                self.archive_dir,
-                bucket_seconds=self.archive_bucket_seconds,
-                kind="rows",
-                suffix=".csv.gz",
-            )
         self._subscription = self.platform.bus.subscribe(
             self._on_step, kinds=(STEP,), node=self.platform.node_id
         )
 
     def _on_step(self, event: Event) -> None:
         self(event.time)
+
+    def _open_stream(self) -> None:
+        """Create the streamed CSV and write its header row."""
+        path = Path(self.stream_csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._stream_handle = path.open("w", newline="")
+        self._stream_writer = csv.writer(self._stream_handle)
+        self._stream_writer.writerow(self.HEADERS)
 
     def __call__(self, now: float) -> None:
         if now < self._next_sample_at:
@@ -131,14 +119,11 @@ class TelemetryRecorder:
             activation_threshold=threshold,
         )
         self.samples.append(sample)
-        if self._stream_writer is not None:
+        # Once detached, direct calls still sample but stream nothing.
+        if self.stream_csv is not None and self._subscription is not None:
+            if self._stream_writer is None:
+                self._open_stream()
             self._stream_writer.writerow(self._row(sample))
-        if self._archive is not None:
-            self._archive.add(
-                sample.time,
-                self.platform.node_id,
-                ",".join(str(v) for v in self._row(sample)),
-            )
         self.platform.bus.publish(
             Event(
                 SAMPLE,
@@ -160,8 +145,6 @@ class TelemetryRecorder:
         """Push buffered streamed rows to disk (epoch-barrier hook)."""
         if self._stream_handle is not None:
             self._stream_handle.flush()
-        if self._archive is not None:
-            self._archive.flush()
 
     # ----------------------------------------------------------- checkpoint
 
@@ -169,8 +152,8 @@ class TelemetryRecorder:
         """Checkpoint state: drop the CSV handle, record its position.
 
         Captured at epoch barriers after :meth:`flush`, so the on-disk
-        size is the logical stream position; :meth:`reopen_outputs`
-        truncates back to it and resumes appending.
+        size is the logical stream position (0: not created yet);
+        :meth:`reopen_outputs` truncates back to it and resumes appending.
         """
         state = dict(self.__dict__)
         handle = state.pop("_stream_handle", None)
@@ -188,9 +171,13 @@ class TelemetryRecorder:
         self._stream_writer = None
 
     def reopen_outputs(self) -> None:
-        """Re-attach the streamed CSV after a checkpoint restore."""
+        """Re-attach the streamed CSV after a checkpoint restore.
+
+        A stream the capture had not created yet stays unopened: the
+        next sample creates it afresh, as the uninterrupted run did.
+        """
         offset = self.__dict__.pop("_stream_offset", 0)
-        if self.stream_csv is None or self._stream_handle is not None:
+        if self.stream_csv is None or self._stream_handle is not None or not offset:
             return
         path = Path(self.stream_csv)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -206,17 +193,19 @@ class TelemetryRecorder:
         self._stream_writer = csv.writer(self._stream_handle)
 
     def detach(self) -> None:
-        """Stop sampling (and close the streamed CSV/archive, if any)."""
+        """Stop sampling (and close the streamed CSV, if any).
+
+        A stream that never saw a sample is created here, header only.
+        """
         if self._subscription is not None:
             self.platform.bus.unsubscribe(self._subscription)
             self._subscription = None
+            if self.stream_csv is not None and self._stream_handle is None:
+                self._open_stream()
         if self._stream_handle is not None:
             self._stream_handle.close()
             self._stream_handle = None
             self._stream_writer = None
-        if self._archive is not None:
-            self._archive.close(manifest=True)
-            self._archive = None
 
     # --------------------------------------------------------------- series
 

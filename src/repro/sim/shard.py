@@ -8,9 +8,9 @@ twin, side by side in the caller), each with its own
 
 Protocol
 --------
-The coordinator owns a :class:`ShardPool` of workers, each built from a
-picklable *spec* by a picklable *host factory*.  A host exposes these
-methods (duck-typed; :class:`repro.faas.cluster.ClusterShardHost` is the
+The coordinator owns a pool of shards, each built from a picklable
+*spec* by a picklable *host factory*.  A host exposes these methods
+(duck-typed; :class:`repro.faas.cluster.ClusterShardHost` is the
 canonical implementation)::
 
     window_begin(preamble)  # optional: window-scoped setup (interned defs)
@@ -21,15 +21,21 @@ canonical implementation)::
     mark(name)              # phase transition (reset metrics, start trace)
     finalize()              # -> picklable dict (stats, manifests); shuts down
 
-One *window* is one :meth:`ShardPool.window` call: the coordinator
-grants every shard a batch of K epoch horizons (plus each epoch's
-inputs) in **one framed message** (:mod:`repro.sim.wire`), workers run
-the whole window locally -- ``begin_epoch``/``advance``/``epoch_end``
-per epoch -- and reply with **one aggregate report** taken at the
-window's final horizon.  The call returns when every report is in: a
-barrier, but one per window instead of one per epoch, which is what
-collapses the per-epoch pipe round-trip constant that made PR 5's
-process parallelism protocol-bound.
+Every pool call is one barrier: one message per shard, one reply each.
+:func:`dispatch` turns a message (``window``, ``mark``, ``snapshot``,
+``restore`` or ``finish``) into the host calls and the reply, and both
+pools run it, so they differ only in transport: :class:`ShardPool` ships
+each message as a framed pickle (:mod:`repro.sim.wire`) to one worker
+process per shard, :class:`InlineShardPool` hands it to a host in the
+caller's process.
+
+One *window* is one ``window`` call: the coordinator grants every shard
+a batch of K epoch horizons (plus each epoch's inputs) in **one
+message**, each host runs the whole window -- ``begin_epoch``/
+``advance``/``epoch_end`` per epoch -- and replies with **one aggregate
+report** taken at the window's final horizon.  The call returns when
+every report is in, so the pipe round trip is paid once per window, not
+once per epoch.
 
 Batching is safe because all cross-shard interaction (request routing)
 flows coordinator -> worker at epoch boundaries and routing is a pure
@@ -58,9 +64,8 @@ by ``(t, node, seq)`` -- the same total order one kernel shared by every
 node produces -- so the merged trace's SHA-256 is byte-identical to the
 serial twin's for any shard count.
 
-:class:`InlineShardPool` runs the identical window protocol with
-in-process hosts (no forking, no codec); the serial twin of a sharded
-run is an inline pool with one shard holding every node.
+The serial twin of a sharded run is an inline pool with one shard
+holding every node.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ __all__ = [
     "ShardPool",
     "InlineShardPool",
     "make_pool",
+    "dispatch",
     "run_window",
     "epoch_horizons",
     "merge_trace_lines",
@@ -163,16 +169,44 @@ def run_window(
     return host.epoch_report(horizons[-1])
 
 
+def dispatch(host: Any, message: Tuple) -> Tuple[Any, Any]:
+    """Apply one coordinator command to ``host``; return ``(host, value)``.
+
+    The one command handler of both pools: a process worker runs it on
+    each decoded frame, :class:`InlineShardPool` on each message it
+    would have sent.  ``restore`` replaces the host, so the host to use
+    next comes back with the value -- the window's aggregate report, a
+    snapshot's checkpoint blob, ``finish``'s final results, or ``None``.
+    A host failure inside a window raises :class:`_EpochFailure` (see
+    :func:`run_window`).
+    """
+    command = message[0]
+    if command == "window":
+        _, horizons, payloads, preamble = message
+        return host, run_window(host, horizons, payloads, preamble)
+    if command == "mark":
+        host.mark(message[1])
+        return host, None
+    if command == "snapshot":
+        return host, checkpoint.snapshot_host(host)
+    if command == "restore":
+        _, blob, fork = message
+        return checkpoint.restore_host(blob, fork=fork), None
+    if command == "finish":
+        return host, host.finalize()
+    raise ValueError(f"unknown shard command {command!r}")
+
+
 def _worker_main(conn, host_factory, spec, env: Dict[str, str]) -> None:
-    """Worker process entry: build the host, then serve window commands.
+    """Worker process entry: build the host, then serve commands.
 
     Every command is answered with exactly one framed reply --
-    ``("report", dict)``, ``("ok", None)``, ``("result", dict)`` or
-    ``("error", info)`` -- so the coordinator can run a strict
-    send/recv lockstep per worker.  ``info`` is a dict carrying the
-    worker traceback plus, for a mid-window failure, the failing
-    epoch's index and horizon.  The bulky replies (reports, snapshots,
-    results) are deflated when that shrinks them.
+    ``("ok", value)`` with the :func:`dispatch` value, or ``("error",
+    info)`` -- so the coordinator can run a strict send/recv lockstep
+    per worker.  ``info`` is a dict carrying the worker traceback plus,
+    for a mid-window failure, the failing epoch's index and horizon.
+    The bulky replies (reports, snapshots, results) are deflated when
+    that shrinks them.
     """
     def send_error(tb: str, epoch_index=None, horizon=None) -> None:
         wire.send_frame(
@@ -196,31 +230,9 @@ def _worker_main(conn, host_factory, spec, env: Dict[str, str]) -> None:
                 message, _ = wire.recv_frame(conn)
             except EOFError:
                 return
-            command = message[0]
             try:
-                if command == "window":
-                    _, horizons, payloads, preamble = message
-                    report = run_window(host, horizons, payloads, preamble)
-                    wire.send_frame(conn, ("report", report), compress=True)
-                elif command == "mark":
-                    host.mark(message[1])
-                    wire.send_frame(conn, ("ok", None))
-                elif command == "snapshot":
-                    wire.send_frame(
-                        conn,
-                        ("report", checkpoint.snapshot_host(host)),
-                        compress=True,
-                    )
-                elif command == "restore":
-                    _, blob, fork = message
-                    host = checkpoint.restore_host(blob, fork=fork)
-                    wire.send_frame(conn, ("ok", None))
-                elif command == "finish":
-                    wire.send_frame(conn, ("result", host.finalize()), compress=True)
-                    return
-                else:
-                    send_error(f"unknown shard command {command!r}")
-                    return
+                host, value = dispatch(host, message)
+                wire.send_frame(conn, ("ok", value), compress=True)
             except _EpochFailure as failure:
                 send_error(
                     traceback.format_exc(),
@@ -231,42 +243,126 @@ def _worker_main(conn, host_factory, spec, env: Dict[str, str]) -> None:
             except BaseException:
                 send_error(traceback.format_exc())
                 return
+            if message[0] == "finish":
+                return
     finally:
         conn.close()
 
 
-class ShardPool:
+class _Pool:
+    """The shard protocol over some transport, one barrier per call.
+
+    Subclasses supply ``__len__`` (the shard count) and
+    ``_exchange(messages)``, which delivers one message per shard and
+    returns every reply's value.  The commands, their argument checks
+    and the ``round_trips`` count live here.
+    """
+
+    #: Barrier exchanges so far, and exact framed bytes each way (zero
+    #: for a transport that never encodes).
+    round_trips = 0
+    pipe_bytes_sent = 0
+    pipe_bytes_received = 0
+
+    @property
+    def pipe_bytes(self) -> int:
+        """Total framed bytes moved through the pipes, both directions."""
+        return self.pipe_bytes_sent + self.pipe_bytes_received
+
+    def _barrier(self, messages: Sequence[Tuple]) -> List[Any]:
+        self.round_trips += 1
+        return self._exchange(messages)
+
+    def window(
+        self,
+        horizons: Sequence[Optional[float]],
+        payloads: Sequence[Sequence[Sequence[Any]]],
+        preambles: Optional[Sequence[Any]] = None,
+    ) -> List[Dict]:
+        """Run a window of epochs on every shard; one barrier, all reports.
+
+        ``horizons`` is the window's epoch horizon list (shared by every
+        shard; a ``None`` final horizon drains to quiescence -- only safe
+        once no further inputs will be sent for times the drain could
+        overrun).  ``payloads[k][j]`` is shard *k*'s input batch for
+        window epoch *j*; ``preambles[k]`` (optional) is delivered to
+        shard *k*'s ``window_begin`` before the first epoch -- the
+        definition-interning channel.
+        """
+        if len(payloads) != len(self):
+            raise ValueError("one payload batch per shard required")
+        if preambles is not None and len(preambles) != len(self):
+            raise ValueError("one preamble per shard required")
+        horizons = list(horizons)
+        messages = []
+        for shard, shard_payloads in enumerate(payloads):
+            if len(shard_payloads) != len(horizons):
+                raise ValueError("one payload batch per window epoch required")
+            preamble = preambles[shard] if preambles is not None else None
+            messages.append(
+                ("window", horizons, [list(p) for p in shard_payloads], preamble)
+            )
+        return self._barrier(messages)
+
+    def mark(self, name: str) -> None:
+        """Broadcast a phase-transition mark; barrier."""
+        self._barrier([("mark", name)] * len(self))
+
+    def snapshot(self) -> List[bytes]:
+        """Collect one checkpoint blob per shard; barrier.
+
+        Each host is pickled (plus the process-global id counters) via
+        :func:`repro.sim.checkpoint.snapshot_host` -- a real pickle even
+        inline; the coordinator stores the opaque blobs inside the
+        session checkpoint.
+        """
+        return self._barrier([("snapshot",)] * len(self))
+
+    def restore(
+        self, blobs: Sequence[bytes], fork: Optional[Dict] = None
+    ) -> None:
+        """Replace every host with its checkpointed twin; barrier.
+
+        ``fork`` (optional) is broadcast with each blob and applied via
+        the host's ``apply_fork`` hook -- the fork-and-explore entry
+        point.
+        """
+        if len(blobs) != len(self):
+            raise ValueError("one checkpoint blob per shard required")
+        self._barrier([("restore", blob, fork) for blob in blobs])
+
+    def finish(self) -> List[Dict]:
+        """Collect final results and shut every shard down."""
+        results = self._barrier([("finish",)] * len(self))
+        self.close()
+        return results
+
+    def close(self) -> None:
+        """Release the transport (idempotent)."""
+
+
+class ShardPool(_Pool):
     """Coordinator handle over one worker process per shard.
 
     Tracks protocol-cost counters as it goes: ``round_trips`` (barrier
-    exchanges -- one per window/mark/finish, however many shards),
-    ``pipe_bytes_sent`` and ``pipe_bytes_received`` (exact framed bytes,
-    both directions, summed over shards).  These are what the bench
-    suite's ``pipe_bytes`` metric and the CI pipe-bytes regression gate
-    measure.
+    exchanges -- one per window/mark/snapshot/restore/finish, however
+    many shards), ``pipe_bytes_sent`` and ``pipe_bytes_received`` (exact
+    framed bytes, both directions, summed over shards).  These are what
+    the bench suite's ``pipe_bytes`` metric and the CI pipe-bytes
+    regression gate measure.  Workers start with the coordinator's
+    :func:`repro.procenv.snapshot` applied.
     """
 
-    def __init__(
-        self,
-        host_factory: Callable[[Any], Any],
-        specs: Sequence[Any],
-        env: Optional[Dict[str, str]] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, host_factory: Callable[[Any], Any], specs: Sequence[Any]) -> None:
         if not specs:
             raise ValueError("need at least one shard spec")
-        if env is None:
-            env = procenv.snapshot()
-        context = multiprocessing.get_context(start_method)
+        env = procenv.snapshot()
         self._connections = []
         self._processes = []
-        self.round_trips = 0
-        self.pipe_bytes_sent = 0
-        self.pipe_bytes_received = 0
         try:
             for spec in specs:
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
+                parent_conn, child_conn = multiprocessing.Pipe()
+                process = multiprocessing.Process(
                     target=_worker_main,
                     args=(child_conn, host_factory, spec, env),
                     daemon=True,
@@ -282,10 +378,10 @@ class ShardPool:
     def __len__(self) -> int:
         return len(self._connections)
 
-    @property
-    def pipe_bytes(self) -> int:
-        """Total framed bytes moved through the pipes, both directions."""
-        return self.pipe_bytes_sent + self.pipe_bytes_received
+    def _exchange(self, messages: Sequence[Tuple]) -> List[Any]:
+        for shard, message in enumerate(messages):
+            self._send(shard, message)
+        return [self._receive(shard) for shard in range(len(messages))]
 
     def _send(self, shard: int, message: Tuple) -> None:
         try:
@@ -315,85 +411,6 @@ class ShardPool:
             )
         return value
 
-    def window(
-        self,
-        horizons: Sequence[Optional[float]],
-        payloads: Sequence[Sequence[Sequence[Any]]],
-        preambles: Optional[Sequence[Any]] = None,
-    ) -> List[Dict]:
-        """Run a window of epochs on every shard; one barrier, all reports.
-
-        ``horizons`` is the window's epoch horizon list (shared by every
-        shard; a ``None`` final horizon drains to quiescence -- only safe
-        once no further inputs will be sent for times the drain could
-        overrun).  ``payloads[k][j]`` is shard *k*'s input batch for
-        window epoch *j*; ``preambles[k]`` (optional) is delivered to
-        shard *k*'s ``window_begin`` before the first epoch -- the
-        definition-interning channel.
-        """
-        if len(payloads) != len(self._connections):
-            raise ValueError("one payload batch per shard required")
-        if preambles is not None and len(preambles) != len(self._connections):
-            raise ValueError("one preamble per shard required")
-        horizons = list(horizons)
-        for shard, shard_payloads in enumerate(payloads):
-            if len(shard_payloads) != len(horizons):
-                raise ValueError("one payload batch per window epoch required")
-            preamble = preambles[shard] if preambles is not None else None
-            self._send(
-                shard,
-                ("window", horizons, [list(p) for p in shard_payloads], preamble),
-            )
-        self.round_trips += 1
-        return [self._receive(shard) for shard in range(len(self._connections))]
-
-    def mark(self, name: str) -> None:
-        """Broadcast a phase-transition mark; barrier."""
-        for shard in range(len(self._connections)):
-            self._send(shard, ("mark", name))
-        self.round_trips += 1
-        for shard in range(len(self._connections)):
-            self._receive(shard)
-
-    def snapshot(self) -> List[bytes]:
-        """Collect one checkpoint blob per shard; barrier.
-
-        Each worker pickles its live host (plus the process-global id
-        counters) via :func:`repro.sim.checkpoint.snapshot_host` and
-        ships the opaque blob back; the coordinator stores the blobs
-        inside the session checkpoint.
-        """
-        for shard in range(len(self._connections)):
-            self._send(shard, ("snapshot",))
-        self.round_trips += 1
-        return [self._receive(shard) for shard in range(len(self._connections))]
-
-    def restore(
-        self, blobs: Sequence[bytes], fork: Optional[Dict] = None
-    ) -> None:
-        """Replace every worker's host with its checkpointed twin; barrier.
-
-        ``fork`` (optional) is broadcast with each blob and applied by
-        the worker via the host's ``apply_fork`` hook -- the
-        fork-and-explore entry point.
-        """
-        if len(blobs) != len(self._connections):
-            raise ValueError("one checkpoint blob per shard required")
-        for shard, blob in enumerate(blobs):
-            self._send(shard, ("restore", blob, fork))
-        self.round_trips += 1
-        for shard in range(len(self._connections)):
-            self._receive(shard)
-
-    def finish(self) -> List[Dict]:
-        """Collect final results and shut every worker down."""
-        for shard in range(len(self._connections)):
-            self._send(shard, ("finish",))
-        self.round_trips += 1
-        results = [self._receive(shard) for shard in range(len(self._connections))]
-        self.close()
-        return results
-
     def close(self) -> None:
         """Tear down workers unconditionally (error-path cleanup)."""
         for connection in self._connections:
@@ -410,47 +427,32 @@ class ShardPool:
         self._processes = []
 
 
-class InlineShardPool:
-    """The same window protocol, with hosts living in this process.
+class InlineShardPool(_Pool):
+    """The same protocol, with hosts living in this process.
 
     Used for the serial twin (one shard, every node) and for debugging a
     sharded run without process boundaries.  Deliberately does *not*
     touch the environment: inline hosts share the caller's live flags.
-    ``round_trips`` counts the same barriers as :class:`ShardPool`.  No
-    codec runs, so the pipe-byte counters stay zero -- which is exactly
-    the honest accounting (nothing crossed a pipe).
+    Messages go straight to :func:`dispatch` and are never encoded, so
+    the pipe-byte counters stay zero -- which is exactly the honest
+    accounting (nothing crossed a pipe).  A host failure inside a window
+    surfaces as the :class:`ShardWorkerError` a worker would send; any
+    other host exception propagates as raised.
     """
 
     def __init__(self, host_factory: Callable[[Any], Any], specs: Sequence[Any]) -> None:
         if not specs:
             raise ValueError("need at least one shard spec")
         self._hosts = [host_factory(spec) for spec in specs]
-        self.round_trips = 0
-        self.pipe_bytes_sent = 0
-        self.pipe_bytes_received = 0
 
     def __len__(self) -> int:
         return len(self._hosts)
 
-    @property
-    def pipe_bytes(self) -> int:
-        return 0
-
-    def window(
-        self,
-        horizons: Sequence[Optional[float]],
-        payloads: Sequence[Sequence[Sequence[Any]]],
-        preambles: Optional[Sequence[Any]] = None,
-    ) -> List[Dict]:
-        if len(payloads) != len(self._hosts):
-            raise ValueError("one payload batch per shard required")
-        if preambles is not None and len(preambles) != len(self._hosts):
-            raise ValueError("one preamble per shard required")
-        reports = []
-        for shard, (host, shard_payloads) in enumerate(zip(self._hosts, payloads)):
-            preamble = preambles[shard] if preambles is not None else None
+    def _exchange(self, messages: Sequence[Tuple]) -> List[Any]:
+        replies = []
+        for shard, message in enumerate(messages):
             try:
-                reports.append(run_window(host, horizons, shard_payloads, preamble))
+                host, value = dispatch(self._hosts[shard], message)
             except _EpochFailure as failure:
                 raise ShardWorkerError(
                     shard,
@@ -458,46 +460,17 @@ class InlineShardPool:
                     epoch_index=failure.epoch_index,
                     horizon=failure.horizon,
                 ) from failure.__cause__
-        self.round_trips += 1
-        return reports
-
-    def mark(self, name: str) -> None:
-        for host in self._hosts:
-            host.mark(name)
-        self.round_trips += 1
-
-    def snapshot(self) -> List[bytes]:
-        # A *real* pickle round-trip even inline: the blob is what a
-        # process worker would ship, so inline-pool tests exercise the
-        # identical serialization path.
-        self.round_trips += 1
-        return [checkpoint.snapshot_host(host) for host in self._hosts]
-
-    def restore(
-        self, blobs: Sequence[bytes], fork: Optional[Dict] = None
-    ) -> None:
-        if len(blobs) != len(self._hosts):
-            raise ValueError("one checkpoint blob per shard required")
-        self._hosts = [checkpoint.restore_host(blob, fork=fork) for blob in blobs]
-        self.round_trips += 1
-
-    def finish(self) -> List[Dict]:
-        self.round_trips += 1
-        return [host.finalize() for host in self._hosts]
-
-    def close(self) -> None:
-        pass
+            self._hosts[shard] = host
+            replies.append(value)
+        return replies
 
 
 def make_pool(
-    host_factory: Callable[[Any], Any],
-    specs: Sequence[Any],
-    processes: bool,
-    start_method: Optional[str] = None,
-):
+    host_factory: Callable[[Any], Any], specs: Sequence[Any], processes: bool
+) -> _Pool:
     """Build a process pool, or the inline twin running the same protocol."""
     if processes:
-        return ShardPool(host_factory, specs, start_method=start_method)
+        return ShardPool(host_factory, specs)
     return InlineShardPool(host_factory, specs)
 
 

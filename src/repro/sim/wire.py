@@ -1,19 +1,11 @@
-"""Framed binary wire codec for the shard coordination pipes.
+"""Framed pickle messages for the shard coordination pipes.
 
-The PR 5 shard protocol pickled one message per shard per epoch, which
-made the per-epoch constant factor of a sharded replay *protocol-bound*:
-every tuple, float, and FunctionDefinition was re-pickled every epoch
-and the coordinator had no visibility into how many bytes it was pushing
-through the pipes.  This module replaces that with an explicit,
-msgpack-style tagged binary encoding plus length-prefixed framing, so
-
-* the hot message shapes (tuples of floats/ints/strings, lists, dicts)
-  encode compactly without the pickle machinery,
-* arbitrary Python objects still pass (a ``pickle`` escape tag), so the
-  protocol never loses generality,
-* every frame reports its exact byte count -- the coordinator's
-  ``pipe_bytes`` accounting (and the CI pipe-bytes regression gate) read
-  these counters, not estimates.
+Every message between the coordinator and a shard worker is one frame:
+a ``>I`` length prefix, a one-byte mode (``r`` raw, ``z`` deflated), and
+a body that is ``pickle.dumps(message, HIGHEST_PROTOCOL)``.  Every frame
+reports its exact byte count -- the coordinator's ``pipe_bytes``
+accounting (and the CI pipe-bytes regression gate) read these counters,
+not estimates.
 
 Fidelity contract
 -----------------
@@ -21,19 +13,20 @@ Fidelity contract
 deterministic replay machinery: tuples stay tuples (payload items are
 tuples; a list would change downstream hashing), floats round-trip
 bit-exactly (horizons are compared with ``==`` across processes), and
-ints of any magnitude survive (big ints take the pickle escape).  The
-inline pool bypasses the codec entirely, so any codec infidelity would
-show up as an inline-vs-process digest divergence -- regression-tested
-in ``tests/sim/test_wire.py`` and end-to-end in
+ints of any magnitude survive -- all of which pickle guarantees.  The
+inline pool never encodes a message, so any codec infidelity would show
+up as an inline-vs-process digest divergence -- regression-tested in
+``tests/sim/test_wire.py`` and end-to-end in
 ``tests/faas/test_sharded_cluster.py``.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 __all__ = ["encode", "decode", "send_frame", "recv_frame", "WireError"]
 
@@ -47,141 +40,32 @@ _MODE_DEFLATE = b"z"
 #: Bodies below this never compress: the zlib header/dictionary overhead
 #: dominates and the frames (marks, acks) are latency-sensitive.
 _COMPRESS_MIN = 256
-_F64 = struct.Struct(">d")
-_I64 = struct.Struct(">q")
-
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-# One-byte type tags.  Order is part of the wire format; never renumber.
-_T_NONE = b"n"
-_T_TRUE = b"t"
-_T_FALSE = b"f"
-_T_INT = b"i"  # 8-byte signed big-endian
-_T_FLOAT = b"d"  # IEEE-754 binary64, big-endian (bit-exact)
-_T_STR = b"s"  # u32 length + utf-8 bytes
-_T_BYTES = b"b"  # u32 length + raw bytes
-_T_LIST = b"l"  # u32 count + items
-_T_TUPLE = b"u"  # u32 count + items
-_T_DICT = b"m"  # u32 count + key/value items
-_T_PICKLE = b"p"  # u32 length + pickle bytes (escape hatch)
 
 
 class WireError(ValueError):
     """A frame failed to decode (truncated or corrupt)."""
 
 
-def _encode_into(obj: Any, out: List[bytes]) -> None:
-    if obj is None:
-        out.append(_T_NONE)
-    elif obj is True:
-        out.append(_T_TRUE)
-    elif obj is False:
-        out.append(_T_FALSE)
-    elif type(obj) is int:
-        if _I64_MIN <= obj <= _I64_MAX:
-            out.append(_T_INT)
-            out.append(_I64.pack(obj))
-        else:  # big ints take the escape hatch
-            _encode_pickle(obj, out)
-    elif type(obj) is float:
-        out.append(_T_FLOAT)
-        out.append(_F64.pack(obj))
-    elif type(obj) is str:
-        data = obj.encode("utf-8")
-        out.append(_T_STR)
-        out.append(_LEN.pack(len(data)))
-        out.append(data)
-    elif type(obj) is bytes:
-        out.append(_T_BYTES)
-        out.append(_LEN.pack(len(obj)))
-        out.append(obj)
-    elif type(obj) is list:
-        out.append(_T_LIST)
-        out.append(_LEN.pack(len(obj)))
-        for item in obj:
-            _encode_into(item, out)
-    elif type(obj) is tuple:
-        out.append(_T_TUPLE)
-        out.append(_LEN.pack(len(obj)))
-        for item in obj:
-            _encode_into(item, out)
-    elif type(obj) is dict:
-        out.append(_T_DICT)
-        out.append(_LEN.pack(len(obj)))
-        for key, value in obj.items():
-            _encode_into(key, out)
-            _encode_into(value, out)
-    else:
-        _encode_pickle(obj, out)
-
-
-def _encode_pickle(obj: Any, out: List[bytes]) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    out.append(_T_PICKLE)
-    out.append(_LEN.pack(len(data)))
-    out.append(data)
-
-
 def encode(obj: Any) -> bytes:
     """Encode one message body (no frame header)."""
-    out: List[bytes] = []
-    _encode_into(obj, out)
-    return b"".join(out)
-
-
-def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
-    try:
-        tag = data[pos : pos + 1]
-        pos += 1
-        if tag == _T_NONE:
-            return None, pos
-        if tag == _T_TRUE:
-            return True, pos
-        if tag == _T_FALSE:
-            return False, pos
-        if tag == _T_INT:
-            return _I64.unpack_from(data, pos)[0], pos + 8
-        if tag == _T_FLOAT:
-            return _F64.unpack_from(data, pos)[0], pos + 8
-        if tag in (_T_STR, _T_BYTES, _T_PICKLE):
-            (length,) = _LEN.unpack_from(data, pos)
-            pos += 4
-            blob = data[pos : pos + length]
-            if len(blob) != length:
-                raise WireError("truncated frame body")
-            pos += length
-            if tag == _T_STR:
-                return blob.decode("utf-8"), pos
-            if tag == _T_BYTES:
-                return blob, pos
-            return pickle.loads(blob), pos
-        if tag in (_T_LIST, _T_TUPLE):
-            (count,) = _LEN.unpack_from(data, pos)
-            pos += 4
-            items = []
-            for _ in range(count):
-                item, pos = _decode_at(data, pos)
-                items.append(item)
-            return (tuple(items) if tag == _T_TUPLE else items), pos
-        if tag == _T_DICT:
-            (count,) = _LEN.unpack_from(data, pos)
-            pos += 4
-            result = {}
-            for _ in range(count):
-                key, pos = _decode_at(data, pos)
-                value, pos = _decode_at(data, pos)
-                result[key] = value
-            return result, pos
-    except struct.error as exc:
-        raise WireError(f"truncated frame at byte {pos}") from exc
-    raise WireError(f"unknown wire tag {tag!r} at byte {pos - 1}")
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode(data: bytes) -> Any:
     """Decode one message body; the whole buffer must be consumed."""
-    obj, pos = _decode_at(data, 0)
-    if pos != len(data):
-        raise WireError(f"{len(data) - pos} trailing bytes after message")
+    buffer = io.BytesIO(data)
+    try:
+        obj = pickle.Unpickler(buffer).load()
+    except Exception as exc:
+        # Damaged pickle data fails with many exception types
+        # (UnpicklingError, EOFError, ValueError, KeyError, ...): each
+        # becomes the one named frame error, its cause chained.
+        raise WireError(
+            f"undecodable frame body (truncated or corrupt): {exc!r}"
+        ) from exc
+    trailing = len(data) - buffer.tell()
+    if trailing:
+        raise WireError(f"{trailing} trailing bytes after message")
     return obj
 
 
@@ -193,7 +77,7 @@ def send_frame(conn, obj: Any, compress: bool = False) -> int:
     detect truncation independently of the transport.  A one-byte mode
     follows the prefix: ``r`` = raw body, ``z`` = zlib-deflated body.
     With ``compress=True``, bodies over ``_COMPRESS_MIN`` bytes are
-    deflated when that actually shrinks them -- the batched protocol's
+    deflated when that actually shrinks them -- the window protocol's
     big frames (window grants, preambles, finish results) are highly
     repetitive; ``zlib.compress`` is deterministic, so byte accounting
     and digests stay exact.  Receivers auto-detect; no negotiation.
@@ -212,8 +96,9 @@ def send_frame(conn, obj: Any, compress: bool = False) -> int:
 def recv_frame(conn) -> Tuple[Any, int]:
     """Receive one frame; returns ``(message, bytes_received)``.
 
-    Raises :class:`WireError` on a length/prefix mismatch and lets the
-    transport's ``EOFError`` (peer gone) propagate unchanged.
+    Raises :class:`WireError` on a length/prefix mismatch or an
+    undecodable body, and lets the transport's ``EOFError`` (peer gone)
+    propagate unchanged.
     """
     frame = conn.recv_bytes()
     if len(frame) < 5:

@@ -58,9 +58,7 @@ compose to the existing whole-run SHA-256 and every current digest gate
 keeps working unchanged.  The merge keys each line with
 :func:`repro.trace.encode.line_key`, which reads ``(t, node, seq)`` off
 the line's envelope; only a line it cannot read is parsed with
-``json.loads``.  ``kind="rows"`` archives (telemetry CSV segments, which
-have no ``(t, node, seq)`` key embedded per line) compose by plain
-``(bucket, node)``-ordered concatenation instead.
+``json.loads``.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ DEFAULT_BUCKET_SECONDS = 60.0
 
 MANIFEST_NAME = "MANIFEST.json"
 
-_SEGMENT_RE = re.compile(r"^seg-b(\d{8,})-n(\d{3,})(\.[a-z]+\.gz)$")
+_SEGMENT_RE = re.compile(r"^seg-b(\d{8,})-n(\d{3,})\.jsonl\.gz$")
 
 #: sha256 of zero bytes -- the composed digest of an empty archive.
 _EMPTY_SHA = hashlib.sha256(b"").hexdigest()
@@ -124,17 +122,17 @@ def bucket_of(t: float, bucket_seconds: float) -> int:
     return int(t // bucket_seconds)
 
 
-def segment_name(bucket: int, node: int, suffix: str = ".jsonl.gz") -> str:
+def segment_name(bucket: int, node: int) -> str:
     """The segment filename for ``(bucket, node)`` -- no catalog lookup."""
-    return f"seg-b{bucket:08d}-n{node:03d}{suffix}"
+    return f"seg-b{bucket:08d}-n{node:03d}.jsonl.gz"
 
 
-def parse_segment_name(name: str) -> Optional[Tuple[int, int, str]]:
-    """``(bucket, node, suffix)`` for a segment filename, else ``None``."""
+def parse_segment_name(name: str) -> Optional[Tuple[int, int]]:
+    """``(bucket, node)`` for a segment filename, else ``None``."""
     match = _SEGMENT_RE.match(name)
     if match is None:
         return None
-    return int(match.group(1)), int(match.group(2)), match.group(3)
+    return int(match.group(1)), int(match.group(2))
 
 
 def open_deterministic_gzip(path: str | Path, mode: str = "rb"):
@@ -287,21 +285,13 @@ class ArchiveWriter:
     """
 
     def __init__(
-        self,
-        root: str | Path,
-        bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-        kind: str = "events",
-        suffix: str = ".jsonl.gz",
+        self, root: str | Path, bucket_seconds: float = DEFAULT_BUCKET_SECONDS
     ) -> None:
         if bucket_seconds <= 0:
             raise ValueError("bucket_seconds must be positive")
-        if kind not in ("events", "rows"):
-            raise ValueError(f"unknown archive kind {kind!r}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.bucket_seconds = float(bucket_seconds)
-        self.kind = kind
-        self.suffix = suffix
         self.events = 0
         self._open: Dict[int, _OpenSegment] = {}
         self._last_bucket: Dict[int, int] = {}
@@ -350,9 +340,7 @@ class ArchiveWriter:
                     f"node {node} bucket {bucket} already finalized "
                     f"(last was {last})"
                 )
-            segment = _OpenSegment(
-                self.root / segment_name(bucket, node, self.suffix), bucket, node
-            )
+            segment = _OpenSegment(self.root / segment_name(bucket, node), bucket, node)
             self._open[node] = segment
             self._last_bucket[node] = bucket
         elif segment.t_max is not None and t < segment.t_max:
@@ -459,8 +447,6 @@ class ArchiveWriter:
             write_manifest(
                 self.root,
                 bucket_seconds=self.bucket_seconds,
-                kind=self.kind,
-                suffix=self.suffix,
                 footers=summary["segments"],
                 sha256=summary["sha256"],
             )
@@ -511,19 +497,18 @@ class ArchiveWriter:
 def write_manifest(
     root: str | Path,
     bucket_seconds: float,
-    kind: str,
-    suffix: str,
     footers: Sequence[Dict[str, object]],
     sha256: str,
 ) -> Path:
     """Write the archive-level summary.  Purely informational: addressing
     never consults it, but readers use it for ``bucket_seconds`` and the
-    composed digest, and ``repro trace verify`` re-derives every field."""
+    composed digest, and ``repro trace verify`` re-derives every field.
+    ``kind`` and ``suffix`` name the one segment format there is."""
     events = sum(f["events"] for f in footers)
     manifest = {
         "schema": ARCHIVE_SCHEMA,
-        "kind": kind,
-        "suffix": suffix,
+        "kind": "events",
+        "suffix": ".jsonl.gz",
         "bucket_seconds": bucket_seconds,
         "segments": len(footers),
         "events": events,
@@ -577,13 +562,18 @@ class ArchiveReader:
         manifest_path = self.root / MANIFEST_NAME
         if manifest_path.is_file():
             self.manifest = json.loads(manifest_path.read_text())
+            kind = self.manifest.get("kind", "events")
+            if kind != "events":
+                raise ValueError(
+                    f"{self.root}: archive kind {kind!r}; only event "
+                    "archives can be read"
+                )
         if bucket_seconds is not None:
             self.bucket_seconds = float(bucket_seconds)
         elif self.manifest is not None:
             self.bucket_seconds = float(self.manifest["bucket_seconds"])
         else:
             self.bucket_seconds = self._probe_bucket_seconds()
-        self.kind = (self.manifest or {}).get("kind", "events")
         #: Names of segments opened so far, in open order.
         self.segments_read: List[str] = []
 
@@ -596,9 +586,9 @@ class ArchiveReader:
 
     # ---------------------------------------------------------- addressing
 
-    def segment_for(self, t: float, node: int, suffix: str = ".jsonl.gz") -> str:
+    def segment_for(self, t: float, node: int) -> str:
         """The filename holding ``(t, node)`` -- pure computation."""
-        return segment_name(bucket_of(t, self.bucket_seconds), node, suffix)
+        return segment_name(bucket_of(t, self.bucket_seconds), node)
 
     def segments(self) -> List[SegmentInfo]:
         """Existing segments, sorted by ``(bucket, node)`` -- a directory
@@ -607,8 +597,7 @@ class ArchiveReader:
         for path in self.root.iterdir():
             parsed = parse_segment_name(path.name)
             if parsed is not None:
-                bucket, node, _ = parsed
-                found.append(SegmentInfo(path.name, bucket, node))
+                found.append(SegmentInfo(path.name, *parsed))
         return sorted(found, key=lambda s: (s.bucket, s.node))
 
     # ------------------------------------------------------------- reading
@@ -684,10 +673,10 @@ class ArchiveReader:
                 f"{footer['events']}"
             )
         parsed = parse_segment_name(name)
-        if parsed is not None and (footer["bucket"], footer["node"]) != parsed[:2]:
+        if parsed is not None and (footer["bucket"], footer["node"]) != parsed:
             problems.append(
                 f"{name}: footer addresses (bucket {footer['bucket']}, "
-                f"node {footer['node']}) but the filename says {parsed[:2]}"
+                f"node {footer['node']}) but the filename says {parsed}"
             )
         width = float(footer["bucket_seconds"])
         for bound in (footer["t_min"], footer["t_max"]):
@@ -714,11 +703,9 @@ class ArchiveReader:
         """Stream the canonical record lines of a ``[t_start, t_end)``
         window, touching only the segments the window addresses.
 
-        For ``kind="events"`` archives the per-node segments of each
-        bucket are merged by ``(t, node, seq)``, so concatenating the
-        buckets reproduces the exact canonical stream -- the composition
-        rule.  ``kind="rows"`` archives concatenate in ``(bucket, node)``
-        order and window at bucket granularity only.
+        The per-node segments of each bucket are merged by ``(t, node,
+        seq)``, so concatenating the buckets reproduces the exact
+        canonical stream -- the composition rule.
         """
         from repro.sim.shard import merge_trace_lines
 
@@ -753,11 +740,6 @@ class ArchiveReader:
                 t_end is not None
                 and bucket * self.bucket_seconds < t_end <= (bucket + 1) * self.bucket_seconds
             )
-            if self.kind == "rows":
-                for info in infos:
-                    payload, _ = self.read_segment(info.name, verify=verify)
-                    yield from payload
-                continue
             streams = [
                 self.read_segment(info.name, verify=verify)[0] for info in infos
             ]
@@ -807,10 +789,7 @@ class ArchiveReader:
                         problems.extend(found)
                         continue
                     streams.append(payload)
-                if self.kind == "rows":
-                    yield from itertools.chain.from_iterable(streams)
-                else:
-                    yield from merge_trace_lines(streams)
+                yield from merge_trace_lines(streams)
 
         events, composed = sha256_lines(composed_lines())
         if self.manifest is not None:
@@ -908,7 +887,6 @@ def finalize_archive(
     from repro.sim.shard import sha256_lines
 
     root = Path(root)
-    suffix = ".jsonl.gz"
     if footers is None:
         reader = ArchiveReader(root)
         footers = []
@@ -917,14 +895,9 @@ def finalize_archive(
             footer["name"] = info.name
             footer["compressed_bytes"] = (root / info.name).stat().st_size
             footers.append(footer)
-            suffix = parse_segment_name(info.name)[2]
         stream_verify = False  # everything above was just verified
     else:
         footers = sorted(footers, key=lambda f: (f["bucket"], f["node"]))
-        for footer in footers:
-            parsed = parse_segment_name(str(footer.get("name", "")))
-            if parsed is not None:
-                suffix = parsed[2]
         reader = ArchiveReader(
             root,
             bucket_seconds=(
@@ -949,11 +922,6 @@ def finalize_archive(
             f"claims {claimed}"
         )
     write_manifest(
-        root,
-        bucket_seconds=reader.bucket_seconds,
-        kind=reader.kind,
-        suffix=suffix,
-        footers=footers,
-        sha256=sha,
+        root, bucket_seconds=reader.bucket_seconds, footers=footers, sha256=sha
     )
     return events, sha

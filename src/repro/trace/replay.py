@@ -90,6 +90,11 @@ class ReplayConfig:
     #: (requires ``archive_dir``).
     window: Optional[TraceWindow] = None
 
+    def __post_init__(self) -> None:
+        # Refused here, not after the warmup has run.
+        if self.window is not None and self.archive_dir is None:
+            raise ValueError("window requires archive_dir")
+
 
 @dataclass
 class ReplayResult:
@@ -97,10 +102,8 @@ class ReplayResult:
 
     stats: ReplayStats
     platform: FaasPlatform
-    #: The trace sink, when ``event_trace_path`` or ``archive_dir`` was
-    #: configured.
-    trace: Optional[EventTraceSink] = None
-    #: Measurement-window event count, filled for traced runs.
+    #: Measurement-window event count, filled for traced runs (the
+    #: trace itself is in ``event_trace_path`` or the archive).
     trace_events: int = 0
     #: ``None``: a single-platform replay computes no stream digest.  Its
     #: trace digest is the SHA-256 of the ``event_trace_path`` file, or
@@ -129,8 +132,6 @@ def replay(
     platform.run()
 
     platform.reset_metrics()
-    if config.window is not None and config.archive_dir is None:
-        raise ValueError("window requires archive_dir")
     writer = None
     if config.archive_dir is not None:
         from repro.trace.archive import ArchiveWriter
@@ -141,7 +142,7 @@ def replay(
     sink = None
     if config.event_trace_path is not None or writer is not None:
         sink = EventTraceSink(
-            platform.bus, path=config.event_trace_path, archive=writer
+            platform.bus, path=config.event_trace_path, store=False, archive=writer
         )
     measure_start = max(platform.now, config.warmup_seconds)
     measured = generator.arrivals(config.duration_seconds, config.scale_factor)
@@ -175,7 +176,6 @@ def replay(
     return ReplayResult(
         stats=stats,
         platform=platform,
-        trace=sink,
         trace_events=sink.count if sink is not None else 0,
         archive_path=(
             Path(config.archive_dir) if config.archive_dir is not None else None
@@ -229,10 +229,6 @@ class ClusterReplayConfig:
     #: Stream per-node telemetry CSVs into this directory (flushed at
     #: every epoch barrier; identical bytes for every shard count).
     telemetry_dir: Optional[str | Path] = None
-    telemetry_interval: float = 1.0
-    #: Dump one cProfile per shard worker into this directory.
-    profile_dir: Optional[str | Path] = None
-    start_method: Optional[str] = None
     #: Force worker processes on/off (default: processes iff shards > 1).
     processes: Optional[bool] = None
     #: Capture checkpoints into this directory: ``warmup-<pos>.ckpt`` and
@@ -431,11 +427,6 @@ def cluster_replay(
                 if config.telemetry_dir is not None
                 else None
             ),
-            telemetry_interval=config.telemetry_interval,
-            profile_dir=(
-                str(config.profile_dir) if config.profile_dir is not None else None
-            ),
-            start_method=config.start_method,
         )
         resumed_phase: Optional[str] = None
         coordinator_started = procenv.wall_clock()

@@ -185,35 +185,22 @@ class TestStreaming:
         exported = recorder.to_csv(tmp_path / "export.csv")
         assert stream_path.read_text() == exported.read_text()
 
-    def test_archive_rows_match_streamed_csv(self, tmp_path):
-        """archive_dir rolls the same sample rows into rows-kind
-        segments: decompressed lines == streamed CSV body (no header,
-        LF endings)."""
-        from repro.trace.archive import ArchiveReader
-
-        platform = FaasPlatform()
+    def test_building_a_recorder_leaves_the_stream_alone(self, tmp_path):
+        """A resumed cluster run builds its recorders before the restore
+        that reopens the captured CSV, so construction must not touch it."""
         stream_path = tmp_path / "stream.csv"
-        recorder = TelemetryRecorder(
-            platform,
-            interval=0.5,
-            stream_csv=stream_path,
-            archive_dir=tmp_path / "arc",
-            archive_bucket_seconds=2.0,
-        )
-        definition = get_definition("file-hash")
-        platform.submit(
-            [Request(arrival=i * 1.0, definition=definition) for i in range(8)]
-        )
-        platform.run()
-        recorder.detach()
+        stream_path.write_text("captured rows\n")
+        TelemetryRecorder(FaasPlatform(), stream_csv=stream_path)
+        assert stream_path.read_text() == "captured rows\n"
 
-        reader = ArchiveReader(tmp_path / "arc")
-        assert reader.kind == "rows"
-        assert reader.verify() == []
-        archived = list(reader.iter_window())
-        body = stream_path.read_text().splitlines()[1:]  # drop header
-        assert archived == body
-        assert len({info.bucket for info in reader.segments()}) > 1
+    def test_unsampled_stream_is_header_only_after_detach(self, tmp_path):
+        stream_path = tmp_path / "stream.csv"
+        recorder = TelemetryRecorder(FaasPlatform(), stream_csv=stream_path)
+        recorder.detach()
+        recorder.detach()
+        assert stream_path.read_text().splitlines() == [
+            ",".join(TelemetryRecorder.HEADERS)
+        ]
 
     def test_ring_bound_does_not_truncate_stream(self, tmp_path):
         platform = FaasPlatform()

@@ -42,6 +42,7 @@ def _run(
     resume_from=None,
     fork=None,
     event_trace_path=None,
+    telemetry_dir=None,
 ):
     """One tiny traced cluster replay on the in-process pool."""
     config = ClusterReplayConfig(
@@ -61,6 +62,7 @@ def _run(
         checkpoint_every=checkpoint_every if checkpoint_dir else None,
         resume_from=resume_from,
         fork=fork,
+        telemetry_dir=telemetry_dir,
     )
     return cluster_replay(factory, config)
 
@@ -111,6 +113,38 @@ class TestRoundtripProperty:
             assert resumed.trace_events == base.trace_events
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
+
+
+class TestTelemetryResume:
+    """A capture that streamed telemetry resumes from every barrier.
+
+    The resuming session builds its hosts before the restore truncates
+    the captured CSVs back to the barrier, so building them must leave
+    the CSVs alone; the finished CSVs then equal the uninterrupted run's.
+    """
+
+    @staticmethod
+    def _csvs(root: Path):
+        return {path.name: path.read_bytes() for path in sorted(root.glob("*.csv"))}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_resume_rewrites_the_captured_csvs(self, tmp_path, shards):
+        base = _run(shards=shards, telemetry_dir=tmp_path / "base")
+        expected = self._csvs(tmp_path / "base")
+        assert len(expected) == NODES
+        ckpt_dir, telemetry = tmp_path / "ckpt", tmp_path / "captured"
+        captured = _run(
+            shards=shards, checkpoint_dir=ckpt_dir, telemetry_dir=telemetry
+        )
+        assert self._csvs(telemetry) == expected
+        phases = {path.name.split("-")[0] for path in captured.checkpoints}
+        assert phases == {"warmup", "measure", "measured"}
+        for barrier in captured.checkpoints:
+            resumed = _run(
+                shards=shards, resume_from=barrier, telemetry_dir=telemetry
+            )
+            assert resumed.trace_sha256 == base.trace_sha256, barrier.name
+            assert self._csvs(telemetry) == expected, barrier.name
 
 
 # ------------------------------------------------------------------ forks

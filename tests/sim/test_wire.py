@@ -1,12 +1,11 @@
-"""Fidelity and framing tests for the shard wire codec.
+"""Fidelity and framing tests for the shard wire format.
 
 The shard pool's digest-identity guarantee leans on ``decode(encode(x))``
 being indistinguishable from ``x`` for everything the window protocol
 ships: horizons (floats compared with ``==`` across processes), payload
 tuples (tuple-ness affects downstream hashing), interning preambles
-(dicts of definitions via the pickle escape), and report dicts.  These
-tests pin the contract directly; ``tests/faas/test_sharded_cluster.py``
-covers it end to end.
+(dicts of definitions), and report dicts.  These tests pin the contract
+directly; ``tests/faas/test_sharded_cluster.py`` covers it end to end.
 """
 
 import math
@@ -117,9 +116,14 @@ class TestErrors:
         with pytest.raises(WireError, match="trailing"):
             decode(encode(None) + b"x")
 
-    def test_unknown_tag(self):
-        with pytest.raises(WireError, match="unknown wire tag"):
+    def test_undecodable_body(self):
+        with pytest.raises(WireError, match="undecodable"):
             decode(b"Z")
+        conn = _FakeConn()
+        payload = b"rjunk"  # raw mode, a body that is no pickle
+        conn.queue.append(struct.pack(">I", len(payload)) + payload)
+        with pytest.raises(WireError, match="undecodable"):
+            recv_frame(conn)
 
     def test_empty_buffer(self):
         with pytest.raises(WireError):

@@ -32,6 +32,7 @@ from repro.check import (
 from repro.sim.shard import merge_trace_lines, sha256_lines
 from repro.trace.archive import (
     ARCHIVE_SCHEMA,
+    MANIFEST_NAME,
     ArchiveReader,
     ArchiveWriter,
     bucket_of,
@@ -104,13 +105,15 @@ class TestAddressing:
     def test_segment_name_roundtrip(self):
         name = segment_name(7, 3)
         assert name == "seg-b00000007-n003.jsonl.gz"
-        assert parse_segment_name(name) == (7, 3, ".jsonl.gz")
-        assert parse_segment_name("seg-b00000007-n003.csv.gz") == (
-            7, 3, ".csv.gz",
-        )
+        assert parse_segment_name(name) == (7, 3)
 
     def test_non_segment_names_rejected(self):
-        for name in ("MANIFEST.json", "seg-b1-n1.jsonl.gz", "other.gz"):
+        for name in (
+            "MANIFEST.json",
+            "seg-b1-n1.jsonl.gz",
+            "other.gz",
+            "seg-b00000007-n003.csv.gz",
+        ):
             assert parse_segment_name(name) is None
 
 
@@ -288,7 +291,7 @@ class TestWindowedReads:
         lo = bucket_of(t_start, reader.bucket_seconds)
         hi = bucket_of(t_end, reader.bucket_seconds)
         for name in reader.segments_read:
-            bucket, node, _ = parse_segment_name(name)
+            bucket, node = parse_segment_name(name)
             assert lo <= bucket <= hi, name
             assert node in nodes, name
 
@@ -389,18 +392,20 @@ class TestWriterContract:
         for path in sorted(plain.iterdir()):
             assert (flushed / path.name).read_bytes() == path.read_bytes()
 
-    def test_rows_kind_concatenates(self, tmp_path):
-        writer = ArchiveWriter(
-            tmp_path, bucket_seconds=10.0, kind="rows", suffix=".csv.gz"
-        )
-        rows = [(1.0, 0, "1.0,a"), (2.0, 1, "2.0,b"), (12.0, 0, "12.0,c")]
-        for t, node, row in rows:
-            writer.add(t, node, row)
-        writer.close(manifest=True)
-        reader = ArchiveReader(tmp_path)
-        assert reader.kind == "rows"
-        # (bucket, node)-ordered concatenation, no per-line key parsing.
-        assert list(reader.iter_window()) == ["1.0,a", "2.0,b", "12.0,c"]
+    def test_manifest_names_the_one_segment_format(self, tmp_path, stream):
+        _write_archive(tmp_path, stream)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert (manifest["kind"], manifest["suffix"]) == ("events", ".jsonl.gz")
+
+    def test_reader_refuses_another_kind_by_name(self, tmp_path, stream):
+        _write_archive(tmp_path, stream)
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["kind"] = "rows"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as caught:
+            ArchiveReader(tmp_path)
+        assert str(caught.value).startswith(f"{tmp_path}: archive kind 'rows'")
 
 
 # ------------------------------------------------------------ invariants

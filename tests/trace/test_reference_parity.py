@@ -33,7 +33,7 @@ def _trace_digest(factory, path):
     )
     result = replay(factory, config, TraceGenerator(seed=42))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digest, len(result.trace)
+    return digest, result.trace_events
 
 
 @pytest.mark.parametrize(

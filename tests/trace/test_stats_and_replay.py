@@ -5,8 +5,9 @@ import pytest
 from repro.core import Desiccant, VanillaManager
 from repro.faas.platform import PlatformConfig
 from repro.mem.layout import GIB, MIB
+from repro.sim.trace import EventTraceSink
 from repro.trace.generator import TraceGenerator
-from repro.trace.replay import ReplayConfig, replay
+from repro.trace.replay import ReplayConfig, TraceWindow, replay
 from repro.trace.stats import percentile
 from repro.workloads.registry import get_definition
 
@@ -32,6 +33,36 @@ class TestPercentile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 150)
+
+
+class TestReplayConfig:
+    def test_window_without_archive_dir_is_refused_at_build(self):
+        with pytest.raises(ValueError, match="window requires archive_dir"):
+            ReplayConfig(window=TraceWindow())
+
+    def test_traced_replay_keeps_no_lines_in_memory(self, tmp_path, monkeypatch):
+        sinks = []
+        build = EventTraceSink.__init__
+
+        def spy(sink, *args, **kwargs):
+            build(sink, *args, **kwargs)
+            sinks.append(sink)
+
+        monkeypatch.setattr(EventTraceSink, "__init__", spy)
+        path = tmp_path / "trace.jsonl"
+        result = replay(
+            VanillaManager,
+            ReplayConfig(
+                scale_factor=2.0,
+                warmup_seconds=2.0,
+                warmup_scale_factor=2.0,
+                duration_seconds=4.0,
+                event_trace_path=path,
+            ),
+            TraceGenerator(seed=3),
+        )
+        assert result.trace_events == len(path.read_text().splitlines()) > 0
+        assert [sink.lines for sink in sinks] == [[]]
 
 
 class TestReplay:
