@@ -11,11 +11,14 @@ streaming per-node telemetry CSVs, then
 3. fork from ``measure-start.ckpt`` with no changes -- same identity;
 4. fork with a changed policy -- must *not* raise (divergence is legal).
 
-Legs 1-3 rewrite the scratch run's telemetry CSVs from their barrier on,
-and each must leave them byte-identical to what the scratch run wrote.
-Exits nonzero after any digest or telemetry mismatch, leaving the
-artifacts (checkpoints, CSVs and both flat traces) in ``--work-dir`` for
-upload::
+Legs 1-3 rewrite the scratch run's telemetry CSVs and trace archive
+(``ckpt/archive``) from their barrier on -- including each segment that
+was open at the barrier, rebuilt from the payload its checkpoint
+recovered -- and each must leave every CSV, archive segment and the
+archive manifest byte-identical to what the scratch run wrote.  Exits
+nonzero after any digest, telemetry or archive mismatch, leaving the
+artifacts (checkpoints, CSVs, the archive and both flat traces) in
+``--work-dir`` for upload::
 
     python benchmarks/checkpoint_smoke.py --shards 1,2 --work-dir ckpt-smoke
 """
@@ -56,14 +59,24 @@ def _telemetry(work: Path) -> dict:
     }
 
 
+def _archive(work: Path) -> dict:
+    """Every segment and the manifest of the run's trace archive (pinned
+    next to the checkpoints, so every leg rewrites the same root)."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted((work / "ckpt" / "archive").iterdir())
+    }
+
+
 def run_smoke(shards: int, work: Path) -> int:
     failures = 0
     base_cfg = _config(shards, work, event_trace_path=work / "base.jsonl")
     base = cluster_replay(Desiccant, base_cfg)
     telemetry = _telemetry(work)
+    archive = _archive(work)
     print(f"[shards={shards}] scratch: {base.trace_events} events "
           f"sha {base.trace_sha256[:12]}, {len(base.checkpoints)} checkpoints, "
-          f"{len(telemetry)} telemetry CSVs")
+          f"{len(telemetry)} telemetry CSVs, {len(archive)} archive files")
     if not telemetry:
         print(f"[shards={shards}] scratch run streamed no telemetry CSV")
         failures += 1
@@ -76,12 +89,20 @@ def run_smoke(shards: int, work: Path) -> int:
         )
         match = result.trace_sha256 == base.trace_sha256
         same_csvs = _telemetry(work) == telemetry
+        rewritten = _archive(work)
+        differing = sorted(
+            name
+            for name in set(archive) | set(rewritten)
+            if archive.get(name) != rewritten.get(name)
+        )
         verdict = "ok" if match else "DIGEST MISMATCH"
         if not same_csvs:
             verdict += ", TELEMETRY MISMATCH"
+        if differing:
+            verdict += f", ARCHIVE MISMATCH in {', '.join(differing)}"
         print(f"[shards={shards}] {name}: sha {result.trace_sha256[:12]} "
               f"({verdict})")
-        failures += (not match) + (not same_csvs)
+        failures += (not match) + (not same_csvs) + bool(differing)
 
     measure_start = work / "ckpt" / "measure-start.ckpt"
     leg("resume @ measure-start", resume_from=measure_start)
@@ -119,10 +140,11 @@ def main(argv=None) -> int:
         work.mkdir(parents=True, exist_ok=True)
         failures += run_smoke(shards, work)
     if failures:
-        print(f"checkpoint smoke: {failures} digest or telemetry mismatch(es)",
-              file=sys.stderr)
+        print(f"checkpoint smoke: {failures} digest, telemetry or archive "
+              "mismatch(es)", file=sys.stderr)
         return 1
-    print("checkpoint smoke: all legs byte-identical, telemetry included")
+    print("checkpoint smoke: all legs byte-identical, telemetry and archive "
+          "included")
     return 0
 
 

@@ -270,7 +270,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         reader = ArchiveReader(args.archive)
         rows = []
         for info in reader.segments():
-            _, footer = reader.read_segment(info.name)
+            footer = reader.read_footer(info.name)
             rows.append(
                 [
                     info.name,

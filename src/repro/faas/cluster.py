@@ -478,12 +478,12 @@ class ClusterShardHost:
         archive_segments: List[Dict[str, object]] = []
         archive_events = 0
         if self._archive is not None:
-            # No manifest: this worker wrote only its own nodes' segments.
-            # Ship their footers (the out-of-pipe trace manifest: name,
-            # payload sha256, event count per segment) so the coordinator
-            # can finalize the shared root without re-reading every
-            # segment it already trusts.
-            summary = self._archive.close(manifest=False)
+            # This worker wrote only its own nodes' segments.  Ship their
+            # footers (the out-of-pipe trace manifest: name, payload
+            # sha256, event count per segment) so the coordinator can
+            # finalize the shared root without re-reading every segment
+            # it already trusts.
+            summary = self._archive.close()
             archive_segments = list(summary["segments"])
             archive_events = summary["events"]
             self._archive = None

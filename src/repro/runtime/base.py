@@ -115,16 +115,6 @@ class ReclaimOutcome:
     evacuated_bytes: int = 0
 
 
-@dataclass
-class GCEvent:
-    """One collection, for tests and traces."""
-
-    kind: str  # "young" | "full"
-    seconds: float
-    collected_bytes: int
-    live_bytes: int
-
-
 class ManagedRuntime(abc.ABC):
     """Base class wiring the object graph, libraries, and native memory."""
 
@@ -157,7 +147,6 @@ class ManagedRuntime(abc.ABC):
         self._native_touched = 0
         self.booted = False
         self.invocations = 0
-        self.gc_events: List[GCEvent] = []
         self.total_gc_seconds = 0.0
         self.invocation_gc_seconds = 0.0
         self.invocation_fault_seconds = 0.0
@@ -649,7 +638,6 @@ class ManagedRuntime(abc.ABC):
     # ------------------------------------------------------------ internals
 
     def _record_gc(self, kind: str, seconds: float, collected: int, live: int) -> None:
-        self.gc_events.append(GCEvent(kind, seconds, collected, live))
         self.total_gc_seconds += seconds
         self.invocation_gc_seconds += seconds
         self.last_gc_live_bytes = live

@@ -59,10 +59,11 @@ and write them as segments of one shared archive root
 (:mod:`repro.trace.archive`): per-node records do not depend on which
 process or kernel hosted the node.  The coordinator's
 :func:`~repro.trace.archive.finalize_archive` merges each bucket's
-per-node segments with :func:`merge_trace_lines` into one stream ordered
-by ``(t, node, seq)`` -- the same total order one kernel shared by every
-node produces -- so the merged trace's SHA-256 is byte-identical to the
-serial twin's for any shard count.
+per-node segments into one stream ordered by ``(t, node, seq)`` (the
+order :func:`merge_trace_lines` gives flat line streams) -- the same
+total order one kernel shared by every node produces -- so the merged
+trace's SHA-256 is byte-identical to the serial twin's for any shard
+count.
 
 The serial twin of a sharded run is an inline pool with one shard
 holding every node.

@@ -36,11 +36,12 @@ Two concatenated gzip members (readable as one stream by any gzip tool):
    ``bucket_seconds``, ``events``, ``t_min``, ``t_max``, and the SHA-256
    of the exact payload bytes.
 
-Both members are compressed deterministically -- ``mtime=0``, no embedded
-filename, pinned :data:`COMPRESSLEVEL` -- so a segment's bytes are a pure
-function of its payload.  Because each ``(bucket, node)`` cell is written
-by exactly one producer and contains only that node's canonical records,
-**archives are byte-identical across runs and shard counts**.
+Both members are framed deterministically -- a pinned gzip header
+(``mtime=0``, no embedded filename) and :data:`COMPRESSLEVEL` -- so a
+segment's bytes are a pure function of its payload.  Because each
+``(bucket, node)`` cell is written by exactly one producer and contains
+only that node's canonical records, **archives are byte-identical across
+runs and shard counts**.
 
 Digest composition
 ------------------
@@ -52,26 +53,29 @@ per-node segments::
 
     whole_sha = sha256( ++_{b ascending} merge_{n}(payload[b, n]) )
 
-:func:`ArchiveReader.compose` streams that merge (constant memory),
-verifying every footer digest on the way -- so per-segment digests
-compose to the existing whole-run SHA-256 and every current digest gate
-keeps working unchanged.  The merge keys each line with
-:func:`repro.trace.encode.line_key`, which reads ``(t, node, seq)`` off
-the line's envelope; only a line it cannot read is parsed with
-``json.loads``.
+:func:`ArchiveReader.compose` streams that merge, verifying every footer
+digest on the way -- so per-segment digests compose to the existing
+whole-run SHA-256 and every current digest gate keeps working unchanged.
+Each segment is inflated :data:`_BLOCK_BYTES` compressed bytes at a time
+and keys its lines with :func:`repro.trace.encode.line_key`, which reads
+``(t, node, seq)`` off the line's envelope (only a line it cannot read
+is parsed with ``json.loads``); a bucket is one ``heapq.merge`` of its
+segments' keyed streams.  Memory holds one block per open segment and
+one digest chunk, whatever the bucket width or the run's length.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
+import heapq
 import itertools
 import json
 import re
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trace.encode import line_key
 
@@ -86,7 +90,6 @@ __all__ = [
     "bucket_of",
     "segment_name",
     "parse_segment_name",
-    "open_deterministic_gzip",
     "gzip_member",
     "pack",
     "finalize_archive",
@@ -106,9 +109,6 @@ DEFAULT_BUCKET_SECONDS = 60.0
 MANIFEST_NAME = "MANIFEST.json"
 
 _SEGMENT_RE = re.compile(r"^seg-b(\d{8,})-n(\d{3,})\.jsonl\.gz$")
-
-#: sha256 of zero bytes -- the composed digest of an empty archive.
-_EMPTY_SHA = hashlib.sha256(b"").hexdigest()
 
 
 def bucket_of(t: float, bucket_seconds: float) -> int:
@@ -135,52 +135,58 @@ def parse_segment_name(name: str) -> Optional[Tuple[int, int]]:
     return int(match.group(1)), int(match.group(2))
 
 
-def open_deterministic_gzip(path: str | Path, mode: str = "rb"):
-    """The sanctioned way to open archive gzip files.
+#: The header of every gzip member an archive writes: magic, deflate, no
+#: flags, ``mtime=0``, no extra flags, OS byte 0xff -- the bytes
+#: ``gzip.GzipFile(filename="", mtime=0, compresslevel=COMPRESSLEVEL)``
+#: writes.  (Bare ``gzip.open`` embeds the wall-clock mtime, which the
+#: determinism lint therefore bans in ``src/``.)
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
 
-    Write modes pin the gzip header -- ``mtime=0``, empty filename field,
-    :data:`COMPRESSLEVEL` -- so output bytes are a pure function of the
-    payload.  (Bare ``gzip.open`` embeds the wall-clock mtime, which the
-    determinism lint therefore bans in ``src/``.)
-    """
-    if "r" in mode:
-        return gzip.open(path, mode, encoding="utf-8" if "t" in mode else None)
-    if "w" not in mode and "a" not in mode:
-        raise ValueError(f"unsupported gzip mode {mode!r}")
-    raw = open(path, mode.replace("t", "") + ("b" if "b" not in mode else ""))
-    return gzip.GzipFile(
-        filename="", mode="wb", fileobj=raw, compresslevel=COMPRESSLEVEL, mtime=0
-    )
+#: Compressed bytes per read when a reader inflates a segment.
+_BLOCK_BYTES = 2048
+
+
+def _deflater():
+    """A raw-deflate compressor at the pinned level, as ``GzipFile`` makes."""
+    return zlib.compressobj(COMPRESSLEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+
+
+def _gzip_trailer(crc: int, size: int) -> bytes:
+    """A member's trailer: CRC-32 and size mod 2**32, little-endian."""
+    return crc.to_bytes(4, "little") + (size & 0xFFFFFFFF).to_bytes(4, "little")
 
 
 def gzip_member(data: bytes) -> bytes:
     """Compress ``data`` as one deterministic gzip member."""
-    compressor = zlib.compressobj(COMPRESSLEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+    compressor = _deflater()
     body = compressor.compress(data) + compressor.flush()
-    header = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
-    crc = zlib.crc32(data).to_bytes(4, "little")
-    size = (len(data) & 0xFFFFFFFF).to_bytes(4, "little")
-    return header + body + crc + size
+    return _GZIP_HEADER + body + _gzip_trailer(zlib.crc32(data), len(data))
 
 
 # ------------------------------------------------------------------ writer
 
 
 class _OpenSegment:
-    """One segment mid-write: raw file + gzip member + running footer.
+    """One segment mid-write: raw file, payload deflate stream, running footer.
 
-    The payload lines written so far are retained (bounded: one bucket's
-    worth per node) so a checkpoint (:mod:`repro.sim.checkpoint`) can
-    pickle the segment and a restore can *rewrite* it from scratch.
-    Because the writer never sync-flushes the compressor, the final
-    segment bytes are a pure function of the payload line sequence --
-    rewriting the retained lines through a fresh compressor therefore
-    reproduces exactly the bytes an uninterrupted run would emit.
+    The payload member is framed by hand the way ``gzip.GzipFile(
+    filename="", mtime=0, compresslevel=COMPRESSLEVEL)`` frames it: the
+    pinned header, raw deflate, then the CRC-32/size trailer at
+    :meth:`close`.  Nothing is kept per line, so a segment costs the
+    compressor's fixed state however many lines it holds.
+
+    A checkpoint (:mod:`repro.sim.checkpoint`) pickles the payload bytes
+    written so far, recovered by inflating what is on disk plus a flush of
+    a *copy* of the compressor, and a restore rewrites the file and feeds
+    them through a fresh compressor.  The live compressor is never
+    flushed before :meth:`close`, so the final bytes are a pure function
+    of the payload and the rewrite reproduces exactly the bytes an
+    uninterrupted run emits.
     """
 
     __slots__ = (
-        "bucket", "node", "path", "raw", "zip",
-        "events", "t_min", "t_max", "sha", "payload_bytes", "lines",
+        "bucket", "node", "path", "raw", "deflate", "crc",
+        "events", "t_min", "t_max", "sha", "payload_bytes",
     )
 
     def __init__(self, path: Path, bucket: int, node: int) -> None:
@@ -188,65 +194,70 @@ class _OpenSegment:
         self.node = node
         self.path = path
         self.raw = path.open("wb")
-        self.zip = gzip.GzipFile(
-            filename="", mode="wb", fileobj=self.raw,
-            compresslevel=COMPRESSLEVEL, mtime=0,
-        )
+        self.raw.write(_GZIP_HEADER)
+        self.deflate = _deflater()
+        self.crc = 0
         self.events = 0
         self.t_min: Optional[float] = None
         self.t_max: Optional[float] = None
         self.sha = hashlib.sha256()
         self.payload_bytes = 0
-        self.lines: List[Tuple[float, str]] = []
 
-    def write(self, t: float, line: str) -> None:
-        data = line.encode("utf-8") + b"\n"
-        self.zip.write(data)
+    def _append(self, data: bytes) -> None:
+        self.raw.write(self.deflate.compress(data))
+        self.crc = zlib.crc32(data, self.crc)
         self.sha.update(data)
         self.payload_bytes += len(data)
+
+    def write(self, t: float, line: str) -> None:
+        self._append(line.encode("utf-8") + b"\n")
         self.events += 1
         if self.t_min is None:
             self.t_min = t
         self.t_max = t
-        self.lines.append((t, line))
 
     def write_many(self, entries: Sequence[Tuple[float, str]]) -> None:
         """Append ``(t, line)`` pairs: one compressor write, one hash
         update, and one bookkeeping pass for the whole run.  Callers
         guarantee nondecreasing times within one segment's bucket."""
         data = "\n".join(line for _, line in entries).encode("utf-8") + b"\n"
-        self.zip.write(data)
-        self.sha.update(data)
-        self.payload_bytes += len(data)
+        self._append(data)
         self.events += len(entries)
         if self.t_min is None:
             self.t_min = entries[0][0]
         self.t_max = entries[-1][0]
-        self.lines.extend(entries)
 
     def __getstate__(self) -> Dict[str, object]:
-        # Open OS handles and the running hashlib object cannot pickle;
-        # the retained lines are sufficient to rebuild all three.
+        # Open OS handles, the compressor and the running hash cannot
+        # pickle; the payload bytes rebuild all of them.  They are the
+        # deflate stream on disk completed by a flushed *copy* of the
+        # compressor, inflated: the live compressor is left as it is.
+        self.raw.flush()
+        written = self.path.read_bytes()[len(_GZIP_HEADER):]
+        stream = written + self.deflate.copy().flush()
         return {
             "bucket": self.bucket,
             "node": self.node,
             "path": str(self.path),
-            "lines": self.lines,
+            "payload": zlib.decompress(stream, -zlib.MAX_WBITS),
+            "events": self.events,
+            "t_min": self.t_min,
+            "t_max": self.t_max,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        rebuilt = _OpenSegment(
-            Path(state["path"]), state["bucket"], state["node"]
-        )
-        for t, line in state["lines"]:
-            rebuilt.write(t, line)
-        for slot in self.__slots__:
-            setattr(self, slot, getattr(rebuilt, slot))
+        self.__init__(Path(state["path"]), state["bucket"], state["node"])
+        self._append(state["payload"])
+        self.events = state["events"]
+        self.t_min = state["t_min"]
+        self.t_max = state["t_max"]
 
     def close(self, bucket_seconds: float) -> Dict[str, object]:
         """Finish the payload member, append the footer member, return
         the footer (with the segment name and compressed size added)."""
-        self.zip.close()
+        self.raw.write(
+            self.deflate.flush() + _gzip_trailer(self.crc, self.payload_bytes)
+        )
         footer = {
             "schema": ARCHIVE_SCHEMA,
             "bucket": self.bucket,
@@ -280,8 +291,9 @@ class ArchiveWriter:
     the segment bytes independent of how producers were partitioned.
 
     Several writers may share one ``root`` as long as they write disjoint
-    node sets (shard workers do exactly this); pass ``manifest=False`` to
-    :meth:`close` and let the coordinator run :func:`finalize_archive`.
+    node sets (shard workers do exactly this).  A writer never writes the
+    manifest: whoever owns the archive runs :func:`finalize_archive` on
+    the footers :meth:`close` returns.
     """
 
     def __init__(
@@ -296,27 +308,7 @@ class ArchiveWriter:
         self._open: Dict[int, _OpenSegment] = {}
         self._last_bucket: Dict[int, int] = {}
         self._closed: List[Dict[str, object]] = []
-        #: Running digest over the *input* stream order; equals the
-        #: composed archive digest iff the input was already canonical
-        #: (single node, or ``(t, node, seq)``-merged).
-        self._input_sha = hashlib.sha256()
-        #: False after a checkpoint restore: the running input digest
-        #: cannot be carried across pickling (hashlib objects do not
-        #: pickle), so a restored writer may only close with
-        #: ``manifest=False`` (the shard-worker path, whose coordinator
-        #: composes digests from footers instead).
-        self._input_sha_valid = True
         self._closed_flag = False
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        del state["_input_sha"]
-        state["_input_sha_valid"] = False
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._input_sha = hashlib.sha256()
 
     # ------------------------------------------------------------ writing
 
@@ -355,7 +347,6 @@ class ArchiveWriter:
             raise ValueError("archive writer is closed")
         segment = self._segment_for(t, node, bucket_of(t, self.bucket_seconds))
         segment.write(t, line)
-        self._input_sha.update(line.encode("utf-8") + b"\n")
         self.events += 1
 
     def add_many(self, items: Sequence[Tuple[float, int, str]]) -> None:
@@ -364,12 +355,11 @@ class ArchiveWriter:
         The batched sibling of :meth:`add` for chunk-draining sinks
         (:class:`repro.sim.trace.EventTraceSink`'s fast path): items are
         grouped into maximal same-``(node, bucket)`` runs, each run hits
-        its segment with one compressor write and one SHA-256 update, and
-        the input-order digest advances once for the whole chunk.  The
-        bytes produced -- segment payloads, footers, and the input-order
-        digest -- are identical to ``len(items)`` individual :meth:`add`
-        calls; so are the monotonicity and closed-bucket errors (checked
-        per run *before* writing it).
+        its segment with one compressor write and one SHA-256 update.  The
+        bytes produced -- segment payloads and footers -- are identical to
+        ``len(items)`` individual :meth:`add` calls; so are the
+        monotonicity and closed-bucket errors (checked per run *before*
+        writing it).
         """
         if self._closed_flag:
             raise ValueError("archive writer is closed")
@@ -398,9 +388,6 @@ class ArchiveWriter:
                 previous = rt
             segment.write_many([(rt, line) for rt, _, line in run])
             i = j
-        self._input_sha.update(
-            ("\n".join(line for _, _, line in items) + "\n").encode("utf-8")
-        )
         self.events += n
 
     def flush(self) -> None:
@@ -416,41 +403,26 @@ class ArchiveWriter:
 
     # ------------------------------------------------------------ closing
 
-    def close(self, manifest: bool = True) -> Dict[str, object]:
-        """Finalize all open segments; optionally write the manifest.
+    def close(self) -> Dict[str, object]:
+        """Finalize all open segments and return ``{"events", "segments"}``:
+        the count written and every segment's footer, sorted by ``(bucket,
+        node)``.
 
-        Only pass ``manifest=True`` when this writer produced the whole
-        archive from a canonical stream -- its input-order digest is then
-        the composed archive digest.  Multi-writer archives (shard
-        workers) close with ``manifest=False`` and are finalized once by
-        :func:`finalize_archive`.
+        The footers are what :func:`finalize_archive` composes the archive
+        from and checks it against; a shard worker ships them to its
+        coordinator.  Closing twice returns the same summary.
         """
-        if manifest and not self._input_sha_valid:
-            raise ValueError(
-                "input-order digest was invalidated by a checkpoint "
-                "restore; close with manifest=False and finalize via "
-                "finalize_archive()"
-            )
         if not self._closed_flag:
             for node in sorted(self._open):
                 self._closed.append(self._open[node].close(self.bucket_seconds))
             self._open.clear()
             self._closed_flag = True
-        summary = {
+        return {
             "events": self.events,
-            "sha256": self._input_sha.hexdigest(),
             "segments": sorted(
                 self._closed, key=lambda f: (f["bucket"], f["node"])
             ),
         }
-        if manifest:
-            write_manifest(
-                self.root,
-                bucket_seconds=self.bucket_seconds,
-                footers=summary["segments"],
-                sha256=summary["sha256"],
-            )
-        return summary
 
     # ----------------------------------------------------------- checking
 
@@ -544,6 +516,32 @@ class SegmentInfo:
     node: int
 
 
+def _inflate(handle: IO[bytes]) -> Iterator[Tuple[int, bytes]]:
+    """``(member, data)``: each gzip member of ``handle`` in turn, inflated
+    as the file is read :data:`_BLOCK_BYTES` compressed bytes at a time.
+
+    ``zlib`` parses every member's header and checks its CRC-32 and size
+    trailer (``zlib.error``); a file that ends inside a member raises
+    ``EOFError``.
+    """
+    member, inflate = 0, None
+    for block in iter(lambda: handle.read(_BLOCK_BYTES), b""):
+        while block:
+            if inflate is None:
+                inflate = zlib.decompressobj(16 + zlib.MAX_WBITS)
+            data = inflate.decompress(block)
+            if data:
+                yield member, data
+            if not inflate.eof:
+                break
+            block, inflate = inflate.unused_data, None
+            member += 1
+    if inflate is not None:
+        raise EOFError(
+            "compressed file ended before the end-of-stream marker was reached"
+        )
+
+
 class ArchiveReader:
     """Range reads over an archive, opening only the touched segments.
 
@@ -568,20 +566,20 @@ class ArchiveReader:
                     f"{self.root}: archive kind {kind!r}; only event "
                     "archives can be read"
                 )
+        #: Names of segments opened so far, in open order.
+        self.segments_read: List[str] = []
         if bucket_seconds is not None:
             self.bucket_seconds = float(bucket_seconds)
         elif self.manifest is not None:
             self.bucket_seconds = float(self.manifest["bucket_seconds"])
         else:
             self.bucket_seconds = self._probe_bucket_seconds()
-        #: Names of segments opened so far, in open order.
-        self.segments_read: List[str] = []
+            self.segments_read.clear()  # the probe reads no window
 
     def _probe_bucket_seconds(self) -> float:
         """Without a manifest, any one footer names the bucket width."""
         for info in self.segments():
-            lines = self._read_all_lines(info.name, count_io=False)
-            return float(self._split_footer(info.name, lines)[1]["bucket_seconds"])
+            return float(self.read_footer(info.name)["bucket_seconds"])
         return DEFAULT_BUCKET_SECONDS
 
     # ---------------------------------------------------------- addressing
@@ -602,43 +600,74 @@ class ArchiveReader:
 
     # ------------------------------------------------------------- reading
 
-    def _read_all_lines(self, name: str, count_io: bool = True) -> List[str]:
-        """Every decompressed line of a segment, its footer last.
+    def _segment(
+        self,
+        name: str,
+        verify: bool = False,
+        footers: Optional[List[Dict[str, object]]] = None,
+    ) -> Iterator[List[Tuple[Tuple[float, int, int], str]]]:
+        """The payload of segment ``name`` as ``(line_key(line), line)``
+        pairs in file order, one list per inflated block.
 
-        The file is read as one blob, decoded once and split on
-        newlines (the encoder never writes a raw carriage return, which
-        text mode would also split on).  A segment that cannot be read,
-        decompressed or decoded raises ``ValueError`` naming it.
+        The file is inflated :data:`_BLOCK_BYTES` compressed bytes at a
+        time, so the reader holds one block's lines whatever the
+        segment's size.  When the payload member ends, the footer member
+        is parsed and appended to ``footers`` (if given); with ``verify``
+        the payload's digest, line count and byte count, and the footer's
+        addressing and time range, are checked then.  Every failure is a
+        ``ValueError`` whose message starts with ``name``: a file that
+        cannot be read, inflated or decoded (``<name>: unreadable
+        (<cause>)``), a line with no merge key, a missing footer, or a
+        failed check.
         """
-        if count_io:
-            self.segments_read.append(name)
+        self.segments_read.append(name)
+        digest = hashlib.sha256() if verify else None
+        events = payload_bytes = 0
+        tail = footer_bytes = b""
         try:
-            with gzip.open(self.root / name, "rb") as handle:
-                lines = handle.read().decode("utf-8").split("\n")
+            with open(self.root / name, "rb") as handle:
+                for member, data in _inflate(handle):
+                    if member:
+                        if member > 1:
+                            raise ValueError(f"{name}: data after the footer member")
+                        footer_bytes += data
+                        continue
+                    payload_bytes += len(data)
+                    if digest is not None:
+                        digest.update(data)
+                    data = tail + data
+                    cut = data.rfind(b"\n") + 1
+                    tail = data[cut:]
+                    if not cut:
+                        continue
+                    lines = data[: cut - 1].decode("utf-8").split("\n")
+                    events += len(lines)
+                    try:
+                        keyed = [(line_key(line), line) for line in lines]
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ValueError(
+                            f"{name}: a payload line has no (t, node, seq) "
+                            f"key ({exc})"
+                        ) from exc
+                    yield keyed
         except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
             raise ValueError(f"{name}: unreadable ({exc})") from exc
-        if lines[-1] == "":
-            lines.pop()
-        return lines
-
-    @staticmethod
-    def _split_footer(
-        name: str, lines: List[str]
-    ) -> Tuple[List[str], Dict[str, object]]:
-        """``(payload_lines, footer)``: the footer is the last line.
-
-        A segment with no lines, or whose last line is not a JSON
-        object with this schema, raises ``ValueError`` naming it.
-        """
-        if not lines:
-            raise ValueError(f"{name}: empty segment file")
+        if tail:
+            raise ValueError(f"{name}: payload ends inside a line")
         try:
-            footer = json.loads(lines[-1])
+            footer = json.loads(footer_bytes)
         except ValueError:
             footer = None
         if not isinstance(footer, dict) or footer.get("schema") != ARCHIVE_SCHEMA:
             raise ValueError(f"{name}: missing footer (truncated segment?)")
-        return lines[:-1], footer
+        if footers is not None:
+            footers.append(footer)
+        if digest is not None:
+            problems = self._verify_segment(
+                name, footer, events, payload_bytes, digest.hexdigest()
+            )
+            if problems:
+                raise ValueError("; ".join(problems))
 
     def read_segment(
         self, name: str, verify: bool = False
@@ -649,27 +678,38 @@ class ArchiveReader:
         count, digest, time range, and addressing are all checked.  Every
         failure is a ``ValueError`` whose message starts with ``name``.
         """
-        payload, footer = self._split_footer(name, self._read_all_lines(name))
-        if verify:
-            problems = self._verify_segment(name, payload, footer)
-            if problems:
-                raise ValueError("; ".join(problems))
-        return payload, footer
+        footers: List[Dict[str, object]] = []
+        blocks = self._segment(name, verify, footers)
+        payload = [line for block in blocks for _, line in block]
+        return payload, footers[0]
 
+    def read_footer(self, name: str, verify: bool = False) -> Dict[str, object]:
+        """The footer of one segment, streaming its payload past (checked
+        as :meth:`read_segment` checks it) without keeping any of it."""
+        footers: List[Dict[str, object]] = []
+        for _ in self._segment(name, verify, footers):
+            pass
+        return footers[0]
+
+    @staticmethod
     def _verify_segment(
-        self, name: str, payload: List[str], footer: Dict[str, object]
+        name: str,
+        footer: Dict[str, object],
+        events: int,
+        payload_bytes: int,
+        sha256: str,
     ) -> List[str]:
+        """What a streamed payload of ``events`` lines, ``payload_bytes``
+        bytes and digest ``sha256`` contradicts in its footer."""
         problems = []
-        blob = ("\n".join(payload) + "\n").encode("utf-8") if payload else b""
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != footer["sha256"]:
+        if sha256 != footer["sha256"]:
             problems.append(
-                f"{name}: payload sha256 {digest[:12]} != "
+                f"{name}: payload sha256 {sha256[:12]} != "
                 f"footer {str(footer['sha256'])[:12]}"
             )
-        if len(payload) != footer["events"]:
+        if events != footer["events"]:
             problems.append(
-                f"{name}: {len(payload)} payload lines != footer events "
+                f"{name}: {events} payload lines != footer events "
                 f"{footer['events']}"
             )
         parsed = parse_segment_name(name)
@@ -686,12 +726,44 @@ class ArchiveReader:
                     f"(width {width})"
                 )
         recorded_bytes = footer.get("payload_bytes")
-        if recorded_bytes is not None and recorded_bytes != len(blob):
+        if recorded_bytes is not None and recorded_bytes != payload_bytes:
             problems.append(
-                f"{name}: {len(blob)} payload bytes != footer "
+                f"{name}: {payload_bytes} payload bytes != footer "
                 f"payload_bytes {recorded_bytes}"
             )
         return problems
+
+    def _buckets(
+        self,
+        infos: Sequence[SegmentInfo],
+        verify: bool = False,
+        t_start: Optional[float] = None,
+        t_end: Optional[float] = None,
+    ) -> Iterator[Iterator[str]]:
+        """The canonical lines of each bucket of ``infos`` (sorted by
+        bucket): one ``heapq.merge`` of its segments' keyed streams,
+        clipped to ``[t_start, t_end)`` in a bucket a bound falls in."""
+        width = self.bucket_seconds
+        for bucket, group in itertools.groupby(infos, lambda info: info.bucket):
+            merged = heapq.merge(
+                *[
+                    itertools.chain.from_iterable(self._segment(info.name, verify))
+                    for info in group
+                ]
+            )
+            boundary = (
+                t_start is not None and bucket == bucket_of(t_start, width)
+            ) or (
+                t_end is not None and bucket * width < t_end <= (bucket + 1) * width
+            )
+            if boundary:
+                merged = (
+                    record
+                    for record in merged
+                    if (t_start is None or record[0][0] >= t_start)
+                    and (t_end is None or record[0][0] < t_end)
+                )
+            yield map(itemgetter(1), merged)
 
     def iter_window(
         self,
@@ -707,10 +779,8 @@ class ArchiveReader:
         seq)``, so concatenating the buckets reproduces the exact
         canonical stream -- the composition rule.
         """
-        from repro.sim.shard import merge_trace_lines
-
         node_set = None if nodes is None else set(nodes)
-        by_bucket: Dict[int, List[SegmentInfo]] = {}
+        selected = []
         for info in self.segments():
             if node_set is not None and info.node not in node_set:
                 continue
@@ -720,31 +790,10 @@ class ArchiveReader:
                 continue
             if t_end is not None and lo >= t_end:
                 continue
-            by_bucket.setdefault(info.bucket, []).append(info)
-
-        def clipped(lines: Iterable[str]) -> Iterator[str]:
-            for line in lines:
-                t = line_key(line)[0]
-                if t_start is not None and t < t_start:
-                    continue
-                if t_end is not None and t >= t_end:
-                    continue
-                yield line
-
-        for bucket in sorted(by_bucket):
-            infos = by_bucket[bucket]
-            boundary = (
-                t_start is not None
-                and bucket == bucket_of(t_start, self.bucket_seconds)
-            ) or (
-                t_end is not None
-                and bucket * self.bucket_seconds < t_end <= (bucket + 1) * self.bucket_seconds
-            )
-            streams = [
-                self.read_segment(info.name, verify=verify)[0] for info in infos
-            ]
-            merged = merge_trace_lines(streams)
-            yield from clipped(merged) if boundary else merged
+            selected.append(info)
+        return itertools.chain.from_iterable(
+            self._buckets(selected, verify, t_start, t_end)
+        )
 
     def compose(self, verify: bool = True) -> Tuple[int, str]:
         """``(events, sha256)`` of the whole archive in canonical order.
@@ -762,36 +811,27 @@ class ArchiveReader:
     def verify(self, against_sha256: Optional[str] = None) -> List[str]:
         """Full integrity sweep; returns problems (empty == verified).
 
-        Checks every segment's footer (digest, count, time range,
-        addressing), then the composed whole-archive digest against the
+        One pass checks every segment against its footer (digest, count,
+        time range, addressing); a second composes the segments that
+        passed -- one that failed stays out, its lines may not even key
+        -- and checks the composed whole-archive digest against the
         manifest and, optionally, an external expectation (the flat-file
-        twin's SHA-256).  A segment that fails its own checks is left
-        out of the composition, which is hashed in 1024-line chunks.
+        twin's SHA-256).  The composition is hashed in 1024-line chunks.
         """
-        from repro.sim.shard import merge_trace_lines, sha256_lines
+        from repro.sim.shard import sha256_lines
 
         problems: List[str] = []
-
-        def composed_lines() -> Iterator[str]:
-            by_bucket = itertools.groupby(self.segments(), lambda s: s.bucket)
-            for _, infos in by_bucket:
-                streams = []
-                for info in infos:
-                    try:
-                        payload, footer = self.read_segment(info.name)
-                    except ValueError as exc:  # names the segment
-                        problems.append(str(exc))
-                        continue
-                    found = self._verify_segment(info.name, payload, footer)
-                    if found:
-                        # A payload that fails its footer stays out of
-                        # the merge: its lines may not even parse.
-                        problems.extend(found)
-                        continue
-                    streams.append(payload)
-                yield from merge_trace_lines(streams)
-
-        events, composed = sha256_lines(composed_lines())
+        passed: List[SegmentInfo] = []
+        for info in self.segments():
+            try:
+                self.read_footer(info.name, verify=True)
+            except ValueError as exc:  # names the segment
+                problems.append(str(exc))
+            else:
+                passed.append(info)
+        events, composed = sha256_lines(
+            itertools.chain.from_iterable(self._buckets(passed))
+        )
         if self.manifest is not None:
             if self.manifest.get("events") != events:
                 problems.append(
@@ -838,8 +878,11 @@ def pack(
                 f"{root} already holds an archive ({len(stale)} files); "
                 "pack into a fresh directory"
             )
+    from repro.sim.shard import sha256_lines
+
     writer = ArchiveWriter(root, bucket_seconds=bucket_seconds)
-    with open(jsonl_path, "r", encoding="utf-8") as handle:
+
+    def archived(handle: IO[str]) -> Iterator[str]:
         for line in handle:
             line = line.rstrip("\n")
             if not line:
@@ -848,8 +891,12 @@ def pack(
             # from outside, and a malformed line must fail here.
             record = json.loads(line)
             writer.add(record["t"], record["node"], line)
-    summary = writer.close(manifest=True)
-    return summary["events"], summary["sha256"]
+            yield line
+
+    with open(jsonl_path, "r", encoding="utf-8") as handle:
+        flat = sha256_lines(archived(handle))
+    finalize_archive(root, footers=writer.close()["segments"])
+    return flat
 
 
 def finalize_archive(
@@ -858,31 +905,33 @@ def finalize_archive(
     event_trace_path: Optional[str | Path] = None,
     verify: bool = True,
 ) -> Tuple[int, str]:
-    """Compose a multi-writer archive and stamp its manifest.
+    """Compose an archive and stamp its manifest: the one composition path.
 
-    Shard workers write disjoint node segments into a shared root and
-    close their writers without a manifest; the coordinator calls this
+    Writers close without a manifest -- shard workers write disjoint node
+    segments into a shared root, a single-platform replay and
+    :func:`pack` write them all -- and the archive's owner calls this
     once: it streams the canonical composition, writes the manifest, and
-    returns ``(events, sha256)``.  Running it on a writer-finalized
-    archive is a no-op rewrite of identical bytes.
+    returns ``(events, sha256)``.  Running it on a finalized archive is a
+    no-op rewrite of identical bytes.
 
     Without ``footers`` every segment is re-read and fully verified
     before composing (two passes over the archive).  With ``footers`` --
-    the segment manifests the workers shipped over the pipe
-    (:class:`ArchiveWriter.close`'s ``segments``: name, event count,
-    payload sha256, time range per segment) -- the merge is
-    *manifest-driven*: one streaming pass composes the digest, each
-    footer is checked against its segment as it streams past (unless
-    ``verify=False``), and the composed event count must equal the
-    manifest's sum.  ``event_trace_path`` additionally writes the flat
-    canonical JSONL twin during that same pass, so a replay that wants
-    both forms still reads every segment exactly once.
+    the segment footers the writers returned from
+    :meth:`ArchiveWriter.close` (name, event count, payload sha256, time
+    range per segment), which shard workers ship over the pipe -- the
+    merge is *manifest-driven*: one streaming pass composes the digest,
+    each footer is checked against its segment when that segment's
+    payload ends (unless ``verify=False``), and the composed event count
+    must equal the footers' sum.  ``event_trace_path`` additionally
+    writes the flat canonical JSONL twin during that same pass, so a
+    replay that wants both forms still reads every segment exactly once.
 
-    Each segment is read and verified as one blob, the merge keys lines
-    by their envelope (:func:`repro.trace.encode.line_key`), and the
-    composed stream is hashed -- and written to the flat twin -- in
-    1024-line chunks (:func:`repro.sim.shard.sha256_lines`).  Memory
-    holds one bucket's segments, as the streaming merge needs.
+    Segments are inflated in :data:`_BLOCK_BYTES` blocks and each
+    bucket's keyed streams go through one ``heapq.merge``
+    (:meth:`ArchiveReader.iter_window`); the composed stream is hashed --
+    and written to the flat twin -- in 1024-line chunks
+    (:func:`repro.sim.shard.sha256_lines`).  Memory holds one block per
+    open segment and one digest chunk, not a bucket.
     """
     from repro.sim.shard import sha256_lines
 
@@ -891,7 +940,7 @@ def finalize_archive(
         reader = ArchiveReader(root)
         footers = []
         for info in reader.segments():
-            _, footer = reader.read_segment(info.name, verify=True)
+            footer = reader.read_footer(info.name, verify=True)
             footer["name"] = info.name
             footer["compressed_bytes"] = (root / info.name).stat().st_size
             footers.append(footer)

@@ -134,7 +134,7 @@ def replay(
     platform.reset_metrics()
     writer = None
     if config.archive_dir is not None:
-        from repro.trace.archive import ArchiveWriter
+        from repro.trace.archive import ArchiveWriter, finalize_archive
 
         writer = ArchiveWriter(
             config.archive_dir, bucket_seconds=config.archive_bucket_seconds
@@ -155,11 +155,9 @@ def replay(
     if sink is not None:
         sink.detach()
     if writer is not None:
-        # A single-platform sink sees records in canonical order, so the
-        # writer's input-order digest is the composed archive digest.
-        summary = writer.close(manifest=True)
-        archive_events = summary["events"]
-        archive_sha256 = summary["sha256"]
+        archive_events, archive_sha256 = finalize_archive(
+            config.archive_dir, footers=writer.close()["segments"]
+        )
     window = (
         config.window.read(config.archive_dir)
         if config.window is not None

@@ -17,6 +17,9 @@ where the tests that pin the fast structures to them can reach them:
 * :func:`reference_merge_trace_lines` -- the canonical trace merge with
   every line's ``(t, node, seq)`` key read by ``json.loads``
   (production reads the key off the line's envelope);
+* :func:`reference_segment_bytes` -- an archive segment framed by
+  ``gzip.GzipFile``, one member per write session (production frames the
+  payload member by hand around a raw deflate stream);
 * :func:`reference_cold_starts` -- one function's cold/warm verdicts from
   arrival and finish times alone, with no memory model (the platform
   simulates every instance);
@@ -33,7 +36,9 @@ byte for byte, as the same run in production form
 
 from __future__ import annotations
 
+import gzip
 import heapq
+import io
 import json
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -226,6 +231,22 @@ def reference_merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[st
         *[_keyed_lines(source) for source in sources], key=lambda pair: pair[0]
     ):
         yield line
+
+
+def reference_segment_bytes(payload_chunks: Iterable[bytes], footer: bytes) -> bytes:
+    """A segment file's bytes as ``gzip.GzipFile(filename="", mtime=0,
+    compresslevel=COMPRESSLEVEL)`` writes them: the payload member, fed
+    ``payload_chunks`` in order, then the footer member."""
+    from repro.trace.archive import COMPRESSLEVEL
+
+    raw = io.BytesIO()
+    for chunks in (payload_chunks, [footer]):
+        with gzip.GzipFile(
+            filename="", mode="wb", fileobj=raw, compresslevel=COMPRESSLEVEL, mtime=0
+        ) as member:
+            for chunk in chunks:
+                member.write(chunk)
+    return raw.getvalue()
 
 
 def reference_cold_starts(

@@ -50,6 +50,28 @@ def _scalar_cohorts():
         yield
 
 
+@pytest.fixture(autouse=True)
+def record_gc(monkeypatch):
+    """Spies on ``ManagedRuntime._record_gc``: each runtime keeps its
+    collections as ``(kind, seconds, collected, live)`` tuples in order,
+    read back by :func:`_collections` -- one of the observables the
+    scalar and batched paths must agree on."""
+    record = ManagedRuntime._record_gc
+
+    def spying(self, kind, seconds, collected, live):
+        self.__dict__.setdefault("_spied_collections", []).append(
+            (kind, seconds, collected, live)
+        )
+        return record(self, kind, seconds, collected, live)
+
+    monkeypatch.setattr(ManagedRuntime, "_record_gc", spying)
+
+
+def _collections(runtime):
+    """The runtime's collections so far (see the ``record_gc`` spy)."""
+    return list(runtime.__dict__.get("_spied_collections", ()))
+
+
 def _v8_compacting(name):
     return V8Runtime(name, V8Config(compact_on_reclaim=True))
 
@@ -208,13 +230,8 @@ def _drive(runtime):
     stats = runtime.heap_stats()
     log.append(("heap", stats.committed, stats.used, stats.live_estimate))
     log.append(("uss", runtime.uss(), runtime.heap_resident_bytes(), runtime.live_bytes()))
-    log.append(
-        (
-            "gc",
-            len(runtime.gc_events),
-            [(e.kind, e.seconds, e.collected_bytes, e.live_bytes) for e in runtime.gc_events],
-        )
-    )
+    collections = _collections(runtime)
+    log.append(("gc", len(collections), collections))
     log.append(("faults", runtime.space.faults.minor, runtime.space.faults.major))
     return log
 
@@ -247,7 +264,7 @@ def _observe(runtime):
     return (
         runtime.invocation_fault_seconds,
         runtime.total_gc_seconds,
-        [(e.kind, e.seconds, e.collected_bytes, e.live_bytes) for e in runtime.gc_events],
+        _collections(runtime),
         (stats.committed, stats.used, stats.live_estimate),
         (runtime.uss(), runtime.heap_resident_bytes(), runtime.live_bytes()),
         (runtime.space.faults.minor, runtime.space.faults.major),
@@ -561,7 +578,7 @@ class TestStreamTraps:
                     ("frame", unit, 5),
                 ]
             )
-            log = [(members, frame), rt.gc_events[:], _observe(rt)]
+            log = [(members, frame), _collections(rt), _observe(rt)]
             rt.end_invocation()
             rt.collect(full=False)
             log.append(_observe(rt))
@@ -574,7 +591,7 @@ class TestStreamTraps:
         # members together; the overflow member scavenged with itself
         # still live (the placement guard) and its segment's ephemerals dead.
         assert spy["segments"][0] == ("frame", unit, 2 * frame, members - 2 * frame)
-        assert [(e.kind, e.collected_bytes, e.live_bytes) for e in events] == [
+        assert [(kind, collected, live) for kind, _, collected, live in events] == [
             ("young", (members - 2 * frame) * unit, (2 * frame + 1) * unit)
         ]
 
@@ -583,7 +600,7 @@ class TestStreamTraps:
             rt.begin_invocation()
             to_free = rt._to.free
             rt.alloc_stream(_interleaved(random.Random(7), 1 * MIB, 800 * KIB, 16 * KIB))
-            log = [to_free, rt.gc_events[:]]
+            log = [to_free, _collections(rt)]
             rt.collect(full=False)  # frame survivors fill `to`, the rest promote
             log.append(_observe(rt))
             rt.end_invocation()

@@ -126,12 +126,13 @@ class TestCorruption:
 
 
 class TestEarlierBuildCaptures:
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 3])
     def test_earlier_schema_refused(self, tmp_path, schema):
         """Schema-1 captures hold ``pos`` cursors into a different epoch
-        grid, and schema-2 captures pickle object-graph nodes with an
-        edge slot: an intact one still fails by name, before any pickle
-        byte runs."""
+        grid, schema-2 captures pickle object-graph nodes with an edge
+        slot, and schema-3 captures pickle an open archive segment's
+        lines: an intact one still fails by name, before any pickle byte
+        runs."""
         path = tmp_path / "earlier-build.ckpt"
         payload = pickle.dumps({"x": 1}, protocol=checkpoint.PICKLE_PROTOCOL)
         _write_payload(path, payload, {"fastpath": True, "check": ""}, schema=schema)

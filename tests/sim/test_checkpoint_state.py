@@ -237,14 +237,14 @@ class TestArchiveWriterState:
     def test_open_segment_rewrite_is_byte_identical(self, tmp_path):
         straight = ArchiveWriter(tmp_path / "straight", bucket_seconds=2.0)
         self._fill(straight, self.LINES)
-        straight.close(manifest=False)
+        straight.close()
 
         interrupted = ArchiveWriter(tmp_path / "interrupted", bucket_seconds=2.0)
         self._fill(interrupted, self.LINES[:3])  # mid-open-segment
         blob = pickle.dumps(interrupted, protocol=checkpoint.PICKLE_PROTOCOL)
         restored = pickle.loads(blob)  # rewrites the open segment on unpickle
         self._fill(restored, self.LINES[3:])
-        restored.close(manifest=False)
+        restored.close()
 
         names = sorted(
             p.name for p in (tmp_path / "straight").glob("seg-*")
@@ -258,11 +258,20 @@ class TestArchiveWriterState:
             b = (tmp_path / "interrupted" / name).read_bytes()
             assert a == b, name
 
-    def test_restored_writer_input_digest_is_marked_invalid(self, tmp_path):
+    def test_open_segment_pickles_its_payload_bytes(self, tmp_path):
+        """An open segment pickles the payload it has written, recovered
+        from its file and compressor, not a list of lines; the restored
+        writer closes with the footers an uninterrupted writer returns."""
+        straight = ArchiveWriter(tmp_path / "straight", bucket_seconds=2.0)
+        self._fill(straight, self.LINES[:2])
         writer = ArchiveWriter(tmp_path / "arch", bucket_seconds=2.0)
         self._fill(writer, self.LINES[:2])
-        assert writer._input_sha_valid
+        state = writer._open[0].__getstate__()
+        assert state["payload"] == b"".join(
+            line.encode("utf-8") + b"\n" for _, _, line in self.LINES[:2]
+        )
+        assert "lines" not in state
         restored = pickle.loads(pickle.dumps(writer))
-        assert not restored._input_sha_valid
-        restored.close(manifest=False)
+        writer._open[0].raw.close()  # the restored copy owns the file now
+        assert restored.close() == straight.close()
 

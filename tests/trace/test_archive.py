@@ -18,6 +18,9 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import pickle
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,22 +32,23 @@ from repro.check import (
     check_digest_composition,
     check_trace_archive,
 )
+from repro.sim import checkpoint
 from repro.sim.shard import merge_trace_lines, sha256_lines
 from repro.trace.archive import (
     ARCHIVE_SCHEMA,
     MANIFEST_NAME,
     ArchiveReader,
     ArchiveWriter,
+    _OpenSegment,
     bucket_of,
     finalize_archive,
     gzip_member,
-    open_deterministic_gzip,
     pack,
     parse_segment_name,
     segment_name,
 )
 from repro.trace.encode import ID_KEYS, encode_line
-from tests.oracles import reference_merge_trace_lines
+from tests.oracles import reference_merge_trace_lines, reference_segment_bytes
 
 # ------------------------------------------------------------- fixtures
 
@@ -71,14 +75,31 @@ def _canonical(events):
 
 
 def _write_archive(root, lines, bucket_seconds=10.0):
+    """One writer archives ``lines``; ``finalize_archive`` stamps the
+    manifest from its footers.  Returns the composed count and digest."""
     writer = ArchiveWriter(root, bucket_seconds=bucket_seconds)
     for line in lines:
         record = json.loads(line)
         writer.add(record["t"], record["node"], line)
-    return writer.close(manifest=True)
+    events, sha = finalize_archive(root, footers=writer.close()["segments"])
+    return {"events": events, "sha256": sha}
 
 
 EVENTS = [(float(step % 37) + 0.25 * (step % 4), step % 5) for step in range(400)]
+
+
+def _noisy_entries(count, seed, node=3):
+    """``count`` ``(t, line)`` pairs of one node, 1 ms apart, each with
+    random hex in its payload: they compress poorly, so a segment of a
+    few thousand spans many compressed blocks."""
+    rng = random.Random(seed)
+    maps = {key: {} for key in ID_KEYS}
+    entries = []
+    for seq in range(count):
+        t = round(seq * 0.001, 9)
+        data = {"blob": f"{rng.getrandbits(128):032x}"}
+        entries.append((t, encode_line(seq, t, node, "step", data, maps)))
+    return entries
 
 
 @pytest.fixture(scope="module")
@@ -131,15 +152,6 @@ class TestGzipDeterminism:
         data = b"x" * 10_000
         assert gzip_member(data) == gzip_member(data)
 
-    def test_open_deterministic_gzip_writes_pinned_header(self, tmp_path):
-        path = tmp_path / "out.gz"
-        with open_deterministic_gzip(path, "wb") as handle:
-            handle.write(b"hello\n")
-        raw = path.read_bytes()
-        assert raw[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
-        with open_deterministic_gzip(path, "rt") as handle:
-            assert handle.read() == "hello\n"
-
     def test_archives_identical_across_runs(self, tmp_path, stream):
         _write_archive(tmp_path / "a", stream)
         _write_archive(tmp_path / "b", stream)
@@ -170,7 +182,7 @@ class TestGzipDeterminism:
                 record["t"], record["node"], line
             )
         for writer in writers:
-            writer.close(manifest=False)
+            writer.close()
         finalize_archive(root)
 
         names = sorted(p.name for p in reference.iterdir())
@@ -179,6 +191,119 @@ class TestGzipDeterminism:
             assert (root / name).read_bytes() == (
                 reference / name
             ).read_bytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    count=st.integers(min_value=1, max_value=2500),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_segment_framing_matches_gzipfile(tmp_path_factory, count, seed, data):
+    """However the payload reaches a segment -- single lines, batches,
+    a pickle/unpickle of the half-written segment (a checkpoint and its
+    restore) -- the file is byte-identical to the ``GzipFile``-framed
+    reference fed the same payload in any other chunking."""
+    entries = _noisy_entries(count, seed)
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=12)))
+    pickle_after = data.draw(st.none() | st.integers(0, len(cuts)))
+    path = tmp_path_factory.mktemp("seg") / segment_name(0, 3)
+    segment = _OpenSegment(path, 0, 3)
+    bounds = [0, *cuts, count]
+    for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        run = entries[lo:hi]
+        if len(run) == 1:
+            segment.write(*run[0])
+        elif run:
+            segment.write_many(run)
+        if index == pickle_after:
+            blob = pickle.dumps(segment, protocol=checkpoint.PICKLE_PROTOCOL)
+            segment.raw.close()
+            segment = pickle.loads(blob)  # rewrites the file
+    footer = segment.close(10.0)
+
+    payload = b"".join(line.encode("utf-8") + b"\n" for _, line in entries)
+    splits = sorted(data.draw(st.lists(st.integers(0, len(payload)), max_size=12)))
+    chunks = [payload[a:b] for a, b in zip([0, *splits], [*splits, len(payload)])]
+    stamped = {k: v for k, v in footer.items() if k not in ("name", "compressed_bytes")}
+    footer_line = json.dumps(stamped, sort_keys=True, separators=(",", ":")) + "\n"
+    expected = reference_segment_bytes(chunks, footer_line.encode("utf-8"))
+    assert path.read_bytes() == expected
+    assert footer["compressed_bytes"] == len(expected)
+
+
+class TestBoundedMemory:
+    def test_open_segment_holds_no_per_line_objects(self, tmp_path):
+        """Writing 10,000 lines into an open segment allocates nothing
+        that stays: the compressor, the hash and the file buffer exist
+        before the first line."""
+        entries = _noisy_entries(10_000, seed=5)
+        segment = _OpenSegment(tmp_path / segment_name(0, 3), 0, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t, line in entries:
+                segment.write(t, line)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert segment.close(10.0)["events"] == 10_000
+        assert held < 64 * 1024, held
+
+    @staticmethod
+    def _one_bucket(root, per_node):
+        """Four nodes' ``per_node`` lines in one 600 s bucket, written by
+        two writers; returns the footers they ship."""
+        writers = [ArchiveWriter(root, bucket_seconds=600.0) for _ in range(2)]
+        for node in range(4):
+            for t, line in _noisy_entries(per_node, seed=node, node=node):
+                writers[node % 2].add(t, node, line)
+        return [footer for writer in writers for footer in writer.close()["segments"]]
+
+    def test_finalize_peak_does_not_grow_with_the_bucket(self, tmp_path):
+        """Composing a bucket four times as long peaks within a fixed
+        margin of the short one: a reader holds one block per segment and
+        the hash one digest chunk, not the bucket's lines."""
+        peaks = []
+        for scale in (1, 4):
+            root = tmp_path / f"x{scale}"
+            footers = self._one_bucket(root, 1500 * scale)
+            tracemalloc.start()
+            try:
+                finalize_archive(root, footers=footers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 128 * 1024, peaks
+
+    @pytest.mark.parametrize("damage", ["flip-late", "truncate-mid"])
+    def test_damage_past_the_first_block_fails_by_name(self, tmp_path, damage):
+        """A segment damaged far past its first block, after lines have
+        already streamed into the merge, still fails every reader with a
+        message that starts with its name."""
+        root = tmp_path / "arc"
+        footers = self._one_bucket(root, 3000)
+        victim = root / segment_name(0, 1)
+        blob = bytearray(victim.read_bytes())
+        assert len(blob) > 16 * 2048
+        if damage == "truncate-mid":
+            del blob[len(blob) // 2 :]
+        else:
+            # Late in the payload's deflate stream: the footer member
+            # and the payload trailer take the last ~200 bytes.
+            blob[len(blob) - 512] ^= 0x01
+        victim.write_bytes(bytes(blob))
+        reader = ArchiveReader(root, bucket_seconds=600.0)
+        for read in (
+            lambda: finalize_archive(root, footers=footers),
+            lambda: list(reader.iter_window()),
+            reader.compose,
+        ):
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value).startswith(victim.name), str(caught.value)
+        problems = ArchiveReader(root).verify()
+        assert any(problem.startswith(victim.name) for problem in problems), problems
 
 
 # ---------------------------------------------------------- composition
@@ -250,7 +375,7 @@ class TestComposition:
         for line in stream:
             record = json.loads(line)
             writer.add(record["t"], record["node"], line)
-        writer.close(manifest=False)
+        writer.close()
         finalize_archive(b)
         assert (a / "MANIFEST.json").read_bytes() == (
             b / "MANIFEST.json"
@@ -334,7 +459,7 @@ def test_pack_window_concat_is_byte_identical(tmp_path_factory, events, shards, 
         record = json.loads(line)
         writers[record["node"] % shards].add(record["t"], record["node"], line)
     for writer in writers:
-        writer.close(manifest=False)
+        writer.close()
     events_count, sha = finalize_archive(root)
     assert (events_count, sha) == sha256_lines(stream)
 
@@ -388,7 +513,7 @@ class TestWriterContract:
             writer.add(record["t"], record["node"], line)
             if index % 17 == 0:
                 writer.flush()  # epoch-barrier hook: raw flush only
-        writer.close(manifest=True)
+        finalize_archive(flushed, footers=writer.close()["segments"])
         for path in sorted(plain.iterdir()):
             assert (flushed / path.name).read_bytes() == path.read_bytes()
 
@@ -461,7 +586,7 @@ def _sharded_writer_footers(root, stream, shards=2):
         writers[record["node"] % shards].add(record["t"], record["node"], line)
     footers = []
     for writer in writers:
-        summary = writer.close(manifest=False)
+        summary = writer.close()
         footers.extend(summary["segments"])
     return footers
 
@@ -542,7 +667,7 @@ class TestTwoWriterComposition:
                 writers[node % 2].add(t, node, line)
         footers = []
         for writer in writers.values():
-            footers.extend(writer.close(manifest=False)["segments"])
+            footers.extend(writer.close()["segments"])
         return streams, footers
 
     def test_finalize_matches_oracle_merge(self, tmp_path):
@@ -628,3 +753,32 @@ class TestTwoWriterComposition:
             finalize_archive(root)
         with pytest.raises(ValueError, match=named):
             ArchiveReader(root, bucket_seconds=10.0).read_segment(victim.name)
+
+    @pytest.mark.parametrize(
+        "framing, named",
+        [
+            ("third-member", "data after the footer member"),
+            ("unterminated-payload", "payload ends inside a line"),
+        ],
+    )
+    def test_misframed_segment_fails_by_name(self, tmp_path, framing, named):
+        """A segment is exactly a newline-terminated payload member and a
+        footer member: anything else fails by name, not by misreading a
+        payload line as the footer or a footer line as payload."""
+        root = tmp_path / "arc"
+        self._archive(root)
+        victim = root / segment_name(0, 1)
+        with gzip.open(victim, "rb") as handle:
+            payload, footer = handle.read().rsplit(b"\n", 2)[:2]
+        if framing == "third-member":
+            members = [payload + b"\n", footer + b"\n", b"extra\n"]
+        else:
+            members = [payload, footer + b"\n"]
+        victim.write_bytes(b"".join(gzip_member(member) for member in members))
+        reader = ArchiveReader(root, bucket_seconds=10.0)
+        with pytest.raises(ValueError, match=rf"^{victim.name}: {named}"):
+            reader.read_segment(victim.name)
+        assert any(
+            problem.startswith(f"{victim.name}: {named}")
+            for problem in reader.verify()
+        )
