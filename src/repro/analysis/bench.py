@@ -30,7 +30,6 @@ Entry points:
 from __future__ import annotations
 
 import cProfile
-import hashlib
 import json
 import os
 import pstats
@@ -151,8 +150,8 @@ def _archive_metrics(archive_dir: str, flat_path: str) -> Dict[str, object]:
     throughput, and times a 1% time-slice windowed read (the archive's
     headline access pattern) including full footer verification.
     """
+    from repro.sim.shard import sha256_lines
     from repro.trace.archive import ArchiveReader, pack
-    from repro.trace.replay import TraceWindow
 
     manifest = ArchiveReader(archive_dir).manifest
     compressed = manifest["compressed_bytes"]
@@ -180,16 +179,20 @@ def _archive_metrics(archive_dir: str, flat_path: str) -> Dict[str, object]:
     t_min, t_max = manifest["t_min"], manifest["t_max"]
     if t_min is not None and t_max is not None and t_max > t_min:
         span = t_max - t_min
-        window = TraceWindow(
-            t_start=t_min + 0.495 * span, t_end=t_min + 0.505 * span
-        )
         t0 = time.perf_counter()
-        result = window.read(archive_dir)
+        reader = ArchiveReader(archive_dir)
+        events, _ = sha256_lines(
+            reader.iter_window(
+                t_start=t_min + 0.495 * span,
+                t_end=t_min + 0.505 * span,
+                verify=True,
+            )
+        )
         metrics["archive_window_read_ms"] = round(
             (time.perf_counter() - t0) * 1e3, 3
         )
-        metrics["archive_window_events"] = result.events
-        metrics["archive_window_segments_read"] = len(result.segments_read)
+        metrics["archive_window_events"] = events
+        metrics["archive_window_segments_read"] = len(reader.segments_read)
     return metrics
 
 
@@ -330,9 +333,7 @@ def _run_replay(spec: BenchSpec) -> Dict[str, object]:
         }
         if trace_path is not None:
             metrics["trace_events"] = result.trace_events
-            metrics["trace_sha256"] = hashlib.sha256(
-                Path(trace_path).read_bytes()
-            ).hexdigest()
+            metrics["trace_sha256"] = result.trace_sha256
         if spec.archive:
             metrics.update(_archive_metrics(archive_dir, trace_path))
         return metrics

@@ -37,7 +37,6 @@ __all__ = export(
             "Violation",
             "check_archive_writer",
             "check_checkpoint",
-            "check_digest_composition",
             "check_file",
             "check_instance",
             "check_mapping",

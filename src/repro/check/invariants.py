@@ -630,7 +630,7 @@ def check_trace_archive(root, against_sha256: Optional[str] = None) -> None:
     """
     from repro.trace.archive import ArchiveReader
 
-    problems = ArchiveReader(root).verify(against_sha256=against_sha256)
+    _, _, problems = ArchiveReader(root).verify(against_sha256=against_sha256)
     if problems:
         _violate("archive-verify", f"archive {root}", "; ".join(problems))
 
@@ -691,30 +691,3 @@ def check_segment_manifest(
     if problems:
         _violate("segment-manifest", "trace archive", "; ".join(problems))
 
-
-def check_digest_composition(
-    flat_events: int,
-    flat_sha256: str,
-    archive_events: int,
-    archive_sha256: str,
-) -> None:
-    """The composition rule itself: the archive's composed per-segment
-    digest must equal the flat whole-run witness, event for event.
-
-    * **archive-digest-composition** -- counts or digests diverge
-      between the flat JSONL merge and the composed archive.
-    """
-    if flat_events != archive_events:
-        _violate(
-            "archive-digest-composition",
-            "trace",
-            f"flat merge saw {flat_events} events but the archive "
-            f"composed {archive_events}",
-        )
-    if flat_sha256 != archive_sha256:
-        _violate(
-            "archive-digest-composition",
-            "trace",
-            f"flat sha256 {flat_sha256[:12]} != composed archive "
-            f"sha256 {archive_sha256[:12]}",
-        )

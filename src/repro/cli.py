@@ -174,7 +174,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 # A refused checkpoint names its invariant: ``[checkpoint-...]``.
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            stats = result.stats
             if result.checkpoints:
                 print(
                     f"captured {len(result.checkpoints)} checkpoints in "
@@ -206,13 +205,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     f"{result.epochs} epochs)",
                     file=sys.stderr,
                 )
-            if archive_dir is not None:
-                print(
-                    f"archived {result.archive_events} events to "
-                    f"{archive_dir} (composed sha256 "
-                    f"{result.archive_sha256[:16]})",
-                    file=sys.stderr,
-                )
         else:
             config = ReplayConfig(
                 scale_factor=args.scale_factor,
@@ -224,19 +216,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 archive_bucket_seconds=args.bucket_seconds,
             )
             result = replay(factories[policy], config, generator)
-            stats = result.stats
             if trace_path is not None:
                 print(
-                    f"wrote {result.trace_events} events to {trace_path}",
+                    f"wrote {result.trace_events} events to {trace_path} "
+                    f"(sha256 {result.trace_sha256[:16]})",
                     file=sys.stderr,
                 )
-            if archive_dir is not None:
-                print(
-                    f"archived {result.archive_events} events to "
-                    f"{archive_dir} (composed sha256 "
-                    f"{result.archive_sha256[:16]})",
-                    file=sys.stderr,
-                )
+        stats = result.stats
+        if archive_dir is not None:
+            print(
+                f"archived {result.trace_events} events to {archive_dir} "
+                f"(composed sha256 {result.trace_sha256[:16]})",
+                file=sys.stderr,
+            )
         rows.append(
             [
                 stats.policy,
@@ -324,12 +316,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 _, against = sha256_lines(
                     line.rstrip("\n") for line in handle if line.rstrip("\n")
                 )
-        problems = reader.verify(against_sha256=against)
+        events, sha, problems = reader.verify(against_sha256=against)
         for problem in problems:
             print(f"PROBLEM {problem}", file=sys.stderr)
         if problems:
             return 1
-        events, sha = reader.compose(verify=False)
         suffix = f", matches {args.against}" if args.against else ""
         print(
             f"{args.archive}: {len(reader.segments())} segments, "

@@ -360,15 +360,13 @@ class ClusterShardHost:
     def reopen_outputs(self) -> None:
         """Re-attach streamed outputs after a checkpoint restore.
 
-        Trace and telemetry streams are truncated back to their barrier
-        offsets and reopened for append.  Archive segments the previous
-        life closed *after* the barrier are pruned: their ``(bucket,
-        node)`` cells are absent from the restored writer's bookkeeping,
-        so leaving the files behind would poison the shared root with
-        orphans no footer accounts for.
+        Telemetry streams are truncated back to their barrier offsets and
+        reopened for append.  Archive segments the previous life closed
+        *after* the barrier are pruned: their ``(bucket, node)`` cells
+        are absent from the restored writer's bookkeeping, so leaving the
+        files behind would poison the shared root with orphans no footer
+        accounts for.
         """
-        for sink in self._sinks.values():
-            sink.reopen_outputs()
         for recorder in self._recorders.values():
             recorder.reopen_outputs()
         if self._archive is not None:
@@ -436,7 +434,6 @@ class ClusterShardHost:
                     platform.bus,
                     node=node_id,
                     normalize_seq=True,
-                    store=False,
                     archive=self._archive,
                 )
         elif name == "stop-trace":

@@ -59,11 +59,10 @@ and write them as segments of one shared archive root
 (:mod:`repro.trace.archive`): per-node records do not depend on which
 process or kernel hosted the node.  The coordinator's
 :func:`~repro.trace.archive.finalize_archive` merges each bucket's
-per-node segments into one stream ordered by ``(t, node, seq)`` (the
-order :func:`merge_trace_lines` gives flat line streams) -- the same
-total order one kernel shared by every node produces -- so the merged
-trace's SHA-256 is byte-identical to the serial twin's for any shard
-count.
+per-node segments into one stream ordered by ``(t, node, seq)`` -- the
+same total order one kernel shared by every node produces -- so the
+merged trace's SHA-256 is byte-identical to the serial twin's for any
+shard count.
 
 The serial twin of a sharded run is an inline pool with one shard
 holding every node.
@@ -72,15 +71,13 @@ holding every node.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import multiprocessing
 import traceback
 from itertools import islice
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import procenv
 from repro.sim import checkpoint, wire
-from repro.trace.encode import line_key
 
 __all__ = [
     "ShardWorkerError",
@@ -90,7 +87,6 @@ __all__ = [
     "dispatch",
     "run_window",
     "epoch_horizons",
-    "merge_trace_lines",
     "sha256_lines",
 ]
 
@@ -506,26 +502,7 @@ def epoch_horizons(
     return horizons
 
 
-# ------------------------------------------------------------------- merge
-
-
-def merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
-    """Merge per-shard JSONL trace streams into one canonical stream.
-
-    Each source must already be sorted by ``(t, node, seq)`` -- true of
-    any single-node sink, and of any previously merged stream.  The
-    merged order is the global event order a shared serial kernel
-    produces: time-major, with same-time events from different nodes
-    ordered by node id and ``seq`` breaking ties within a node.  Keys
-    are unique (``seq`` is dense per node), so the merge is a total
-    order independent of how records were partitioned across sources.
-
-    One streaming ``heapq.merge`` keyed by
-    :func:`repro.trace.encode.line_key`, which reads the key off each
-    line's envelope (``json.loads`` only for lines it cannot read);
-    memory holds one pending line per source.
-    """
-    return heapq.merge(*sources, key=line_key)
+# ------------------------------------------------------------------ digest
 
 
 #: Lines per SHA-256 / write hand-off in :func:`sha256_lines`.

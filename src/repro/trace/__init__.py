@@ -24,8 +24,6 @@ __all__ = export(
         "repro.trace.replay": (
             "ReplayConfig",
             "ReplayResult",
-            "TraceWindow",
-            "WindowResult",
             "replay",
         ),
         "repro.trace.stats": ("ReplayStats", "percentile"),

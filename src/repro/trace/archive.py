@@ -145,6 +145,9 @@ _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
 #: Compressed bytes per read when a reader inflates a segment.
 _BLOCK_BYTES = 2048
 
+#: Parsed lines :func:`pack` hands the writer per call.
+_PACK_CHUNK_LINES = 1024
+
 
 def _deflater():
     """A raw-deflate compressor at the pinned level, as ``GzipFile`` makes."""
@@ -208,13 +211,6 @@ class _OpenSegment:
         self.crc = zlib.crc32(data, self.crc)
         self.sha.update(data)
         self.payload_bytes += len(data)
-
-    def write(self, t: float, line: str) -> None:
-        self._append(line.encode("utf-8") + b"\n")
-        self.events += 1
-        if self.t_min is None:
-            self.t_min = t
-        self.t_max = t
 
     def write_many(self, entries: Sequence[Tuple[float, str]]) -> None:
         """Append ``(t, line)`` pairs: one compressor write, one hash
@@ -341,25 +337,15 @@ class ArchiveWriter:
             )
         return segment
 
-    def add(self, t: float, node: int, line: str) -> None:
-        """Append one record line for ``node`` at simulated time ``t``."""
-        if self._closed_flag:
-            raise ValueError("archive writer is closed")
-        segment = self._segment_for(t, node, bucket_of(t, self.bucket_seconds))
-        segment.write(t, line)
-        self.events += 1
-
     def add_many(self, items: Sequence[Tuple[float, int, str]]) -> None:
         """Append a chunk of ``(t, node, line)`` records in one call.
 
-        The batched sibling of :meth:`add` for chunk-draining sinks
-        (:class:`repro.sim.trace.EventTraceSink`'s fast path): items are
-        grouped into maximal same-``(node, bucket)`` runs, each run hits
-        its segment with one compressor write and one SHA-256 update.  The
-        bytes produced -- segment payloads and footers -- are identical to
-        ``len(items)`` individual :meth:`add` calls; so are the
-        monotonicity and closed-bucket errors (checked per run *before*
-        writing it).
+        Items are grouped into maximal same-``(node, bucket)`` runs, and
+        each run hits its segment with one compressor write and one
+        SHA-256 update.  The bytes produced -- segment payloads and
+        footers -- do not depend on how the records were chunked.
+        Per-node time monotonicity and closed buckets are checked per run
+        *before* writing it.
         """
         if self._closed_flag:
             raise ValueError("archive writer is closed")
@@ -584,10 +570,6 @@ class ArchiveReader:
 
     # ---------------------------------------------------------- addressing
 
-    def segment_for(self, t: float, node: int) -> str:
-        """The filename holding ``(t, node)`` -- pure computation."""
-        return segment_name(bucket_of(t, self.bucket_seconds), node)
-
     def segments(self) -> List[SegmentInfo]:
         """Existing segments, sorted by ``(bucket, node)`` -- a directory
         scan, not a catalog read."""
@@ -808,15 +790,19 @@ class ArchiveReader:
 
     # ------------------------------------------------------------ verifying
 
-    def verify(self, against_sha256: Optional[str] = None) -> List[str]:
-        """Full integrity sweep; returns problems (empty == verified).
+    def verify(
+        self, against_sha256: Optional[str] = None
+    ) -> Tuple[int, str, List[str]]:
+        """Full integrity sweep: ``(events, sha256, problems)``.
 
         One pass checks every segment against its footer (digest, count,
         time range, addressing); a second composes the segments that
         passed -- one that failed stays out, its lines may not even key
         -- and checks the composed whole-archive digest against the
         manifest and, optionally, an external expectation (the flat-file
-        twin's SHA-256).  The composition is hashed in 1024-line chunks.
+        twin's SHA-256).  The composition is hashed in 1024-line chunks,
+        and its event count and digest are returned with the problems
+        (an empty list == verified).
         """
         from repro.sim.shard import sha256_lines
 
@@ -849,7 +835,7 @@ class ArchiveReader:
                 f"composed digest {composed[:12]} != expected "
                 f"{against_sha256[:12]}"
             )
-        return problems
+        return events, composed, problems
 
 
 # ------------------------------------------------------------- packing
@@ -881,6 +867,7 @@ def pack(
     from repro.sim.shard import sha256_lines
 
     writer = ArchiveWriter(root, bucket_seconds=bucket_seconds)
+    chunk: List[Tuple[float, int, str]] = []
 
     def archived(handle: IO[str]) -> Iterator[str]:
         for line in handle:
@@ -890,17 +877,22 @@ def pack(
             # Parsed in full, not keyed off the envelope: the file comes
             # from outside, and a malformed line must fail here.
             record = json.loads(line)
-            writer.add(record["t"], record["node"], line)
+            chunk.append((record["t"], record["node"], line))
+            if len(chunk) >= _PACK_CHUNK_LINES:
+                writer.add_many(chunk)
+                chunk.clear()
             yield line
 
     with open(jsonl_path, "r", encoding="utf-8") as handle:
         flat = sha256_lines(archived(handle))
-    finalize_archive(root, footers=writer.close()["segments"])
+    writer.add_many(chunk)
+    finalize_archive(root, bucket_seconds, footers=writer.close()["segments"])
     return flat
 
 
 def finalize_archive(
     root: str | Path,
+    bucket_seconds: Optional[float] = None,
     footers: Optional[Sequence[Dict[str, object]]] = None,
     event_trace_path: Optional[str | Path] = None,
     verify: bool = True,
@@ -913,6 +905,10 @@ def finalize_archive(
     once: it streams the canonical composition, writes the manifest, and
     returns ``(events, sha256)``.  Running it on a finalized archive is a
     no-op rewrite of identical bytes.
+
+    ``bucket_seconds`` is the width the writers wrote with, which the
+    manifest records even when no segment was written.  Without it the
+    width is read from the archive: its manifest, else a segment footer.
 
     Without ``footers`` every segment is re-read and fully verified
     before composing (two passes over the archive).  With ``footers`` --
@@ -936,8 +932,8 @@ def finalize_archive(
     from repro.sim.shard import sha256_lines
 
     root = Path(root)
+    reader = ArchiveReader(root, bucket_seconds=bucket_seconds)
     if footers is None:
-        reader = ArchiveReader(root)
         footers = []
         for info in reader.segments():
             footer = reader.read_footer(info.name, verify=True)
@@ -947,12 +943,6 @@ def finalize_archive(
         stream_verify = False  # everything above was just verified
     else:
         footers = sorted(footers, key=lambda f: (f["bucket"], f["node"]))
-        reader = ArchiveReader(
-            root,
-            bucket_seconds=(
-                float(footers[0]["bucket_seconds"]) if footers else None
-            ),
-        )
         stream_verify = verify
     handle = None
     if event_trace_path is not None:

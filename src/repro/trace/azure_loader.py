@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.trace import statcache
 from repro.workloads.model import FunctionDefinition
 from repro.workloads.registry import all_definitions
 
@@ -52,20 +51,7 @@ class AzureFunctionRow:
 
 
 def load_invocation_counts(path: str | Path) -> List[AzureFunctionRow]:
-    """Parse an ``invocations_per_function`` CSV.
-
-    Parses are memoized per file identity (``(path, mtime, size)`` via
-    :mod:`repro.trace.statcache`), so bench suites and checkpoint-restore
-    arrival regeneration stop re-parsing the same CSV per leg; an edited
-    or replaced file re-parses.  Returns a fresh list each call (the rows
-    themselves are frozen and shared).
-    """
-    return list(
-        statcache.cached_parse(path, _parse_invocation_counts, tag="azure-inv")
-    )
-
-
-def _parse_invocation_counts(path: Path) -> List[AzureFunctionRow]:
+    """Parse an ``invocations_per_function`` CSV."""
     rows: List[AzureFunctionRow] = []
     with Path(path).open(newline="") as handle:
         reader = csv.DictReader(handle)
@@ -95,17 +81,7 @@ def _parse_invocation_counts(path: Path) -> List[AzureFunctionRow]:
 
 
 def load_average_durations(path: str | Path) -> Dict[str, float]:
-    """Parse a ``function_durations_percentiles`` CSV into key -> avg ms.
-
-    Memoized per file identity exactly like :func:`load_invocation_counts`;
-    returns a fresh dict each call.
-    """
-    return dict(
-        statcache.cached_parse(path, _parse_average_durations, tag="azure-dur")
-    )
-
-
-def _parse_average_durations(path: Path) -> Dict[str, float]:
+    """Parse a ``function_durations_percentiles`` CSV into key -> avg ms."""
     durations: Dict[str, float] = {}
     with Path(path).open(newline="") as handle:
         reader = csv.DictReader(handle)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.baselines import MemoryManager
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request
@@ -28,45 +29,18 @@ from repro.trace.generator import TraceGenerator
 from repro.trace.stats import ReplayStats, percentile
 
 
-@dataclass(frozen=True)
-class TraceWindow:
-    """A ``[t_start, t_end) x nodes`` slice of a segmented trace archive.
-
-    Passed to a replay config alongside ``archive_dir``, the window is
-    range-read back from the finished archive -- touching only the
-    segments it addresses -- and the result carries the slice's event
-    count, digest, and the exact list of segments read (the I/O witness).
-    """
-
-    t_start: Optional[float] = None
-    t_end: Optional[float] = None
-    nodes: Optional[tuple[int, ...]] = None
-
-    def read(self, archive_dir: str | Path) -> "WindowResult":
-        from repro.sim.shard import sha256_lines
-        from repro.trace.archive import ArchiveReader
-
-        reader = ArchiveReader(archive_dir)
-        events, sha = sha256_lines(
-            reader.iter_window(
-                t_start=self.t_start,
-                t_end=self.t_end,
-                nodes=self.nodes,
-                verify=True,
-            )
-        )
-        return WindowResult(
-            events=events, sha256=sha, segments_read=list(reader.segments_read)
-        )
-
-
-@dataclass
-class WindowResult:
-    """What a :class:`TraceWindow` read back from the archive."""
-
-    events: int
-    sha256: str
-    segments_read: List[str]
+@contextmanager
+def _archive_root(root: Optional[str | Path]) -> Iterator[Path]:
+    """``root`` as a path, or a temporary archive root when it is
+    ``None``, removed however the run ends."""
+    if root is not None:
+        yield Path(root)
+        return
+    temporary = Path(tempfile.mkdtemp(prefix="repro-trace-archive-"))
+    try:
+        yield temporary
+    finally:
+        shutil.rmtree(temporary, ignore_errors=True)
 
 
 @dataclass
@@ -79,21 +53,14 @@ class ReplayConfig:
     duration_seconds: float = 180.0
     platform: PlatformConfig = field(default_factory=PlatformConfig)
     trace_seed: int = 42
-    #: When set, stream a JSONL event trace of the *measurement* window
+    #: When set, write a JSONL event trace of the *measurement* window
     #: (warmup excluded) to this path.  See docs/EVENT_TRACE.md.
     event_trace_path: Optional[str | Path] = None
-    #: When set, additionally roll the measurement trace into a segmented
-    #: archive at this directory (docs/TRACE_ARCHIVE.md).
+    #: Keep the segmented archive the trace is written through at this
+    #: directory (docs/TRACE_ARCHIVE.md).  A run that sets only
+    #: ``event_trace_path`` writes through a temporary root.
     archive_dir: Optional[str | Path] = None
     archive_bucket_seconds: float = 60.0
-    #: Range-read this slice back from the archive after the run
-    #: (requires ``archive_dir``).
-    window: Optional[TraceWindow] = None
-
-    def __post_init__(self) -> None:
-        # Refused here, not after the warmup has run.
-        if self.window is not None and self.archive_dir is None:
-            raise ValueError("window requires archive_dir")
 
 
 @dataclass
@@ -102,18 +69,12 @@ class ReplayResult:
 
     stats: ReplayStats
     platform: FaasPlatform
-    #: Measurement-window event count, filled for traced runs (the
-    #: trace itself is in ``event_trace_path`` or the archive).
+    #: Measurement-window event count and the SHA-256 of its trace as
+    #: composed from the archive -- the bytes of ``event_trace_path``.
+    #: ``0`` and ``None`` for an untraced run.
     trace_events: int = 0
-    #: ``None``: a single-platform replay computes no stream digest.  Its
-    #: trace digest is the SHA-256 of the ``event_trace_path`` file, or
-    #: ``archive_sha256``.  The field mirrors
-    #: :attr:`ClusterReplayResult.trace_sha256`, the merged digest.
     trace_sha256: Optional[str] = None
     archive_path: Optional[Path] = None
-    archive_events: int = 0
-    archive_sha256: Optional[str] = None
-    window: Optional[WindowResult] = None
 
 
 def replay(
@@ -121,7 +82,12 @@ def replay(
     config: Optional[ReplayConfig] = None,
     generator: Optional[TraceGenerator] = None,
 ) -> ReplayResult:
-    """Run warmup + measurement for one policy and scale factor."""
+    """Run warmup + measurement for one policy and scale factor.
+
+    A traced run writes the measurement window through an
+    :class:`~repro.trace.archive.ArchiveWriter` and composes the archive,
+    and the flat trace with it, as :func:`cluster_replay` does.
+    """
     config = config or ReplayConfig()
     generator = generator or TraceGenerator(seed=config.trace_seed)
     manager = manager_factory()
@@ -132,37 +98,29 @@ def replay(
     platform.run()
 
     platform.reset_metrics()
-    writer = None
-    if config.archive_dir is not None:
-        from repro.trace.archive import ArchiveWriter, finalize_archive
+    traced = config.event_trace_path is not None or config.archive_dir is not None
+    root_context = _archive_root(config.archive_dir) if traced else nullcontext()
+    trace_events, trace_sha256 = 0, None
+    with root_context as root:
+        if root is not None:
+            from repro.trace.archive import ArchiveWriter, finalize_archive
 
-        writer = ArchiveWriter(
-            config.archive_dir, bucket_seconds=config.archive_bucket_seconds
+            writer = ArchiveWriter(root, bucket_seconds=config.archive_bucket_seconds)
+            sink = EventTraceSink(platform.bus, archive=writer)
+        measure_start = max(platform.now, config.warmup_seconds)
+        measured = generator.arrivals(config.duration_seconds, config.scale_factor)
+        platform.submit(
+            [Request(arrival=measure_start + t, definition=d) for t, d in measured]
         )
-    sink = None
-    if config.event_trace_path is not None or writer is not None:
-        sink = EventTraceSink(
-            platform.bus, path=config.event_trace_path, store=False, archive=writer
-        )
-    measure_start = max(platform.now, config.warmup_seconds)
-    measured = generator.arrivals(config.duration_seconds, config.scale_factor)
-    platform.submit(
-        [Request(arrival=measure_start + t, definition=d) for t, d in measured]
-    )
-    outcomes = platform.run()
-    archive_events = 0
-    archive_sha256 = None
-    if sink is not None:
-        sink.detach()
-    if writer is not None:
-        archive_events, archive_sha256 = finalize_archive(
-            config.archive_dir, footers=writer.close()["segments"]
-        )
-    window = (
-        config.window.read(config.archive_dir)
-        if config.window is not None
-        else None
-    )
+        outcomes = platform.run()
+        if root is not None:
+            sink.detach()
+            trace_events, trace_sha256 = finalize_archive(
+                root,
+                config.archive_bucket_seconds,
+                footers=writer.close()["segments"],
+                event_trace_path=config.event_trace_path,
+            )
 
     stats = ReplayStats.from_platform(
         platform,
@@ -174,13 +132,11 @@ def replay(
     return ReplayResult(
         stats=stats,
         platform=platform,
-        trace_events=sink.count if sink is not None else 0,
+        trace_events=trace_events,
+        trace_sha256=trace_sha256,
         archive_path=(
             Path(config.archive_dir) if config.archive_dir is not None else None
         ),
-        archive_events=archive_events,
-        archive_sha256=archive_sha256,
-        window=window,
     )
 
 
@@ -221,9 +177,6 @@ class ClusterReplayConfig:
     #: finalizes from the shipped footers (docs/TRACE_ARCHIVE.md).
     archive_dir: Optional[str | Path] = None
     archive_bucket_seconds: float = 60.0
-    #: Range-read this slice back from the archive after the run
-    #: (requires ``archive_dir``).
-    window: Optional[TraceWindow] = None
     #: Stream per-node telemetry CSVs into this directory (flushed at
     #: every epoch barrier; identical bytes for every shard count).
     telemetry_dir: Optional[str | Path] = None
@@ -257,8 +210,6 @@ class ClusterReplayConfig:
         check_parameters(
             self.nodes, self.scheduler, self.epoch_seconds, self.window_epochs
         )
-        if self.window is not None and self.archive_dir is None:
-            raise ValueError("window requires archive_dir")
         if self.fork and self.resume_from is None:
             raise ValueError("fork requires resume_from")
         if self.checkpoint_every is not None and self.checkpoint_dir is None:
@@ -273,12 +224,11 @@ class ClusterReplayResult:
     per_node: Dict[int, dict]
     per_node_requests: List[int]
     trace_path: Optional[Path] = None
+    #: The merged trace's event count and SHA-256, composed from the
+    #: archive; ``0`` and ``None`` for an untraced run.
     trace_events: int = 0
     trace_sha256: Optional[str] = None
     archive_path: Optional[Path] = None
-    archive_events: int = 0
-    archive_sha256: Optional[str] = None
-    window: Optional[WindowResult] = None
     epochs: int = 0
     events: int = 0
     #: Coordination-cost accounting (see docs/BENCHMARKS.md):
@@ -387,26 +337,23 @@ def cluster_replay(
     # archive root shared by all workers (a temporary root when only the
     # flat trace was asked for); no trace record ever crosses the
     # coordination pipes.
-    ephemeral_archive = False
+    pinned_root: Optional[Path] = None
     if archiving:
-        archive_root: Optional[Path] = Path(config.archive_dir)
-    elif tracing:
-        if resume_meta is not None and resume_meta.get("archive_root"):
-            # Rewrite the capturing run's root: the restored hosts'
-            # open segments and shipped footers all point into it.
-            archive_root = Path(str(resume_meta["archive_root"]))
-        elif ckpt_dir is not None:
-            # Pin the root next to the checkpoints so a later resume
-            # still finds the segments closed before its barrier.
-            archive_root = ckpt_dir / "archive"
-        else:
-            archive_root = Path(tempfile.mkdtemp(prefix="repro-shard-archive-"))
-            ephemeral_archive = True
-    else:
-        archive_root = None
-    # From here on a temporary root is removed however the run ends,
-    # including a session that refuses to start.
-    try:
+        pinned_root = Path(config.archive_dir)
+    elif resume_meta is not None and resume_meta.get("archive_root"):
+        # Rewrite the capturing run's root: the restored hosts' open
+        # segments and shipped footers all point into it.
+        pinned_root = Path(str(resume_meta["archive_root"]))
+    elif ckpt_dir is not None:
+        # Pin the root next to the checkpoints so a later resume still
+        # finds the segments closed before its barrier.
+        pinned_root = ckpt_dir / "archive"
+    # A temporary root is removed however the run ends, including a
+    # session that refuses to start.
+    root_context = (
+        _archive_root(pinned_root) if tracing or archiving else nullcontext()
+    )
+    with root_context as archive_root:
         session = ShardedClusterSession(
             ClusterConfig(
                 nodes=config.nodes,
@@ -508,27 +455,18 @@ def cluster_replay(
         )
         trace_events = 0
         trace_sha256 = None
-        archive_events = 0
-        archive_sha256 = None
-        window = None
         if archive_root is not None:
             # Manifest-driven compose: the workers' shipped footers stand
             # in for the per-segment verify pre-pass, and the flat JSONL
             # twin (when asked for) is written during the same single
             # streaming pass.
-            composed_events, composed_sha = finalize_archive(
-                archive_root, footers=footers, event_trace_path=trace_path
+            trace_events, trace_sha256 = finalize_archive(
+                archive_root,
+                config.archive_bucket_seconds,
+                footers=footers,
+                event_trace_path=trace_path,
             )
-            check_segment_manifest(footers, composed_events)
-            if tracing:
-                trace_events, trace_sha256 = composed_events, composed_sha
-            if archiving:
-                archive_events, archive_sha256 = composed_events, composed_sha
-            if config.window is not None:
-                window = config.window.read(archive_root)
-    finally:
-        if ephemeral_archive:
-            shutil.rmtree(archive_root, ignore_errors=True)
+            check_segment_manifest(footers, trace_events)
 
     outcomes = [pair for node in sorted(nodes) for pair in nodes[node]["outcomes"]]
     latencies = sorted(latency for latency, _ in outcomes) or [0.0]
@@ -573,9 +511,6 @@ def cluster_replay(
         archive_path=(
             Path(config.archive_dir) if config.archive_dir is not None else None
         ),
-        archive_events=archive_events,
-        archive_sha256=archive_sha256,
-        window=window,
         epochs=epochs,
         events=events,
         round_trips=round_trips,

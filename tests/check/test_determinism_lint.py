@@ -27,9 +27,8 @@ nondeterminism sources:
   on an instance method keeps the bound instances alive *and* makes a
   computation's cost depend on invisible call history; module-level
   mutable cache containers carry state across legs that a replayed run
-  cannot see.  The one module-level cache is ``trace/statcache.py``
-  (keyed by file stamp, reset per leg); everything else caches per
-  object, keyed on version counters.
+  cannot see.  No module is exempt: every cache lives on an object,
+  keyed on version counters.
 """
 
 from __future__ import annotations
@@ -67,11 +66,6 @@ PICKLE_EXEMPT = {"sim/checkpoint.py", "sim/wire.py"}
 #: ``tests/trace/test_encode.py`` pins.  An ad-hoc ``json.dumps`` here
 #: would emit lines outside that contract silently.
 JSON_EVENT_HOT_PATH = {"sim/trace.py", "sim/bus.py", "sim/shard.py"}
-
-#: The one module allowed a module-level cache: the Azure CSV parse
-#: cache, keyed by file stamp and reset at leg boundaries.  Module-level
-#: mutable cache containers anywhere else are hidden replay state.
-CACHE_HOME = "trace/statcache.py"
 
 #: Decorator names that memoize on the function object itself.
 _MEMO_DECORATORS = {"lru_cache", "cache"}
@@ -112,9 +106,7 @@ def _is_mutable_container(node: ast.expr) -> bool:
 
 
 def _lint_caches(rel: str, tree: ast.Module):
-    """The memoization rules (skipped inside the sanctioned cache home)."""
-    if rel == CACHE_HOME:
-        return
+    """The memoization rules, which exempt no module."""
     for klass in ast.walk(tree):
         if not isinstance(klass, ast.ClassDef):
             continue
@@ -150,8 +142,7 @@ def _lint_caches(rel: str, tree: ast.Module):
             ):
                 yield (
                     f"{rel}:{statement.lineno}: module-level mutable cache "
-                    f"{target.id} (hidden replay state; file parses belong "
-                    "in repro/trace/statcache.py, other caches per object)"
+                    f"{target.id} (hidden replay state; cache per object)"
                 )
 
 
@@ -215,7 +206,7 @@ def test_src_tree_is_deterministic():
 
 def test_wall_clock_exemptions_still_exist():
     # Keep the exemption lists honest: every exempted file must exist.
-    for rel in WALL_CLOCK_EXEMPT | GZIP_EXEMPT | {CACHE_HOME}:
+    for rel in WALL_CLOCK_EXEMPT | GZIP_EXEMPT:
         assert (SRC / rel).is_file(), f"stale exemption {rel}"
 
 
@@ -247,7 +238,7 @@ def test_lint_catches_planted_violations(tmp_path):
     assert any("module-level mutable cache _RESULT_CACHE" in h for h in hits)
 
 
-def test_cache_rules_exempt_the_memo_home():
+def test_cache_rules_exempt_no_module():
     planted = (
         "import functools\n"
         "_CACHE: dict = {}\n"
@@ -256,10 +247,10 @@ def test_cache_rules_exempt_the_memo_home():
         "    def shape(self):\n"
         "        pass\n"
     )
-    assert list(_lint("trace/statcache.py", ast.parse(planted))) == []
-    # The exemption is the one file, not its directory.
-    assert len(list(_lint("trace/azure_loader.py", ast.parse(planted)))) == 2
-    assert len(list(_lint("faas/platform.py", ast.parse(planted)))) == 2
+    # The Azure loader parses each CSV where it is asked to, and the
+    # module that once held a parse cache is linted like any other.
+    for rel in ("trace/statcache.py", "trace/azure_loader.py", "faas/platform.py"):
+        assert len(list(_lint(rel, ast.parse(planted)))) == 2, rel
 
 
 def test_cache_rules_spare_legitimate_shapes():

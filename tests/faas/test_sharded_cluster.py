@@ -8,6 +8,7 @@ and streamed telemetry CSVs must be byte-identical for every shard count.
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 
 import pytest
@@ -24,7 +25,7 @@ from repro.mem.layout import MIB
 from repro.sim.shard import ShardWorkerError, sha256_lines
 from repro.trace.archive import ArchiveReader, finalize_archive
 from repro.trace.generator import TraceGenerator
-from repro.trace.replay import ClusterReplayConfig, TraceWindow, cluster_replay
+from repro.trace.replay import ClusterReplayConfig, cluster_replay
 from repro.workloads.registry import get_definition
 from tests.oracles import reference_merge_trace_lines
 
@@ -152,7 +153,11 @@ class TestArchiveIdentity:
         assert witness == (serial["events"], serial["digest"])
         assert reader.manifest["sha256"] == serial["digest"]
         assert reader.manifest["events"] == serial["events"]
-        assert reader.verify(against_sha256=serial["digest"]) == []
+        assert reader.verify(against_sha256=serial["digest"]) == (
+            serial["events"],
+            serial["digest"],
+            [],
+        )
 
         for shards in (2, 4, 7):
             sharded = _run_session(shards, tmp_path=tmp_path)
@@ -266,7 +271,6 @@ class TestClusterReplay:
         policy=None,
         trace_path=None,
         archive_dir=None,
-        window=None,
     ):
         config = ClusterReplayConfig(
             nodes=4,
@@ -281,7 +285,6 @@ class TestClusterReplay:
             event_trace_path=trace_path,
             archive_dir=archive_dir,
             archive_bucket_seconds=5.0,
-            window=window,
         )
         return cluster_replay(policy or (lambda: Desiccant()), config)
 
@@ -302,25 +305,31 @@ class TestClusterReplay:
         assert len(lines) == result.trace_events > 0
 
     def test_archived_replay_composes_to_flat_digest(self, tmp_path):
-        """The in-run archive's composed digest must equal the flat
-        merged trace digest (cluster_replay asserts this itself via
-        check_digest_composition; re-verify from the files here)."""
-        result = self._replay(2, tmp_path, archive_dir=tmp_path / "arc")
-        assert result.archive_events == result.trace_events > 0
-        assert result.archive_sha256 == result.trace_sha256
+        """The in-run archive's composed digest is the flat merged
+        trace's: re-verify the archive and hash the file it wrote."""
+        out = tmp_path / "merged.jsonl"
+        result = self._replay(
+            2, tmp_path, trace_path=out, archive_dir=tmp_path / "arc"
+        )
+        assert result.trace_events > 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == result.trace_sha256
         reader = ArchiveReader(result.archive_path)
-        assert reader.verify(against_sha256=result.trace_sha256) == []
+        assert reader.verify(against_sha256=result.trace_sha256) == (
+            result.trace_events,
+            result.trace_sha256,
+            [],
+        )
 
     def test_windowed_replay_reads_only_window_segments(self, tmp_path):
-        window = TraceWindow(t_start=12.0, t_end=18.0, nodes=(0, 2))
-        result = self._replay(
-            2, tmp_path, archive_dir=tmp_path / "arc", window=window
+        result = self._replay(2, tmp_path, archive_dir=tmp_path / "arc")
+        reader = ArchiveReader(result.archive_path)
+        events, _ = sha256_lines(
+            reader.iter_window(t_start=12.0, t_end=18.0, nodes=(0, 2), verify=True)
         )
-        assert result.window is not None
-        assert 0 < result.window.events < result.trace_events
+        assert 0 < events < result.trace_events
         # I/O witness: every segment touched lies inside the window.
-        assert result.window.segments_read
-        for name in result.window.segments_read:
+        assert reader.segments_read
+        for name in reader.segments_read:
             bucket = int(name.split("-")[1][1:])
             node = int(name.split("-")[2].split(".")[0][1:])
             assert 12.0 <= (bucket + 1) * 5.0 and bucket * 5.0 < 18.0, name
@@ -361,7 +370,7 @@ class TestRefusedClusterReplay:
     def test_refused_config_leaves_no_archive_root(self, tmpdir_root, bad):
         with pytest.raises(ValueError):
             cluster_replay(Desiccant, self._config(**bad))
-        assert list(tmpdir_root.glob("repro-shard-archive-*")) == []
+        assert list(tmpdir_root.glob("repro-trace-archive-*")) == []
 
     def test_session_refused_after_the_root_is_made_removes_it(self, tmpdir_root):
         """A config changed after it was built passes its own checks,
@@ -370,7 +379,7 @@ class TestRefusedClusterReplay:
         config.window_epochs = 0
         with pytest.raises(ValueError, match="window_epochs"):
             cluster_replay(Desiccant, config)
-        assert list(tmpdir_root.glob("repro-shard-archive-*")) == []
+        assert list(tmpdir_root.glob("repro-trace-archive-*")) == []
 
 
 class TestDenseLogDigest:

@@ -225,8 +225,10 @@ def _keyed_lines(lines: Iterable[str]) -> Iterator[Tuple[Tuple[float, int, int],
 
 
 def reference_merge_trace_lines(sources: Sequence[Iterable[str]]) -> Iterator[str]:
-    """:func:`repro.sim.shard.merge_trace_lines` with each key parsed by
-    ``json.loads``: one ``heapq.merge`` over ``(key, line)`` pairs."""
+    """The archive's per-bucket merge of node-sorted line streams
+    (:meth:`repro.trace.archive.ArchiveReader.iter_window`) with each key
+    parsed by ``json.loads``: one ``heapq.merge`` over ``(key, line)``
+    pairs."""
     for _, line in heapq.merge(
         *[_keyed_lines(source) for source in sources], key=lambda pair: pair[0]
     ):

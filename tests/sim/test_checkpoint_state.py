@@ -231,8 +231,8 @@ class TestArchiveWriterState:
     ]
 
     def _fill(self, writer: ArchiveWriter, lines) -> None:
-        for t, node, line in lines:
-            writer.add(t, node, line)
+        for item in lines:
+            writer.add_many([item])
 
     def test_open_segment_rewrite_is_byte_identical(self, tmp_path):
         straight = ArchiveWriter(tmp_path / "straight", bucket_seconds=2.0)

@@ -6,6 +6,7 @@ from repro.core import Desiccant
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request
 from repro.mem.layout import MIB
 from repro.sim import EventTraceSink
+from repro.trace.archive import ArchiveWriter, finalize_archive
 from repro.workloads.registry import get_definition
 
 
@@ -114,14 +115,32 @@ class TestEventTraceSink:
         assert len(sink) == n
 
     def test_streaming_write(self, tmp_path):
+        """A single platform emits one node's stream, so the flat file
+        composed from an archive-backed sink is an in-memory sink's
+        lines in the sink's own order."""
         platform = FaasPlatform()
-        path = tmp_path / "trace.jsonl"
-        sink = EventTraceSink(platform.bus, path=path)
-        platform.submit([Request(arrival=0.0, definition=get_definition("clock"))])
+        stored = EventTraceSink(platform.bus)
+        writer = ArchiveWriter(tmp_path / "arc", bucket_seconds=1.0)
+        streamed = EventTraceSink(platform.bus, archive=writer)
+        platform.submit(
+            [
+                Request(arrival=i * 0.5, definition=get_definition("clock"))
+                for i in range(8)
+            ]
+        )
         platform.run()
-        sink.detach()
-        lines = path.read_text().splitlines()
-        assert lines == sink.lines
+        stored.detach()
+        streamed.detach()
+        path = tmp_path / "trace.jsonl"
+        finalize_archive(
+            tmp_path / "arc",
+            1.0,
+            footers=writer.close()["segments"],
+            event_trace_path=path,
+        )
+        assert len(writer.close()["segments"]) > 1
+        assert path.read_text().splitlines() == stored.lines
+        assert streamed.lines == [] and len(streamed) == len(stored) > 0
 
     def test_write_collected(self, tmp_path):
         _platform, sink = run_traced()

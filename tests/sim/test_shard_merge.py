@@ -1,15 +1,18 @@
 """Tests for the generic sharding layer (repro.sim.shard).
 
-Covers the epoch grid, the canonical ``(t, node, seq)`` trace merge and
-its partition-invariance property, the worker-pool protocol (process and
-inline twins), and the :meth:`~repro.sim.rng.RngStream.split` derivation
-the shard workers rely on for per-component streams.
+Covers the epoch grid, the canonical ``(t, node, seq)`` trace merge the
+archive composes from per-shard writers and its partition-invariance
+property, the worker-pool protocol (process and inline twins), and the
+:meth:`~repro.sim.rng.RngStream.split` derivation the shard workers rely
+on for per-component streams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +25,10 @@ from repro.sim.shard import (
     ShardWorkerError,
     epoch_horizons,
     make_pool,
-    merge_trace_lines,
     run_window,
     sha256_lines,
 )
+from repro.trace.archive import ArchiveReader, ArchiveWriter, finalize_archive, pack
 from repro.trace.encode import ID_KEYS, encode_line
 from tests.oracles import reference_merge_trace_lines
 
@@ -133,33 +136,63 @@ def _serial_stream():
     return lines
 
 
+def _archive_merge(sources, bucket_seconds=1.0):
+    """The archive's merge of ``sources``, each holding whole nodes: one
+    writer per source fills one root, as shard workers do, and
+    ``finalize_archive`` composes it.  Returns the composed lines, read
+    from the flat trace written in the same pass, and the composed
+    ``(events, sha256)``."""
+    with tempfile.TemporaryDirectory(prefix="repro-merge-") as workdir:
+        root, flat = Path(workdir) / "arc", Path(workdir) / "flat.jsonl"
+        footers = []
+        for lines in sources:
+            writer = ArchiveWriter(root, bucket_seconds=bucket_seconds)
+            records = [json.loads(line) for line in lines]
+            writer.add_many(
+                [(r["t"], r["node"], line) for r, line in zip(records, lines)]
+            )
+            footers.extend(writer.close()["segments"])
+        composed = finalize_archive(
+            root, bucket_seconds, footers=footers, event_trace_path=flat
+        )
+        return flat.read_text(encoding="utf-8").splitlines(), composed
+
+
 class TestMerge:
     @pytest.mark.parametrize("shards", [1, 2, 4, 7])
     def test_merge_is_partition_invariant(self, shards):
-        """Split per node across K shard streams, merge: byte-identical
+        """Split per node across K shard writers, compose: byte-identical
         to the serial stream for every shard count."""
         serial = _serial_stream()
         streams = [[] for _ in range(shards)]
         for line in serial:
             streams[json.loads(line)["node"] % shards].append(line)
-        merged = list(merge_trace_lines(streams))
+        merged, composed = _archive_merge(streams)
         assert merged == serial
-        assert sha256_lines(merged) == sha256_lines(serial)
+        assert composed == sha256_lines(serial)
 
     def test_ties_break_on_node_then_seq(self):
         a = [_record(1.0, 2, 0), _record(1.0, 2, 1)]
         b = [_record(1.0, 0, 0), _record(1.0, 3, 0)]
-        merged = [json.loads(line) for line in merge_trace_lines([a, b])]
+        merged = [json.loads(line) for line in _archive_merge([a, b])[0]]
         assert [(r["node"], r["seq"]) for r in merged] == [
             (0, 0), (2, 0), (2, 1), (3, 0)
         ]
 
     def test_merge_of_merged_streams_is_stable(self):
+        """A composed trace is itself canonical: packed into a new
+        archive at another bucket width, it composes to the same bytes."""
         serial = _serial_stream()
-        halves = [serial[: len(serial) // 2], serial[len(serial) // 2 :]]
-        # A previously merged stream is itself sorted, so re-merging is a
-        # no-op.
-        assert list(merge_trace_lines(halves)) == serial
+        halves = [[], []]
+        for line in serial:
+            halves[json.loads(line)["node"] % 2].append(line)
+        merged, composed = _archive_merge(halves)
+        with tempfile.TemporaryDirectory(prefix="repro-merge-") as workdir:
+            flat = Path(workdir) / "merged.jsonl"
+            flat.write_text("".join(line + "\n" for line in merged))
+            assert pack(flat, Path(workdir) / "again", bucket_seconds=2.5) == composed
+            again = ArchiveReader(Path(workdir) / "again")
+            assert list(again.iter_window(verify=True)) == merged == serial
 
     @given(
         events=st.lists(
@@ -179,9 +212,9 @@ class TestMerge:
     )
     @settings(max_examples=150, deadline=None)
     def test_merge_matches_json_loads_oracle(self, events, sources):
-        """Encoded multi-node streams, split across sources by node:
-        the envelope-keyed merge emits the oracle's order, which is the
-        canonical ``(t, node, seq)`` order."""
+        """Encoded multi-node streams, split across writers by node:
+        the archive's envelope-keyed merge emits the oracle's order,
+        which is the canonical ``(t, node, seq)`` order."""
         seqs = {}
         records = []
         for t, node, note in sorted(events, key=lambda event: event[0]):
@@ -194,7 +227,7 @@ class TestMerge:
             [r[3] for r in sorted(records) if r[1] % sources == shard]
             for shard in range(sources)
         ]
-        merged = list(merge_trace_lines(streams))
+        merged, _ = _archive_merge(streams)
         assert merged == list(reference_merge_trace_lines(streams))
         assert merged == [r[3] for r in sorted(records)]
 

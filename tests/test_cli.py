@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import _archive_dir_for, _trace_path_for, build_parser, main
+from repro.trace import archive
 
 
 def test_list_prints_all_functions(capsys):
@@ -151,6 +152,34 @@ class TestTraceCommands:
         flat, arc = traced
         assert main(["trace", "verify", str(arc), "--against", str(flat)]) == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_verify_reads_each_segment_twice(self, tmp_path, capsys, monkeypatch):
+        """``trace verify`` prints the count and digest its own sweep
+        composed: one checking pass and one composing pass per segment,
+        and no third."""
+        arc = tmp_path / "arc"
+        assert (
+            main(REPLAY_ARGS + ["--archive", str(arc), "--bucket-seconds", "2"])
+            == 0
+        )
+        readers = []
+
+        class CountingReader(archive.ArchiveReader):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                readers.append(self)
+
+        monkeypatch.setattr(archive, "ArchiveReader", CountingReader)
+        assert main(["trace", "verify", str(arc)]) == 0
+        (reader,) = readers
+        segments = len(reader.segments())
+        assert segments > 1
+        assert len(reader.segments_read) == 2 * segments
+        manifest = json.loads((arc / archive.MANIFEST_NAME).read_text())
+        assert (
+            f"{manifest['events']} events verified (composed sha256 "
+            f"{manifest['sha256'][:16]})"
+        ) in capsys.readouterr().out
 
     def test_pack_reproduces_replay_archive(self, traced, tmp_path, capsys):
         flat, arc = traced

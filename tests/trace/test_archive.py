@@ -26,14 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import (
-    Violation,
-    check_archive_writer,
-    check_digest_composition,
-    check_trace_archive,
-)
+from repro.check import Violation, check_archive_writer, check_trace_archive
 from repro.sim import checkpoint
-from repro.sim.shard import merge_trace_lines, sha256_lines
+from repro.sim.shard import sha256_lines
 from repro.trace.archive import (
     ARCHIVE_SCHEMA,
     MANIFEST_NAME,
@@ -74,14 +69,25 @@ def _canonical(events):
     return [_record(t, node, seq) for t, node, seq in keyed]
 
 
+def _keyed(lines, shards=1, shard=0):
+    """``(t, node, line)`` items of the ``lines`` whose node falls in
+    ``shard`` of ``shards``, each read back with ``json.loads``."""
+    items = []
+    for line in lines:
+        record = json.loads(line)
+        if record["node"] % shards == shard:
+            items.append((record["t"], record["node"], line))
+    return items
+
+
 def _write_archive(root, lines, bucket_seconds=10.0):
     """One writer archives ``lines``; ``finalize_archive`` stamps the
     manifest from its footers.  Returns the composed count and digest."""
     writer = ArchiveWriter(root, bucket_seconds=bucket_seconds)
-    for line in lines:
-        record = json.loads(line)
-        writer.add(record["t"], record["node"], line)
-    events, sha = finalize_archive(root, footers=writer.close()["segments"])
+    writer.add_many(_keyed(lines))
+    events, sha = finalize_archive(
+        root, bucket_seconds, footers=writer.close()["segments"]
+    )
     return {"events": events, "sha256": sha}
 
 
@@ -173,15 +179,9 @@ class TestGzipDeterminism:
         _write_archive(reference, stream)
 
         root = tmp_path / f"s{shards}"
-        writers = [
-            ArchiveWriter(root, bucket_seconds=10.0) for _ in range(shards)
-        ]
-        for line in stream:
-            record = json.loads(line)
-            writers[record["node"] % shards].add(
-                record["t"], record["node"], line
-            )
-        for writer in writers:
+        for shard in range(shards):
+            writer = ArchiveWriter(root, bucket_seconds=10.0)
+            writer.add_many(_keyed(stream, shards, shard))
             writer.close()
         finalize_archive(root)
 
@@ -200,10 +200,11 @@ class TestGzipDeterminism:
     data=st.data(),
 )
 def test_segment_framing_matches_gzipfile(tmp_path_factory, count, seed, data):
-    """However the payload reaches a segment -- single lines, batches,
-    a pickle/unpickle of the half-written segment (a checkpoint and its
-    restore) -- the file is byte-identical to the ``GzipFile``-framed
-    reference fed the same payload in any other chunking."""
+    """However the payload reaches a segment -- in runs of any length,
+    around a pickle/unpickle of the half-written segment (a checkpoint
+    and its restore) -- the file is byte-identical to the
+    ``GzipFile``-framed reference fed the same payload in any other
+    chunking."""
     entries = _noisy_entries(count, seed)
     cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=12)))
     pickle_after = data.draw(st.none() | st.integers(0, len(cuts)))
@@ -212,9 +213,7 @@ def test_segment_framing_matches_gzipfile(tmp_path_factory, count, seed, data):
     bounds = [0, *cuts, count]
     for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         run = entries[lo:hi]
-        if len(run) == 1:
-            segment.write(*run[0])
-        elif run:
+        if run:
             segment.write_many(run)
         if index == pickle_after:
             blob = pickle.dumps(segment, protocol=checkpoint.PICKLE_PROTOCOL)
@@ -242,8 +241,8 @@ class TestBoundedMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for t, line in entries:
-                segment.write(t, line)
+            for entry in entries:
+                segment.write_many([entry])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -256,8 +255,12 @@ class TestBoundedMemory:
         two writers; returns the footers they ship."""
         writers = [ArchiveWriter(root, bucket_seconds=600.0) for _ in range(2)]
         for node in range(4):
-            for t, line in _noisy_entries(per_node, seed=node, node=node):
-                writers[node % 2].add(t, node, line)
+            writers[node % 2].add_many(
+                [
+                    (t, node, line)
+                    for t, line in _noisy_entries(per_node, seed=node, node=node)
+                ]
+            )
         return [footer for writer in writers for footer in writer.close()["segments"]]
 
     def test_finalize_peak_does_not_grow_with_the_bucket(self, tmp_path):
@@ -270,7 +273,7 @@ class TestBoundedMemory:
             footers = self._one_bucket(root, 1500 * scale)
             tracemalloc.start()
             try:
-                finalize_archive(root, footers=footers)
+                finalize_archive(root, 600.0, footers=footers)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -295,14 +298,14 @@ class TestBoundedMemory:
         victim.write_bytes(bytes(blob))
         reader = ArchiveReader(root, bucket_seconds=600.0)
         for read in (
-            lambda: finalize_archive(root, footers=footers),
+            lambda: finalize_archive(root, 600.0, footers=footers),
             lambda: list(reader.iter_window()),
             reader.compose,
         ):
             with pytest.raises(ValueError) as caught:
                 read()
             assert str(caught.value).startswith(victim.name), str(caught.value)
-        problems = ArchiveReader(root).verify()
+        _, _, problems = ArchiveReader(root).verify()
         assert any(problem.startswith(victim.name) for problem in problems), problems
 
 
@@ -317,7 +320,7 @@ class TestComposition:
         assert summary["sha256"] == flat_sha
         reader = ArchiveReader(tmp_path)
         assert reader.compose() == (events, flat_sha)
-        assert reader.verify(against_sha256=flat_sha) == []
+        assert reader.verify(against_sha256=flat_sha) == (events, flat_sha, [])
 
     def test_full_window_read_reproduces_stream(self, tmp_path, stream):
         _write_archive(tmp_path, stream)
@@ -355,7 +358,26 @@ class TestComposition:
         assert reader.segments() == []
         events, sha = reader.compose()
         assert events == 0
-        assert reader.verify(against_sha256=sha) == []
+        assert reader.verify(against_sha256=sha) == (0, sha, [])
+
+    def test_empty_archive_records_its_writers_width(self, tmp_path):
+        """With no segment to read a footer from, the manifest records
+        the width the archive was written with, not the default."""
+        flat = tmp_path / "empty.jsonl"
+        flat.write_text("")
+        assert pack(flat, tmp_path / "packed", bucket_seconds=10.0) == (
+            0,
+            hashlib.sha256(b"").hexdigest(),
+        )
+        writer = ArchiveWriter(tmp_path / "finalized", bucket_seconds=10.0)
+        finalize_archive(
+            tmp_path / "finalized", 10.0, footers=writer.close()["segments"]
+        )
+        for root in (tmp_path / "packed", tmp_path / "finalized"):
+            manifest = json.loads((root / MANIFEST_NAME).read_text())
+            assert (manifest["events"], manifest["segments"]) == (0, 0)
+            assert manifest["bucket_seconds"] == 10.0
+            assert ArchiveReader(root).bucket_seconds == 10.0
 
     def test_single_event_segment(self, tmp_path):
         line = _record(3.5, 2, 0)
@@ -372,9 +394,7 @@ class TestComposition:
         a, b = tmp_path / "a", tmp_path / "b"
         _write_archive(a, stream)
         writer = ArchiveWriter(b, bucket_seconds=10.0)
-        for line in stream:
-            record = json.loads(line)
-            writer.add(record["t"], record["node"], line)
+        writer.add_many(_keyed(stream))
         writer.close()
         finalize_archive(b)
         assert (a / "MANIFEST.json").read_bytes() == (
@@ -454,11 +474,9 @@ def test_pack_window_concat_is_byte_identical(tmp_path_factory, events, shards, 
     tmp_path = tmp_path_factory.mktemp("arc")
     stream = _canonical(events)
     root = tmp_path / "arc"
-    writers = [ArchiveWriter(root, bucket_seconds=7.5) for _ in range(shards)]
-    for line in stream:
-        record = json.loads(line)
-        writers[record["node"] % shards].add(record["t"], record["node"], line)
-    for writer in writers:
+    for shard in range(shards):
+        writer = ArchiveWriter(root, bucket_seconds=7.5)
+        writer.add_many(_keyed(stream, shards, shard))
         writer.close()
     events_count, sha = finalize_archive(root)
     assert (events_count, sha) == sha256_lines(stream)
@@ -479,21 +497,30 @@ def test_pack_window_concat_is_byte_identical(tmp_path_factory, events, shards, 
 class TestWriterContract:
     def test_rejects_time_going_backwards_within_node(self, tmp_path):
         writer = ArchiveWriter(tmp_path, bucket_seconds=10.0)
-        writer.add(5.0, 0, _record(5.0, 0, 0))
+        writer.add_many([(5.0, 0, _record(5.0, 0, 0))])
         with pytest.raises(ValueError, match="backwards"):
-            writer.add(4.0, 0, _record(4.0, 0, 1))
+            writer.add_many([(4.0, 0, _record(4.0, 0, 1))])
+        with pytest.raises(ValueError, match="backwards"):
+            writer.add_many(
+                [(6.0, 0, _record(6.0, 0, 1)), (5.5, 0, _record(5.5, 0, 2))]
+            )
 
     def test_rejects_reopening_a_closed_bucket(self, tmp_path):
         writer = ArchiveWriter(tmp_path, bucket_seconds=10.0)
-        writer.add(5.0, 0, _record(5.0, 0, 0))
-        writer.add(15.0, 0, _record(15.0, 0, 1))
+        writer.add_many(
+            [(5.0, 0, _record(5.0, 0, 0)), (15.0, 0, _record(15.0, 0, 1))]
+        )
         with pytest.raises(ValueError, match="backwards"):
-            writer.add(5.0, 0, _record(5.0, 0, 2))
+            writer.add_many([(5.0, 0, _record(5.0, 0, 2))])
 
     def test_other_nodes_are_independent(self, tmp_path):
         writer = ArchiveWriter(tmp_path, bucket_seconds=10.0)
-        writer.add(15.0, 0, _record(15.0, 0, 0))
-        writer.add(5.0, 1, _record(5.0, 1, 0))  # fine: different node
+        writer.add_many(
+            [
+                (15.0, 0, _record(15.0, 0, 0)),
+                (5.0, 1, _record(5.0, 1, 0)),  # fine: different node
+            ]
+        )
         summary = writer.close()
         assert summary["events"] == 2
 
@@ -501,19 +528,17 @@ class TestWriterContract:
         writer = ArchiveWriter(tmp_path, bucket_seconds=10.0)
         writer.close()
         with pytest.raises(ValueError, match="closed"):
-            writer.add(1.0, 0, _record(1.0, 0, 0))
+            writer.add_many([(1.0, 0, _record(1.0, 0, 0))])
 
     def test_flush_does_not_change_final_bytes(self, tmp_path, stream):
         plain = tmp_path / "plain"
         flushed = tmp_path / "flushed"
         _write_archive(plain, stream)
         writer = ArchiveWriter(flushed, bucket_seconds=10.0)
-        for index, line in enumerate(stream):
-            record = json.loads(line)
-            writer.add(record["t"], record["node"], line)
-            if index % 17 == 0:
-                writer.flush()  # epoch-barrier hook: raw flush only
-        finalize_archive(flushed, footers=writer.close()["segments"])
+        for item in _keyed(stream):
+            writer.add_many([item])
+            writer.flush()  # epoch-barrier hook: raw flush only
+        finalize_archive(flushed, 10.0, footers=writer.close()["segments"])
         for path in sorted(plain.iterdir()):
             assert (flushed / path.name).read_bytes() == path.read_bytes()
 
@@ -545,27 +570,18 @@ class TestInvariants:
         # gzip header is 10 bytes); flipping it corrupts decoded content.
         blob[16] ^= 0x01
         victim.write_bytes(bytes(blob))
-        problems = ArchiveReader(tmp_path).verify()
+        _, _, problems = ArchiveReader(tmp_path).verify()
         assert problems
         with pytest.raises(Violation, match="archive-verify"):
             check_trace_archive(tmp_path)
 
     def test_check_archive_writer_passes_live_writer(self, tmp_path, stream):
         writer = ArchiveWriter(tmp_path, bucket_seconds=10.0)
-        for line in stream:
-            record = json.loads(line)
-            writer.add(record["t"], record["node"], line)
+        writer.add_many(_keyed(stream))
         check_archive_writer(writer)  # mid-run sweep: no violation
         writer.events += 1  # plant bookkeeping drift
         with pytest.raises(Violation, match="archive-writer"):
             check_archive_writer(writer)
-
-    def test_check_digest_composition(self):
-        check_digest_composition(5, "a" * 64, 5, "a" * 64)
-        with pytest.raises(Violation, match="archive-digest-composition"):
-            check_digest_composition(5, "a" * 64, 6, "a" * 64)
-        with pytest.raises(Violation, match="archive-digest-composition"):
-            check_digest_composition(5, "a" * 64, 5, "b" * 64)
 
     def test_check_trace_archive_against_external_digest(self, tmp_path, stream):
         _write_archive(tmp_path, stream)
@@ -580,14 +596,11 @@ class TestInvariants:
 
 def _sharded_writer_footers(root, stream, shards=2):
     """Write a multi-writer archive and collect the shipped footers."""
-    writers = [ArchiveWriter(root, bucket_seconds=10.0) for _ in range(shards)]
-    for line in stream:
-        record = json.loads(line)
-        writers[record["node"] % shards].add(record["t"], record["node"], line)
     footers = []
-    for writer in writers:
-        summary = writer.close()
-        footers.extend(summary["segments"])
+    for shard in range(shards):
+        writer = ArchiveWriter(root, bucket_seconds=10.0)
+        writer.add_many(_keyed(stream, shards, shard))
+        footers.extend(writer.close()["segments"])
     return footers
 
 
@@ -599,7 +612,7 @@ class TestManifestDrivenFinalize:
 
         footer_root = tmp_path / "footers"
         footers = _sharded_writer_footers(footer_root, stream)
-        events, sha = finalize_archive(footer_root, footers=footers)
+        events, sha = finalize_archive(footer_root, 10.0, footers=footers)
 
         assert (events, sha) == (events_legacy, sha_legacy)
         assert (footer_root / "MANIFEST.json").read_bytes() == (
@@ -611,7 +624,7 @@ class TestManifestDrivenFinalize:
         footers = _sharded_writer_footers(root, stream)
         flat = tmp_path / "flat.jsonl"
         events, sha = finalize_archive(
-            root, footers=footers, event_trace_path=flat
+            root, 10.0, footers=footers, event_trace_path=flat
         )
         lines = flat.read_text().splitlines()
         assert len(lines) == events == len(stream)
@@ -624,7 +637,7 @@ class TestManifestDrivenFinalize:
         footers = _sharded_writer_footers(root, stream)
         footers[0] = dict(footers[0], events=footers[0]["events"] + 1)
         with pytest.raises(ValueError, match="segment manifest"):
-            finalize_archive(root, footers=footers)
+            finalize_archive(root, 10.0, footers=footers)
 
 
 # ------------------------------------------ two-writer composition oracle
@@ -662,9 +675,9 @@ class TestTwoWriterComposition:
             1: ArchiveWriter(root, bucket_seconds=10.0),
         }
         for node, lines in sorted(streams.items()):
-            for line in lines:
-                t = json.loads(line)["t"]
-                writers[node % 2].add(t, node, line)
+            writers[node % 2].add_many(
+                [(json.loads(line)["t"], node, line) for line in lines]
+            )
         footers = []
         for writer in writers.values():
             footers.extend(writer.close()["segments"])
@@ -677,7 +690,9 @@ class TestTwoWriterComposition:
         assert len({f["node"] for f in footers}) == 4
         oracle = list(reference_merge_trace_lines(list(streams.values())))
         flat = tmp_path / "flat.jsonl"
-        composed = finalize_archive(root, footers=footers, event_trace_path=flat)
+        composed = finalize_archive(
+            root, 10.0, footers=footers, event_trace_path=flat
+        )
         assert composed == sha256_lines(oracle)
         assert flat.read_text(encoding="utf-8") == "".join(
             line + "\n" for line in oracle
@@ -685,7 +700,10 @@ class TestTwoWriterComposition:
         assert composed[1] == hashlib.sha256(flat.read_bytes()).hexdigest()
         manifest = json.loads((root / "MANIFEST.json").read_text())
         assert manifest["sha256"] == composed[1]
-        assert ArchiveReader(root).verify(against_sha256=composed[1]) == []
+        assert ArchiveReader(root).verify(against_sha256=composed[1]) == (
+            *composed,
+            [],
+        )
 
     def test_flipped_payload_byte_fails_by_name(self, tmp_path):
         """A payload byte flipped under intact gzip framing is caught by
@@ -700,8 +718,8 @@ class TestTwoWriterComposition:
         flipped[12] ^= 0x01
         victim.write_bytes(gzip_member(bytes(flipped)) + gzip_member(footer + b"\n"))
         with pytest.raises(ValueError, match=victim.name):
-            finalize_archive(root, footers=footers)
-        problems = ArchiveReader(root).verify()
+            finalize_archive(root, 10.0, footers=footers)
+        _, _, problems = ArchiveReader(root).verify()
         assert any(victim.name in problem for problem in problems)
 
     @pytest.mark.parametrize("damage", ["flip16", "flip30", "flip60", "half"])
@@ -727,11 +745,11 @@ class TestTwoWriterComposition:
         for read in (
             lambda: list(reader.iter_window()),
             lambda: finalize_archive(root),
-            lambda: finalize_archive(root, footers=footers),
+            lambda: finalize_archive(root, 10.0, footers=footers),
         ):
             with pytest.raises(ValueError, match=named):
                 read()
-        assert ArchiveReader(root).verify() == [str(caught.value)]
+        assert ArchiveReader(root).verify()[2] == [str(caught.value)]
 
     @pytest.mark.parametrize(
         "footer", [b'{"schema": "repro-trace-arch', b"[1, 2]", b'"footer"']
@@ -780,5 +798,5 @@ class TestTwoWriterComposition:
             reader.read_segment(victim.name)
         assert any(
             problem.startswith(f"{victim.name}: {named}")
-            for problem in reader.verify()
+            for problem in reader.verify()[2]
         )

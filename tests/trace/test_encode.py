@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 import repro.trace.encode
 from repro.sim.bus import EventBus
+from repro.sim.shard import sha256_lines
 from repro.sim.trace import EventTraceSink
+from repro.trace.archive import ArchiveWriter, finalize_archive
 from repro.trace.encode import ID_KEYS, SCALARS, encode_line, line_key
 
 
@@ -344,9 +346,27 @@ def _publish_corpus(bus):
 
 class TestSinkParity:
     def test_streamed_file_matches_stored_lines(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
+        """The flat file composed from an archive-backed sink holds the
+        lines an in-memory sink on the same bus keeps.  The corpus spans
+        four nodes and four buckets, so it composes in canonical
+        ``(t, node, seq)`` order, not the sink's publication order."""
         bus = EventBus()
-        sink = EventTraceSink(bus, kinds=_KINDS, path=path)
+        stored = EventTraceSink(bus, kinds=_KINDS)
+        writer = ArchiveWriter(tmp_path / "arc", bucket_seconds=0.1)
+        streamed = EventTraceSink(bus, kinds=_KINDS, archive=writer)
         _publish_corpus(bus)
-        sink.detach()
-        assert path.read_text(encoding="utf-8") == sink.to_jsonl()
+        stored.detach()
+        streamed.detach()
+        path = tmp_path / "trace.jsonl"
+        composed = finalize_archive(
+            tmp_path / "arc",
+            0.1,
+            footers=writer.close()["segments"],
+            event_trace_path=path,
+        )
+        canonical = sorted(stored.lines, key=line_key)
+        assert path.read_text(encoding="utf-8") == "".join(
+            line + "\n" for line in canonical
+        )
+        assert composed == sha256_lines(canonical)
+        assert streamed.lines == [] and len(streamed) == len(stored) == 300

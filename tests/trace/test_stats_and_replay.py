@@ -1,13 +1,19 @@
 """Unit tests for percentile stats and the replay harness."""
 
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.bench import build_replay_macro
 from repro.core import Desiccant, VanillaManager
 from repro.faas.platform import PlatformConfig
 from repro.mem.layout import GIB, MIB
 from repro.sim.trace import EventTraceSink
 from repro.trace.generator import TraceGenerator
-from repro.trace.replay import ReplayConfig, TraceWindow, replay
+from repro.trace.replay import ReplayConfig, replay
 from repro.trace.stats import percentile
 from repro.workloads.registry import get_definition
 
@@ -35,11 +41,10 @@ class TestPercentile:
             percentile([1.0], 150)
 
 
-class TestReplayConfig:
-    def test_window_without_archive_dir_is_refused_at_build(self):
-        with pytest.raises(ValueError, match="window requires archive_dir"):
-            ReplayConfig(window=TraceWindow())
+ROOT = Path(__file__).resolve().parents[2]
 
+
+class TestReplayConfig:
     def test_traced_replay_keeps_no_lines_in_memory(self, tmp_path, monkeypatch):
         sinks = []
         build = EventTraceSink.__init__
@@ -63,6 +68,40 @@ class TestReplayConfig:
         )
         assert result.trace_events == len(path.read_text().splitlines()) > 0
         assert [sink.lines for sink in sinks] == [[]]
+
+    def test_flat_trace_alone_writes_the_committed_digest(
+        self, tmp_path, monkeypatch
+    ):
+        """A replay that asks only for the flat trace writes it through a
+        temporary archive root: on the replay smoke's small Desiccant leg
+        it writes the committed trace bytes and leaves no root behind."""
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        (spec,) = build_replay_macro(sizes=("small",), policies=("desiccant",))
+        committed = {
+            run["label"]: run["metrics"]
+            for run in json.loads((ROOT / "BENCH_replay.json").read_text())["runs"]
+        }[spec.label]
+        path = tmp_path / "trace.jsonl"
+        result = replay(
+            Desiccant,
+            ReplayConfig(
+                scale_factor=spec.scale,
+                warmup_seconds=spec.warmup,
+                warmup_scale_factor=spec.scale,
+                duration_seconds=spec.duration,
+                platform=PlatformConfig(capacity_bytes=spec.capacity_mib * MIB),
+                event_trace_path=path,
+            ),
+            TraceGenerator(seed=spec.seed),
+        )
+        assert result.trace_sha256 == committed["trace_sha256"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == result.trace_sha256
+        assert result.trace_events == committed["trace_events"]
+        assert result.archive_path is None
+        assert list(tmpdir.iterdir()) == []
 
 
 class TestReplay:
