@@ -42,7 +42,6 @@ paper's warmup-plus-measurement protocol.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from repro import procenv
 from repro.check.invariants import check_archive_writer, check_shard_conservation
 from repro.choices import SCHEDULERS
 from repro.core.baselines import VanillaManager
+from repro.digest import sha256
 from repro.faas.platform import FaasPlatform, PlatformConfig, Request
 from repro.sim import EventTraceSink, SimKernel, checkpoint
 from repro.sim.shard import epoch_horizons, make_pool
@@ -443,7 +443,10 @@ class ClusterShardHost:
             raise ValueError(f"unknown mark {name!r}")
 
     def finalize(self) -> Dict[str, object]:
-        """Close streams, final oracle sweep, and ship per-node results."""
+        """Close streams, final oracle sweep, and ship what the
+        coordinator reads: each node's ``(latency, cold_boots)`` per
+        request, evictions and CPU busy time, the kernel's event count,
+        this worker's busy wall and its archive segments' footers."""
         nodes: Dict[int, dict] = {}
         for node_id, platform in self.platforms.items():
             sink = self._sinks.get(node_id)
@@ -455,41 +458,26 @@ class ClusterShardHost:
             if platform.oracle is not None:
                 platform.oracle.finish()
             nodes[node_id] = {
-                "completed": len(platform.outcomes),
                 "outcomes": [
                     (outcome.latency, outcome.cold_boots)
                     for outcome in platform.outcomes
                 ],
-                "cold_boots": platform.cold_boots,
-                "warm_starts": platform.warm_starts,
                 "evictions": platform.evictions,
-                "overcommits": platform.overcommits,
                 "cpu_busy": dict(platform.cpu.busy),
-                "trace_events": sink.count if sink is not None else 0,
-                "telemetry_path": str(
-                    Path(self.spec.telemetry_dir) / f"node{node_id:03d}.csv"
-                )
-                if recorder is not None
-                else None,
             }
         archive_segments: List[Dict[str, object]] = []
-        archive_events = 0
         if self._archive is not None:
             # This worker wrote only its own nodes' segments.  Ship their
             # footers (the out-of-pipe trace manifest: name, payload
             # sha256, event count per segment) so the coordinator can
             # finalize the shared root without re-reading every segment
             # it already trusts.
-            summary = self._archive.close()
-            archive_segments = list(summary["segments"])
-            archive_events = summary["events"]
+            archive_segments = list(self._archive.close()["segments"])
             self._archive = None
         return {
-            "shard": self.spec.shard,
             "events": self.kernel.events_processed,
             "busy_wall_seconds": self._busy_wall,
             "archive_segments": archive_segments,
-            "archive_events": archive_events,
             "nodes": nodes,
         }
 
@@ -526,7 +514,7 @@ def _session_fingerprint(
         "epoch_seconds": epoch_seconds,
         "window_epochs": window_epochs,
     }
-    return hashlib.sha256(
+    return sha256(
         json.dumps(description, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()
 
@@ -616,7 +604,6 @@ class ShardedClusterSession:
         #: Filled by :meth:`finish` (see there).
         self.worker_busy_seconds = 0.0
         self.archive_footers: List[Dict[str, object]] = []
-        self.archive_events = 0
 
     # --------------------------------------------------------- accounting
 
@@ -832,31 +819,29 @@ class ShardedClusterSession:
         return {"index": cursor["index"], "pos": cursor["pos"], "meta": meta}
 
     def finish(self) -> Dict[int, dict]:
-        """Collect per-node results from every shard, keyed by node id.
+        """Collect per-node results from every shard, keyed by node id:
+        ``outcomes`` (one ``(latency, cold_boots)`` per request),
+        ``evictions`` and ``cpu_busy``.
 
         Also gathers the coordination-cost leftovers: the slowest
         worker's busy wall (``worker_busy_seconds``, the subtrahend of
         ``coordination_overhead``) and the shipped archive-segment
-        footers (``archive_footers``/``archive_events``), which
+        footers (``archive_footers``), which
         :func:`repro.trace.archive.finalize_archive` consumes as the
         out-of-pipe trace manifest.
         """
         results = self.pool.finish()
         self.events = sum(result["events"] for result in results)
         self.worker_busy_seconds = max(
-            (result.get("busy_wall_seconds", 0.0) for result in results),
-            default=0.0,
+            result["busy_wall_seconds"] for result in results
         )
         self.archive_footers = sorted(
             (
                 footer
                 for result in results
-                for footer in result.get("archive_segments", [])
+                for footer in result["archive_segments"]
             ),
             key=lambda footer: (footer["bucket"], footer["node"]),
-        )
-        self.archive_events = sum(
-            result.get("archive_events", 0) for result in results
         )
         nodes: Dict[int, dict] = {}
         for result in results:

@@ -58,7 +58,6 @@ process.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import io
 import itertools
@@ -69,6 +68,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.check.invariants import Violation
+from repro.digest import sha256
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -200,7 +200,7 @@ def dump(
         "schema": SCHEMA_VERSION,
         "meta": dict(meta or {}),
         "env": environment_fingerprint(),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
     }
     staging = path.with_name(path.name + ".tmp")
@@ -270,7 +270,7 @@ def check_checkpoint(path: str | Path) -> Dict[str, object]:
             f"payload holds {len(payload)} bytes, header promises {expected}",
         )
     payload = payload[:expected]
-    digest = hashlib.sha256(payload).hexdigest()
+    digest = sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         _fail(
             "checkpoint-digest",
@@ -359,7 +359,7 @@ def arrivals_digest(arrivals: Iterable[Sequence]) -> str:
     captured run was actually fed.  Items are ``(time, definition)``
     pairs; the time and the definition name enter the hash.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     for time, definition in arrivals:
         name = getattr(definition, "name", str(definition))
         digest.update(json.dumps([round(float(time), 9), name]).encode("utf-8"))

@@ -15,7 +15,10 @@ kind                  meaning / data fields
                       boot_cpu_seconds``)
 ``thaw``              a frozen container was unpaused (``instance_id,
                       function, thaw_seconds``)
-``invocation-end``    a stage's useful work finished (``instance_id,
+``invocation-end``    a stage was dispatched, stamped at its start: its work
+                      is simulated, its wall time has not elapsed; the stage
+                      ends when its instance is released, at its ``freeze``
+                      under the default idle policy (``instance_id,
                       function, request_id, cpu_seconds``)
 ``freeze``            a container was paused (``instance_id, function``)
 ``eviction``          the cache destroyed a container (``instance_id,

@@ -70,13 +70,13 @@ holding every node.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import traceback
 from itertools import islice
 from typing import IO, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import procenv
+from repro.digest import sha256
 from repro.sim import checkpoint, wire
 
 __all__ = [
@@ -519,7 +519,7 @@ def sha256_lines(
     ``out``, a text file, receives the same newline-terminated bytes
     chunk by chunk.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     count = 0
     lines = iter(lines)
     while True:

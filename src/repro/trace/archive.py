@@ -66,7 +66,6 @@ one digest chunk, whatever the bucket width or the run's length.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import json
@@ -77,6 +76,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.digest import sha256
 from repro.trace.encode import line_key
 
 __all__ = [
@@ -203,7 +203,7 @@ class _OpenSegment:
         self.events = 0
         self.t_min: Optional[float] = None
         self.t_max: Optional[float] = None
-        self.sha = hashlib.sha256()
+        self.sha = sha256()
         self.payload_bytes = 0
 
     def _append(self, data: bytes) -> None:
@@ -603,7 +603,7 @@ class ArchiveReader:
         failed check.
         """
         self.segments_read.append(name)
-        digest = hashlib.sha256() if verify else None
+        digest = sha256() if verify else None
         events = payload_bytes = 0
         tail = footer_bytes = b""
         try:

@@ -221,7 +221,6 @@ class ClusterReplayResult:
     """Aggregated stats plus the merged-trace equivalence witness."""
 
     stats: ReplayStats
-    per_node: Dict[int, dict]
     per_node_requests: List[int]
     trace_path: Optional[Path] = None
     #: The merged trace's event count and SHA-256, composed from the
@@ -503,7 +502,6 @@ def cluster_replay(
     )
     return ClusterReplayResult(
         stats=stats,
-        per_node=nodes,
         per_node_requests=per_node_requests,
         trace_path=trace_path,
         trace_events=trace_events,

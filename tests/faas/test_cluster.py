@@ -139,5 +139,5 @@ class TestEndToEnd:
         finally:
             session.close()
         # One request per node, each a cold boot on its own cache.
-        assert nodes[0]["cold_boots"] == 1
-        assert nodes[1]["cold_boots"] == 1
+        assert [cold for _, cold in nodes[0]["outcomes"]] == [1]
+        assert [cold for _, cold in nodes[1]["outcomes"]] == [1]

@@ -1,14 +1,16 @@
 """What a process imports: a replay loads only the modules it runs.
 
 Package ``__init__``s export their names lazily (``repro._lazy``), a
-platform loads the invariant oracle only under ``REPRO_CHECK``, and the
-cluster engine loads when a cluster replay is configured.  Each check
-runs in a fresh interpreter without ``REPRO_CHECK``: this suite's own
-process has imported everything long ago.
+platform loads the invariant oracle only under ``REPRO_CHECK``, the
+cluster engine loads when a cluster replay is configured, and no replay
+loads OpenSSL: SHA-256 comes from ``repro.digest``.  Each check runs in a
+fresh interpreter without ``REPRO_CHECK``: this suite's own process has
+imported everything long ago.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -56,7 +58,6 @@ CLUSTER_ENGINE = (
     "repro.trace.encode",
     "repro.check.invariants",
     "multiprocessing",
-    "hashlib",
 )
 
 
@@ -116,6 +117,102 @@ def test_single_platform_replay_loads_no_unused_module():
     configured = set(report["configured"])
     assert [m for m in CLUSTER_ENGINE if m not in configured] == []
     assert "repro.check.oracle" not in configured
+
+
+#: Runs with ``WORK``, an empty directory, defined before it.
+EVERY_DIGEST_PATH = """
+import json, runpy, sys
+from pathlib import Path
+
+def openssl():
+    return [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+
+from repro.core import Desiccant
+from repro.digest import sha256
+from repro.faas.platform import PlatformConfig
+from repro.trace.replay import (
+    ClusterReplayConfig, ReplayConfig, cluster_replay, replay,
+)
+
+work = Path(WORK)
+window = dict(
+    scale_factor=3.0,
+    warmup_seconds=2.0,
+    warmup_scale_factor=3.0,
+    duration_seconds=4.0,
+    platform=PlatformConfig(capacity_bytes=512 << 20),
+)
+report = {"sha256": sha256.__module__}
+
+single = replay(Desiccant, ReplayConfig(archive_dir=work / "single", **window))
+report["single-platform archive"] = [single.trace_events > 0, openssl()]
+
+def cluster(**extra):
+    config = ClusterReplayConfig(
+        nodes=2, shards=1, epoch_seconds=2.0, trace=True, **window, **extra
+    )
+    return cluster_replay(Desiccant, config)
+
+captured = cluster(checkpoint_dir=work / "ckpt")
+report["cluster capture"] = [captured.trace_events > 0, openssl()]
+resumed = cluster(resume_from=work / "ckpt" / "measure-start.ckpt")
+report["cluster resume"] = [
+    resumed.trace_sha256 == captured.trace_sha256, openssl()
+]
+
+from repro.trace.archive import ArchiveReader, finalize_archive
+
+root = work / "ckpt" / "archive"
+events, digest = finalize_archive(root)
+verified = ArchiveReader(root).verify(digest)
+report["finalize + verify"] = [
+    verified == (events, digest, []) and digest == captured.trace_sha256,
+    openssl(),
+]
+
+sys.argv = ["repro", "trace", "verify", str(root)]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    report["repro trace verify"] = [exit.code == 0, openssl()]
+print(json.dumps(report))
+"""
+
+
+def test_no_digest_path_loads_openssl(tmp_path):
+    """Every path that hashes runs without ``hashlib``: a single-platform
+    replay writing an archive, an inline traced cluster replay capturing
+    a checkpoint and one resuming from it, ``finalize_archive`` with
+    ``ArchiveReader.verify``, and ``python -m repro trace verify``.  Each
+    step must succeed and leave OpenSSL unloaded."""
+    report = run_fresh(f"WORK = {str(tmp_path)!r}\n" + EVERY_DIGEST_PATH)
+    assert report.pop("sha256") in ("_sha2", "_sha256")
+    assert report == {
+        step: [True, []]
+        for step in (
+            "single-platform archive",
+            "cluster capture",
+            "cluster resume",
+            "finalize + verify",
+            "repro trace verify",
+        )
+    }
+
+
+def test_only_the_digest_module_imports_openssl():
+    """The static half of the check above, over code no step runs."""
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("hashlib", "_hashlib") for name in names):
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["repro/digest.py"]
 
 
 def test_importing_the_packages_runs_none_of_their_modules():
