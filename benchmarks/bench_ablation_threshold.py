@@ -109,7 +109,7 @@ def _run_variant(make_activation):
     evictions = platform.burst(BURST_LAUNCHES)
     result = {
         "occupancy": occupancy,
-        "reclaims": len(manager.reports),
+        "reclaims": manager.reclaims,
         "reclaim_cpu": reclaim_cpu,
         "evictions": evictions,
     }

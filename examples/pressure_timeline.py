@@ -38,7 +38,7 @@ def timeline() -> None:
     print("  " + sparkline(frozen))
     print("activation threshold (0.6 floor, relaxing when quiet):")
     print("  " + sparkline(threshold))
-    print(f"\nreclaims: {len(desiccant.reports)}, "
+    print(f"\nreclaims: {desiccant.reclaims}, "
           f"released {desiccant.total_released_bytes / MIB:.0f} MiB total, "
           f"evictions: {platform.evictions}, "
           f"cold boots: {platform.cold_boots}")

@@ -14,11 +14,10 @@ make racing reclamation and eviction harmless (§4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.core.activation import ActivationController
 from repro.core.profiles import ProfileStore
-from repro.core.reclaimer import ReclaimReport, reclaim_instance
+from repro.core.reclaimer import reclaim_instance
 from repro.core.selection import rank_candidates
 from repro.faas.instance import FunctionInstance
 
@@ -52,7 +51,8 @@ class Desiccant:
         self.config = config or DesiccantConfig()
         self.activation = activation or ActivationController()
         self.profiles = profiles or ProfileStore()
-        self.reports: List[ReclaimReport] = []
+        #: Reclaims run so far, with their released bytes and CPU seconds.
+        self.reclaims = 0
         self.total_released_bytes = 0
         self.total_cpu_seconds = 0.0
 
@@ -114,7 +114,7 @@ class Desiccant:
             aggressive=self.config.aggressive,
             unmap_libraries=self.config.unmap_libraries,
         )
-        self.reports.append(report)
+        self.reclaims += 1
         self.total_released_bytes += report.released_bytes
         self.total_cpu_seconds += report.cpu_seconds
         return report.cpu_seconds

@@ -318,6 +318,22 @@ class VirtualAddressSpace:
         mapping = self._mappings[starts[idx]]
         return mapping if addr < mapping.start + mapping.length else None
 
+    def mappings_in(self, start: int, end: int) -> List[Mapping]:
+        """The mappings that overlap ``[start, end)``, by start address."""
+        result = []
+        starts, mappings = self._starts, self._mappings
+        idx = max(0, bisect_right(starts, start) - 1)
+        n = len(starts)
+        while idx < n:
+            s = starts[idx]
+            if s >= end:
+                break
+            mapping = mappings[s]
+            if s + mapping.length > start:
+                result.append(mapping)
+            idx += 1
+        return result
+
     def mmap(
         self,
         length: int,
@@ -357,9 +373,9 @@ class VirtualAddressSpace:
         """Remove mappings in ``[addr, addr+length)``, splitting at edges."""
         self._check_open()
         start, end = page_floor(addr), page_ceil(addr + length)
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             self._split_for(mapping, start, end)
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             # After splitting, every overlapping mapping is fully contained.
             self._release_range(mapping, 0, mapping.num_pages)
             self._remove(mapping)
@@ -370,9 +386,9 @@ class VirtualAddressSpace:
         self._check_open()
         start, end = page_floor(addr), page_ceil(addr + length)
         self._require_fully_mapped(start, end)
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             self._split_for(mapping, start, end)
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             mapping.prot = prot
         self.version += 1
 
@@ -533,7 +549,7 @@ class VirtualAddressSpace:
         self._check_open()
         start, end = page_floor(addr), page_ceil(addr + length)
         released = 0
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             first = max(0, (start - mapping.start) >> PAGE_SHIFT)
             last = min(
                 mapping.num_pages,
@@ -553,7 +569,7 @@ class VirtualAddressSpace:
         start, end = page_floor(addr), page_ceil(addr + length)
         result = SwapOutResult()
         phys = self.physical
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             first = max(0, (start - mapping.start) >> PAGE_SHIFT)
             last = min(
                 mapping.num_pages,
@@ -644,26 +660,11 @@ class VirtualAddressSpace:
         del self._starts[idx]
 
     def _overlaps(self, start: int, length: int) -> bool:
-        return bool(self._overlapping(start, start + length))
-
-    def _overlapping(self, start: int, end: int) -> List[Mapping]:
-        result = []
-        starts, mappings = self._starts, self._mappings
-        idx = max(0, bisect_right(starts, start) - 1)
-        n = len(starts)
-        while idx < n:
-            s = starts[idx]
-            if s >= end:
-                break
-            mapping = mappings[s]
-            if s + mapping.length > start:
-                result.append(mapping)
-            idx += 1
-        return result
+        return bool(self.mappings_in(start, start + length))
 
     def _require_fully_mapped(self, start: int, end: int) -> None:
         covered = start
-        for mapping in self._overlapping(start, end):
+        for mapping in self.mappings_in(start, end):
             if mapping.start > covered:
                 raise SegmentationFault(
                     f"{self.name}: hole at {covered:#x} in mprotect range"

@@ -283,8 +283,9 @@ class ManagedRuntime(abc.ABC):
         fault-cost accumulation order are preserved exactly: the result
         is byte-identical to the scalar loop, which ``tests/oracles.py``
         keeps as the reference.  HotSpot and V8 place the run as a
-        one-run :meth:`alloc_stream`; the arena runtimes (CPython, Go)
-        have their own segment placer.
+        one-run :meth:`alloc_stream`; the arena runtimes
+        (:class:`~repro.runtime.arena.ArenaRuntime`) cut it into arena
+        segments.
 
         Returns the allocated object ids (segment ids for batched runs).
         A moving collector may later split a segment where its members
@@ -518,8 +519,40 @@ class ManagedRuntime(abc.ABC):
         return self.collect(full=True, aggressive=aggressive)
 
     @abc.abstractmethod
+    def _full_gc(self, aggressive: bool) -> float:
+        """Collect the whole heap and let the resize policy act; returns
+        its CPU seconds."""
+
     def reclaim(self, aggressive: bool = False) -> ReclaimOutcome:
-        """Desiccant's interface: GC + resize + release free pages (§4.4)."""
+        """Desiccant's interface, Algorithm 1 (§4.4): a full collection
+        that lets the resize policy shrink, then the release of every free
+        page (§7 applies the same recipe to the arena runtimes).
+
+        ``released_bytes`` is everything returned to the OS: the discarded
+        pages, or the USS drop when the collection's own resize
+        (uncommit, unmapped chunks) returned more.
+        """
+        uss_before = self.uss()
+        gc_seconds, evacuated_bytes = self._reclaim_gc(aggressive)
+        discarded = self._release_free_pages() * PAGE_SIZE
+        uss_after = self.uss()
+        return ReclaimOutcome(
+            live_bytes=self.last_gc_live_bytes,
+            released_bytes=max(discarded, uss_before - uss_after),
+            cpu_seconds=gc_seconds + costs.release_cost(discarded),
+            uss_before=uss_before,
+            uss_after=uss_after,
+            aggressive=aggressive,
+            evacuated_bytes=evacuated_bytes,
+        )
+
+    def _reclaim_gc(self, aggressive: bool) -> Tuple[float, int]:
+        """The reclaim's collection: ``(CPU seconds, evacuated bytes)``."""
+        return self._full_gc(aggressive), 0
+
+    @abc.abstractmethod
+    def _release_free_pages(self) -> int:
+        """Discard every heap page no live object needs; returns pages."""
 
     @abc.abstractmethod
     def heap_stats(self) -> HeapStats:

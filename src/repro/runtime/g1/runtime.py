@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.mem.layout import MIB, PAGE_SIZE, Protection, page_ceil
+from repro.mem.layout import MIB, Protection, page_ceil
 from repro.mem.vmm import Mapping
 from repro.runtime import costs
 from repro.runtime.base import (
@@ -29,7 +29,6 @@ from repro.runtime.base import (
     LibrarySpec,
     ManagedRuntime,
     OutOfMemory,
-    ReclaimOutcome,
     RuntimeConfig,
 )
 from repro.runtime.g1.regions import REGION_SIZE, Region, RegionKind, RegionManager
@@ -274,34 +273,21 @@ class G1Runtime(ManagedRuntime):
 
     # -------------------------------------------------------------- reclaim
 
-    def reclaim(self, aggressive: bool = False) -> ReclaimOutcome:
-        """§7 adapter: run a full collection, then release every FREE
-        region's pages and the allocated regions' free tails."""
-        uss_before = self.uss()
-        gc_seconds = self._full_gc(aggressive)
-        released_pages = 0
+    def _release_free_pages(self) -> int:
+        """§7: every FREE region's pages and the allocated regions' free
+        tails."""
+        released = 0
         for region in self._regions.regions:
             base = self._region_base(region)
             if region.kind is RegionKind.FREE:
-                released_pages += self.space.discard(base, REGION_SIZE)
+                released += self.space.discard(base, REGION_SIZE)
                 region.touched = 0
             else:
                 tail = page_ceil(region.top)
                 if REGION_SIZE > tail:
-                    released_pages += self.space.discard(
-                        base + tail, REGION_SIZE - tail
-                    )
+                    released += self.space.discard(base + tail, REGION_SIZE - tail)
                     region.touched = min(region.touched, tail)
-        discarded = released_pages * PAGE_SIZE
-        uss_after = self.uss()
-        return ReclaimOutcome(
-            live_bytes=self.last_gc_live_bytes,
-            released_bytes=max(discarded, uss_before - uss_after),
-            cpu_seconds=gc_seconds + costs.release_cost(discarded),
-            uss_before=uss_before,
-            uss_after=uss_after,
-            aggressive=aggressive,
-        )
+        return released
 
     # -------------------------------------------------------------- metrics
 
@@ -328,6 +314,4 @@ class G1Runtime(ManagedRuntime):
     def _heap_mappings(self) -> List[Mapping]:
         start = self._heap.start
         end = start + len(self._regions.regions) * REGION_SIZE
-        return [
-            m for m in self.space.mappings() if m.start < end and m.end > start
-        ]
+        return self.space.mappings_in(start, end)

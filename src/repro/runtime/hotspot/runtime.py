@@ -31,7 +31,6 @@ from repro.runtime.base import (
     LibrarySpec,
     ManagedRuntime,
     OutOfMemory,
-    ReclaimOutcome,
     RuntimeConfig,
 )
 from repro.runtime.hotspot.policy import ResizePolicy
@@ -322,31 +321,15 @@ class HotSpotRuntime(ManagedRuntime):
 
     # -------------------------------------------------------------- reclaim
 
-    def reclaim(self, aggressive: bool = False) -> ReclaimOutcome:
-        """Algorithm 1: collect all generations, resize, release free pages."""
-        uss_before = self.uss()
-        gc_seconds = self._full_gc(aggressive)
-        released_pages = 0
+    def _release_free_pages(self) -> int:
+        """Algorithm 1's release: ``[top, committed)`` of every space."""
+        released = 0
         for space in self._spaces():
             begin, end = space.release_range()
             if end > begin:
-                released_pages += self.space.discard(
-                    self._heap.start + begin, end - begin
-                )
+                released += self.space.discard(self._heap.start + begin, end - begin)
             space.touched = min(space.touched, page_ceil(space.top))
-        discarded = released_pages * 4096
-        seconds = gc_seconds + costs.release_cost(discarded)
-        uss_after = self.uss()
-        return ReclaimOutcome(
-            live_bytes=self.last_gc_live_bytes,
-            # Report everything returned to the OS: discarded free pages
-            # plus whatever the GC's own resize uncommitted.
-            released_bytes=max(discarded, uss_before - uss_after),
-            cpu_seconds=seconds,
-            uss_before=uss_before,
-            uss_after=uss_after,
-            aggressive=aggressive,
-        )
+        return released
 
     # -------------------------------------------------------------- metrics
 
@@ -368,10 +351,8 @@ class HotSpotRuntime(ManagedRuntime):
         return seconds
 
     def _heap_mappings(self) -> List[Mapping]:
-        start, end = self._heap.start, self._heap.start + self._reserved_bytes()
-        return [
-            m for m in self.space.mappings() if m.start < end and m.end > start
-        ]
+        start = self._heap.start
+        return self.space.mappings_in(start, start + self._reserved_bytes())
 
     def _reserved_bytes(self) -> int:
         return sum(s.reserved for s in self._spaces())

@@ -1,4 +1,4 @@
-"""V8's chunked old space.
+"""V8's chunked old space and large-object space.
 
 Spaces are built from discontiguous 256 KiB chunks (Figure 3b).  Each chunk
 donates its first 4 KiB page to self-describing metadata, which can never be
@@ -7,15 +7,19 @@ old space is swept, not compacted, so after a collection live objects keep
 their offsets and the free memory is *fragmented*: only pages not covered by
 any live object can be returned to the OS, which the paper cites as the
 remaining gap between Desiccant and the ideal for JavaScript.
+
+Large objects get a mapping each in a :class:`LargeObjectSpace`; the §7
+arena runtimes (CPython, Go) keep theirs in one too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
-from repro.mem.layout import CHUNK_SIZE, PAGE_SIZE
-from repro.mem.vmm import Mapping, VirtualAddressSpace
+from repro.mem.layout import CHUNK_SIZE, PAGE_SIZE, page_ceil
+from repro.mem.vmm import FaultCounts, Mapping, VirtualAddressSpace
+from repro.runtime.object_model import HeapObject
 
 #: Bytes of a chunk usable for objects (everything after the metadata page).
 CHUNK_PAYLOAD = CHUNK_SIZE - PAGE_SIZE
@@ -170,6 +174,15 @@ class ChunkedSpace:
         self.chunks = remaining
         return freed
 
+    def spans(self, objects: Dict[int, HeapObject]) -> Iterator[Tuple[int, int]]:
+        """``(addr, size)`` of every placed object still in ``objects``."""
+        for chunk in self.chunks:
+            base = chunk.mapping.start + PAGE_SIZE
+            for oid, offset in chunk.objects:
+                obj = objects.get(oid)
+                if obj is not None:
+                    yield base + offset, obj.size
+
     def release_free_pages(self, live_sizes: Dict[int, int]) -> int:
         """Discard payload pages not covered by live objects.
 
@@ -190,3 +203,42 @@ class ChunkedSpace:
                     )
                     run_start = None
         return released
+
+
+class LargeObjectSpace:
+    """Objects placed in a mapping each, beside the chunks.
+
+    V8's large-object space, CPython's ``malloc`` path and Go's large
+    spans.  ``committed`` is the running total of the mappings' lengths.
+    """
+
+    def __init__(self, name: str, space: VirtualAddressSpace) -> None:
+        #: The name every object's mapping carries.
+        self.name = name
+        self.space = space
+        #: oid -> its mapping, in placement order.
+        self.objects: Dict[int, Mapping] = {}
+        self.committed = 0
+
+    def place(self, oid: int, size: int) -> FaultCounts:
+        """Map and touch ``size`` bytes for ``oid``; returns the faults."""
+        mapping = self.space.mmap(page_ceil(size), name=self.name)
+        self.objects[oid] = mapping
+        self.committed += mapping.length
+        return self.space.touch(mapping.start, size)
+
+    def sweep(self, live: Container[int]) -> None:
+        """Unmap every object not in ``live``, in placement order."""
+        for oid in [oid for oid in self.objects if oid not in live]:
+            mapping = self.objects.pop(oid)
+            self.committed -= mapping.length
+            self.space.munmap(mapping.start, mapping.length)
+
+    def spans(self) -> Iterator[Tuple[int, int]]:
+        """``(addr, length)`` of every object's mapping."""
+        for mapping in self.objects.values():
+            yield mapping.start, mapping.length
+
+    def mappings(self) -> List[Mapping]:
+        """The objects' mappings, in placement order."""
+        return list(self.objects.values())

@@ -16,6 +16,7 @@ deoptimize (§4.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mem.layout import KIB, MIB, PAGE_SIZE, Protection, page_ceil
@@ -26,13 +27,12 @@ from repro.runtime.base import (
     LibrarySpec,
     ManagedRuntime,
     OutOfMemory,
-    ReclaimOutcome,
     RuntimeConfig,
 )
 from repro.runtime.hotspot.spaces import ContiguousSpace
 from repro.runtime.jit import CodeCache
 from repro.runtime.object_model import CohortObject
-from repro.runtime.v8.chunks import CHUNK_PAYLOAD, ChunkedSpace
+from repro.runtime.v8.chunks import ChunkedSpace, LargeObjectSpace
 from repro.runtime.v8.policy import V8YoungPolicy
 
 
@@ -69,7 +69,7 @@ class V8Runtime(ManagedRuntime):
         self._to: ContiguousSpace | None = None
         self._semi_maps: Dict[str, Mapping] = {}
         self._old: ChunkedSpace | None = None
-        self._large: Dict[int, Mapping] = {}
+        self._large = LargeObjectSpace("[v8 large]", self.space)
         self._young_alloc_since_full_gc = 0
         self._survived_since_expand = 0
         self._in_gc = False
@@ -193,18 +193,16 @@ class V8Runtime(ManagedRuntime):
             self.collect(full=True)
             if self._heap_over_budget(size):
                 raise OutOfMemory(f"{self.name}: large-object space over budget")
-        mapping = self.space.mmap(page_ceil(size), name="[v8 large]")
-        counts = self.space.touch(mapping.start, size)
+        counts = self._large.place(oid, size)
         self._charge_faults(counts.minor, counts.major)
-        self._large[oid] = mapping
 
     def _heap_over_budget(self, incoming: int) -> bool:
         cfg: V8Config = self.config  # type: ignore[assignment]
         return self._committed_heap() + incoming > cfg.max_heap
 
     def _committed_heap(self) -> int:
-        large = sum(m.length for m in self._large.values())
-        return self._from.committed + self._to.committed + self._old.committed + large
+        semis = self._from.committed + self._to.committed
+        return semis + self._old.committed + self._large.committed
 
     # ------------------------------------------------------------------- GC
 
@@ -270,10 +268,7 @@ class V8Runtime(ManagedRuntime):
         self._record_gc("young", seconds, collected, total_live)
         # Heap-growing policy: promotions that push the old space past its
         # limit schedule a mark-sweep.
-        old_footprint = self._old.committed + sum(
-            m.length for m in self._large.values()
-        )
-        if old_footprint > self._old_limit:
+        if self._old.committed + self._large.committed > self._old_limit:
             seconds += self._full_gc(aggressive=False)
         return seconds
 
@@ -296,9 +291,7 @@ class V8Runtime(ManagedRuntime):
         # Sweep the old space (frees empty chunks) and the large objects.
         live_sizes = {oid: obj.size for oid, obj in self.graph.objects.items()}
         self._old.sweep(live_sizes)
-        for oid in [o for o in self._large if o not in self.graph.objects]:
-            mapping = self._large.pop(oid)
-            self.space.munmap(mapping.start, mapping.length)
+        self._large.sweep(live_sizes)
 
         live_bytes = sum(live_sizes.values())
         seconds = self._parallel_pause(
@@ -314,13 +307,7 @@ class V8Runtime(ManagedRuntime):
             self._set_semi_committed(self._to, target)
             # V8 releases the from-space free region on shrink (§4.4 notes
             # from space and old generation release automatically).
-            free_begin = page_ceil(self._from.top)
-            if self._from.committed > free_begin:
-                self.space.discard(
-                    self._semi_base(self._from) + free_begin,
-                    self._from.committed - free_begin,
-                )
-                self._from.touched = min(self._from.touched, free_begin)
+            self._discard_from_tail()
         self._young_alloc_since_full_gc = 0
         self._old_limit = max(16 * MIB, int(1.7 * live_bytes))
 
@@ -331,62 +318,45 @@ class V8Runtime(ManagedRuntime):
 
     # -------------------------------------------------------------- reclaim
 
-    def reclaim(self, aggressive: bool = False) -> ReclaimOutcome:
-        """``global.reclaim`` (§4.4): GC, let the resize policy shrink (the
-        instance is frozen, so the allocation rate is zero), then release
-        the remaining free pages -- the to space, and free pages inside
-        partially-occupied old chunks."""
+    def _reclaim_gc(self, aggressive: bool) -> Tuple[float, int]:
+        """``global.reclaim``'s collection (§4.4): the instance is frozen,
+        so the allocation rate is zero and the resize policy shrinks."""
         cfg: V8Config = self.config  # type: ignore[assignment]
-        uss_before = self.uss()
-        self._young_alloc_since_full_gc = 0  # frozen: no recent allocation
+        self._young_alloc_since_full_gc = 0
         evac_base = self._evac_fault_bytes
         chunks_base = self._old.total_chunks_allocated
-        gc_seconds = self._full_gc(aggressive)
+        seconds = self._full_gc(aggressive)
         if cfg.compact_on_reclaim:
-            gc_seconds += self._compact_old()
+            seconds += self._compact_old()
         # Evacuating young survivors into the old space materializes fresh
         # pages (the promoted data plus each new chunk's metadata page)
-        # while the vacated semispace pages are released below -- so the
+        # while the vacated semispace pages are released -- so the
         # reclaim can legitimately end slightly above its starting USS.
-        evacuated_bytes = (
-            self._evac_fault_bytes
-            - evac_base
-            + (self._old.total_chunks_allocated - chunks_base) * PAGE_SIZE
-        )
+        headers = self._old.total_chunks_allocated - chunks_base
+        return seconds, self._evac_fault_bytes - evac_base + headers * PAGE_SIZE
 
-        released_pages = 0
+    def _release_free_pages(self) -> int:
+        """The to space, the from space above its survivors, and the free
+        pages inside live old chunks (metadata pages stay).  Most of V8's
+        release happens before this, through the shrink's uncommit and the
+        freed chunks' munmap."""
+        released = 0
         # The to space is unused until the next scavenge: release it all.
         if self._to.committed > 0:
-            released_pages += self.space.discard(
-                self._semi_base(self._to), self._to.committed
-            )
+            released += self.space.discard(self._semi_base(self._to), self._to.committed)
             self._to.touched = 0
-        # From-space free region (beyond any survivors).
-        free_begin = page_ceil(self._from.top)
-        if self._from.committed > free_begin:
-            released_pages += self.space.discard(
-                self._semi_base(self._from) + free_begin,
-                self._from.committed - free_begin,
-            )
-            self._from.touched = min(self._from.touched, free_begin)
-        # Fragmented free pages inside live old chunks (metadata pages stay).
+        released += self._discard_from_tail()
         live_sizes = {oid: obj.size for oid, obj in self.graph.objects.items()}
-        released_pages += self._old.release_free_pages(live_sizes)
+        return released + self._old.release_free_pages(live_sizes)
 
-        discarded = released_pages * PAGE_SIZE
-        seconds = gc_seconds + costs.release_cost(discarded)
-        uss_after = self.uss()
-        return ReclaimOutcome(
-            live_bytes=self.last_gc_live_bytes,
-            # Most of V8's release happens through the shrink's uncommit
-            # and freed chunks' munmap, not the explicit discards, so
-            # report the end-to-end delta.
-            released_bytes=max(discarded, uss_before - uss_after),
-            cpu_seconds=seconds,
-            uss_before=uss_before,
-            uss_after=uss_after,
-            aggressive=aggressive,
-            evacuated_bytes=evacuated_bytes,
+    def _discard_from_tail(self) -> int:
+        """Discard the from space above its survivors; returns pages."""
+        free_begin = page_ceil(self._from.top)
+        if self._from.committed <= free_begin:
+            return 0
+        self._from.touched = min(self._from.touched, free_begin)
+        return self.space.discard(
+            self._semi_base(self._from) + free_begin, self._from.committed - free_begin
         )
 
     def _compact_old(self) -> float:
@@ -416,14 +386,9 @@ class V8Runtime(ManagedRuntime):
 
     def heap_stats(self) -> HeapStats:
         """Committed/used/live-estimate snapshot."""
-        used = (
-            self._from.top
-            + self._old.used
-            + sum(m.length for m in self._large.values())
-        )
         return HeapStats(
             committed=self._committed_heap(),
-            used=used,
+            used=self._from.top + self._old.used + self._large.committed,
             live_estimate=self.last_gc_live_bytes,
         )
 
@@ -434,25 +399,13 @@ class V8Runtime(ManagedRuntime):
             seconds += self._charge_faults(counts.minor, counts.major)
         # Span per-object, not per-chunk: a freshly-reclaimed chunk has
         # released holes between live objects that the mutator never reads.
-        spans = []
-        for chunk in self._old.chunks:
-            base = chunk.mapping.start + PAGE_SIZE
-            for oid, offset in chunk.objects:
-                obj = self.graph.objects.get(oid)
-                if obj is not None:
-                    spans.append((base + offset, obj.size))
-        for mapping in self._large.values():
-            spans.append((mapping.start, mapping.length))
+        spans = chain(self._old.spans(self.graph.objects), self._large.spans())
         return seconds + self._touch_object_spans(spans)
 
     def _heap_mappings(self) -> List[Mapping]:
         result: List[Mapping] = []
         for semi_map in self._semi_maps.values():
-            start, end = semi_map.start, semi_map.start + self._from.reserved
-            result.extend(
-                m for m in self.space.mappings() if m.start < end and m.end > start
-            )
-        for chunk in self._old.chunks:
-            result.append(chunk.mapping)
-        result.extend(self._large.values())
-        return result
+            start = semi_map.start
+            result.extend(self.space.mappings_in(start, start + self._from.reserved))
+        result.extend(chunk.mapping for chunk in self._old.chunks)
+        return result + self._large.mappings()

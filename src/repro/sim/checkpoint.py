@@ -13,7 +13,7 @@ File format
 -----------
 One UTF-8 JSON header line followed by the raw pickle payload::
 
-    {"magic": "repro-checkpoint", "schema": 4, "meta": {...},
+    {"magic": "repro-checkpoint", "schema": 5, "meta": {...},
      "env": {...}, "payload_sha256": "...", "payload_bytes": N}\n
     <payload_bytes of pickle protocol 4>
 
@@ -30,9 +30,10 @@ A capture's ``pos`` cursor indexes its phase's horizon list, so the
 schema changes whenever the epoch grid does, and whenever pickled state
 changes shape: schema 2 is the fixed grid's, schema 3 pickles object
 graph nodes without reference edges, schema 4 pickles an open archive
-segment's payload bytes instead of its lines, and a capture of another
-schema fails as ``checkpoint-schema`` rather than resume at the wrong
-epoch or misparse a node row.
+segment's payload bytes instead of its lines, schema 5 pickles large
+objects as a ``LargeObjectSpace`` and CPython and Go as arena runtimes,
+and a capture of another schema fails as ``checkpoint-schema`` rather
+than resume at the wrong epoch or misparse a node row.
 
 Invariant names
 ---------------
@@ -95,7 +96,7 @@ CHECKPOINT_MAGIC = "repro-checkpoint"
 #: cursors index.  A restore across schema versions is refused outright
 #: (``checkpoint-schema``): silently reinterpreting old state would break
 #: the byte-identity contract in ways no digest can catch.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Pinned pickle protocol: part of the format, not a knob, so the same
 #: checkpoint bytes restore on every supported interpreter.

@@ -221,7 +221,6 @@ class ClusterReplayResult:
     """Aggregated stats plus the merged-trace equivalence witness."""
 
     stats: ReplayStats
-    per_node_requests: List[int]
     trace_path: Optional[Path] = None
     #: The merged trace's event count and SHA-256, composed from the
     #: archive; ``0`` and ``None`` for an untraced run.
@@ -438,7 +437,6 @@ def cluster_replay(
                 on_barrier=measured_barrier,
             )
             nodes = session.finish()
-            per_node_requests = list(session.router.assigned)
             epochs, events = session.epochs, session.events
             round_trips = session.round_trips
             pipe_bytes = session.pipe_bytes
@@ -502,7 +500,6 @@ def cluster_replay(
     )
     return ClusterReplayResult(
         stats=stats,
-        per_node_requests=per_node_requests,
         trace_path=trace_path,
         trace_events=trace_events,
         trace_sha256=trace_sha256,

@@ -51,7 +51,7 @@ class TestDesiccantStep:
         inst = frozen_instance()
         platform = FakePlatform([inst], capacity_bytes=8 * GIB)
         assert desiccant.step(now=100.0, platform=platform) == 0.0
-        assert desiccant.reports == []
+        assert desiccant.reclaims == 0
         inst.destroy()
 
     def test_reclaims_down_to_target(self):
@@ -64,7 +64,7 @@ class TestDesiccantStep:
         cpu = desiccant.step(now=100.0, platform=platform)
         assert cpu > 0
         assert platform.frozen_bytes() < before
-        assert len(desiccant.reports) >= 1
+        assert desiccant.reclaims >= 1
         for inst in instances:
             inst.destroy()
 
@@ -76,9 +76,9 @@ class TestDesiccantStep:
         inst = frozen_instance()
         platform = FakePlatform([inst], capacity_bytes=256 * MIB)
         desiccant.step(now=10.0, platform=platform)  # frozen for only 10 s
-        assert desiccant.reports == []
+        assert desiccant.reclaims == 0
         desiccant.step(now=100.0, platform=platform)
-        assert len(desiccant.reports) == 1
+        assert desiccant.reclaims == 1
         inst.destroy()
 
     def test_eviction_lowers_threshold_and_drops_profiles(self):
@@ -101,7 +101,7 @@ class TestDesiccantStep:
         instances = [frozen_instance("time", 1) for _ in range(5)]
         platform = FakePlatform(instances, capacity_bytes=64 * MIB)
         desiccant.step(now=100.0, platform=platform)
-        assert len(desiccant.reports) <= 2
+        assert desiccant.reclaims <= 2
         for inst in instances:
             inst.destroy()
 

@@ -131,7 +131,7 @@ class TestManagers:
         )
         for name in ("sort", "file-hash", "fft"):
             submit_and_run(platform, name, 2, spacing=2.0, start=platform.now + 5.0)
-        assert len(desiccant.reports) > 0
+        assert desiccant.reclaims > 0
         assert platform.cpu.busy.get("reclaim", 0) > 0
 
     def test_vanilla_manager_never_reclaims(self):

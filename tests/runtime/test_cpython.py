@@ -73,7 +73,7 @@ def test_large_allocations_bypass_arenas():
     rt = make_runtime()
     rt.begin_invocation()
     oid = rt.alloc(1 * MIB)
-    assert oid in rt._large
+    assert oid in rt._large.objects
     assert rt._arenas.used == 0
 
 
@@ -82,7 +82,7 @@ def test_dead_large_allocation_unmapped_at_gc():
     rt.begin_invocation()
     rt.alloc(1 * MIB, scope="ephemeral")
     rt.collect()
-    assert not rt._large
+    assert not rt._large.objects
 
 
 def test_oom_on_unbounded_live_data():

@@ -108,9 +108,9 @@ def test_large_objects_bypass_arenas():
     rt = make_runtime()
     rt.begin_invocation()
     oid = rt.alloc(2 * MIB)
-    assert oid in rt._large
+    assert oid in rt._large.objects
     rt.collect()  # frame-rooted: survives
-    assert oid in rt._large
+    assert oid in rt._large.objects
 
 
 def test_oom_when_live_exceeds_budget():

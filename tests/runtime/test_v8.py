@@ -47,7 +47,7 @@ class TestAllocationAndScavenge:
         rt = make_runtime()
         rt.begin_invocation()
         oid = rt.alloc(1 * MIB)
-        assert oid in rt._large
+        assert oid in rt._large.objects
 
     def test_scavenge_swaps_semispaces(self):
         rt = make_runtime()
@@ -152,9 +152,9 @@ class TestFullGC:
         rt = make_runtime()
         rt.begin_invocation()
         rt.alloc(2 * MIB, scope="ephemeral")
-        assert len(rt._large) == 1
+        assert len(rt._large.objects) == 1
         rt.full_gc()
-        assert len(rt._large) == 0
+        assert len(rt._large.objects) == 0
 
     def test_aggressive_gc_drops_weak_jit_code(self):
         rt = make_runtime()

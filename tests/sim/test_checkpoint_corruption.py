@@ -87,6 +87,16 @@ class TestCorruption:
             checkpoint.load(ckpt)
         assert caught.value.invariant == "checkpoint-schema"
 
+    def test_schema_4_capture_refused(self, ckpt):
+        """Schema 4 pickled V8's large objects as a dict, which this
+        build's heaps cannot scavenge."""
+        header, payload = _header_and_payload(ckpt)
+        header["schema"] = 4
+        _rewrite(ckpt, header, payload)
+        with pytest.raises(Violation) as caught:
+            checkpoint.load(ckpt)
+        assert caught.value.invariant == "checkpoint-schema"
+
     def test_truncated_payload_refused(self, ckpt):
         header, payload = _header_and_payload(ckpt)
         _rewrite(ckpt, header, payload[: len(payload) // 2])
